@@ -144,8 +144,8 @@ def serve(n_requests: int, n_devices: int = 4, fault_rate: float = 0.0,
     survived via salvage/retry, breaker quarantine and verified
     recovery.  ``hedge_after`` enables hedged dispatch at that multiple
     of the nominal estimate.  Both default off, and off means *inert*:
-    the scheduler runs its exact historical eager path and the report
-    is field-identical to one from before the chaos layer existed.
+    attempts settle eagerly at dispatch and the report is
+    field-identical to one from before the chaos layer existed.
     Ignored when an explicit ``scheduler_config`` is supplied (set
     :attr:`SchedulerConfig.hedge_after` there instead; ``chaos`` still
     applies — it is pool state, not scheduler policy).

@@ -54,7 +54,12 @@ from repro.runtime.events import EventKind, EventQueue
 from repro.runtime.jobs import Job, JobResult, JobStatus, TraceSpec, make_trace
 from repro.runtime.metrics import AutoscaleReport, PoolReport, percentile
 from repro.runtime.pool import DevicePool, value_crc
-from repro.runtime.scheduler import Eviction, Scheduler, SchedulerConfig
+from repro.runtime.scheduler import (
+    Eviction,
+    Scheduler,
+    SchedulerConfig,
+    deadline_verdict,
+)
 from repro.sim.chaos import ChaosModel, PoolChaosModel
 
 #: Per-pool fault-seed stride: pool ``i`` seeds its fault models from
@@ -606,13 +611,8 @@ class Fleet:
                   * self.scheduler_config.reference_slowdown)
         finish = start + cycles
         latency = finish - origin.arrival_cycle
-        if latency > origin.deadline_cycles:
-            status = JobStatus.TIMEOUT
-            error = (f"degraded answer completed "
-                     f"{latency - origin.deadline_cycles:.0f} cycles "
-                     f"past deadline")
-        else:
-            status, error = JobStatus.DEGRADED, ""
+        status, error = deadline_verdict(origin, latency,
+                                         JobStatus.DEGRADED)
         self._fleet_results[origin.job_id] = JobResult(
             job_id=origin.job_id, status=status,
             attempts=rec.prior_attempts, latency_cycles=latency,

@@ -29,7 +29,7 @@ from __future__ import annotations
 import random
 import zlib
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -423,75 +423,52 @@ class Device:
             self._model_rng = random.Random(fm.seed)
         return self._model_rng.random() < fm.rate
 
-    def _attempt_model(self, job: Job, pool: "DevicePool",
-                       now: float, record: bool = True) -> Attempt:
-        """Price one attempt from the golden caches without running it.
+    def _attempt_model(self, jobs: "List[Job]", pool: "DevicePool",
+                       now: float) -> Attempt:
+        """Price one solo or fused attempt from the golden caches
+        without running it.
 
-        The scheduler-visible contract matches :meth:`attempt` — same
-        occupancy accounting, same Attempt shape — except ``values`` is
-        None (no answer is materialised) and a modelled fault charges
-        nominal cycles plus one backoff-budget's worth of retries.
+        The scheduler-visible contract matches :meth:`attempt` and
+        :meth:`attempt_batch` — same occupancy accounting, same Attempt
+        shape — except ``values`` is None (no answer is materialised)
+        and a modelled fault charges nominal cycles plus one
+        backoff-budget's worth of retries.  A batch streams the payload
+        once, so it is charged the solo payload's DRAM bytes (the
+        per-RHS vector traffic is negligible next to the payload).
         """
-        self.jobs_run += 1
-        if self.first_dispatch is None:
-            self.first_dispatch = now
-        cycles = pool.nominal_cycles(job)
-        if self._model_fault(pool):
-            fm = self.fault_model
-            wasted = cycles + fm.backoff_cycles * (2 ** fm.max_retries - 1)
-            att = Attempt(ok=False, cycles=wasted,
-                          error="FaultError: modelled stream fault")
-        else:
-            att = Attempt(ok=True, cycles=cycles,
-                          dram_bytes=pool.nominal_dram_bytes(job))
-        if record:
-            self._record(job, pool, now, att)
-        return att
-
-    def _attempt_model_batch(self, jobs: "List[Job]", pool: "DevicePool",
-                             now: float, record: bool = True) -> Attempt:
-        """``model``-mode analogue of :meth:`attempt_batch`."""
         lead = jobs[0]
         self.jobs_run += len(jobs)
         if self.first_dispatch is None:
             self.first_dispatch = now
-        cycles = pool.nominal_batch_cycles(lead, len(jobs))
+        cycles = (pool.nominal_cycles(lead) if len(jobs) == 1
+                  else pool.nominal_batch_cycles(lead, len(jobs)))
         if self._model_fault(pool):
             fm = self.fault_model
             wasted = cycles + fm.backoff_cycles * (2 ** fm.max_retries - 1)
-            att = Attempt(ok=False, cycles=wasted,
-                          error="FaultError: modelled stream fault")
-        else:
-            # One payload stream for the whole batch: charge the solo
-            # payload once plus nothing per extra operand (the per-RHS
-            # vector traffic is negligible next to the payload).
-            att = Attempt(ok=True, cycles=cycles,
-                          dram_bytes=pool.nominal_dram_bytes(lead))
-        if record:
-            self._record_batch(jobs, pool, now, att)
-        return att
+            return Attempt(ok=False, cycles=wasted,
+                           error="FaultError: modelled stream fault")
+        return Attempt(ok=True, cycles=cycles,
+                       dram_bytes=pool.nominal_dram_bytes(lead))
 
     def attempt(self, job: Job, pool: "DevicePool",
-                now: float = 0.0, record: bool = True) -> Attempt:
+                now: float = 0.0) -> Attempt:
         """Run one accelerator attempt; faults become a failed Attempt.
 
         A failed attempt still occupied the device: it is charged the
         workload's nominal cycles plus every retry/backoff cycle the
         fault model logged during the attempt.  ``now`` is the dispatch
-        cycle on the scheduler clock, used only to place the attempt's
-        trace span — it never changes the outcome.
+        cycle on the scheduler clock, used only to stamp the device's
+        first dispatch — it never changes the outcome.
 
         In a ``model``-execution pool the attempt is priced from the
         golden caches instead of running the kernel (the golden pricing
-        device itself always simulates).
-
-        ``record=False`` suppresses the dispatch-time trace span; the
-        scheduler's lifecycle mode uses it and records the span itself
+        device itself always simulates).  The attempt records no trace
+        span: the scheduler records it through :meth:`record_flight`
         once the attempt's true extent is known (a hang may stretch it,
         a crash or hedge cancellation may cut it short).
         """
         if pool.execution == "model" and self.device_id >= 0:
-            return self._attempt_model(job, pool, now, record=record)
+            return self._attempt_model([job], pool, now)
         exe = self._executor(job, pool)
         operand = pool.operand(job)
         fm = self.fault_model
@@ -515,19 +492,16 @@ class Device:
                 values = result.x
                 report = result.report
                 cycles = report.cycles
-            att = Attempt(ok=True, cycles=cycles, values=values,
-                          dram_bytes=report.counters.get("dram_bytes"))
+            return Attempt(ok=True, cycles=cycles, values=values,
+                             dram_bytes=report.counters.get("dram_bytes"))
         except (FaultError, CorruptionError) as exc:
             retry_after = fm.total_retry_cycles if fm is not None else 0.0
             wasted = pool.nominal_cycles(job) + (retry_after - retry_before)
-            att = Attempt(ok=False, cycles=wasted,
-                          error=f"{type(exc).__name__}: {exc}")
-        if record:
-            self._record(job, pool, now, att)
-        return att
+            return Attempt(ok=False, cycles=wasted,
+                           error=f"{type(exc).__name__}: {exc}")
 
     def attempt_batch(self, jobs: "List[Job]", pool: "DevicePool",
-                      now: float = 0.0, record: bool = True) -> Attempt:
+                      now: float = 0.0) -> Attempt:
         """Run one fused multi-RHS attempt over same-workload jobs.
 
         The operand vectors stack into one ``(n, k)`` panel and the
@@ -536,12 +510,11 @@ class Device:
         job, in job order.  A fault fails the whole batch — one shared
         payload stream means one shared fault exposure — and the failed
         attempt is charged the golden batch service time plus the retry
-        cycles the fault model logged.  ``record=False`` defers the
-        trace spans to the caller, as in :meth:`attempt`.
+        cycles the fault model logged.  Like :meth:`attempt`, it
+        records no trace span.
         """
         if pool.execution == "model" and self.device_id >= 0:
-            return self._attempt_model_batch(jobs, pool, now,
-                                             record=record)
+            return self._attempt_model(jobs, pool, now)
         lead = jobs[0]
         exe = self._executor(lead, pool)
         operands = np.stack([pool.operand(j) for j in jobs], axis=1)
@@ -560,30 +533,32 @@ class Device:
                 raise ConfigError(
                     f"kernel {lead.kernel!r} does not support batched "
                     f"dispatch; batchable: {BATCHABLE_KERNELS}")
-            att = Attempt(ok=True, cycles=report.cycles, values=values,
-                          dram_bytes=report.counters.get("dram_bytes"))
+            return Attempt(ok=True, cycles=report.cycles, values=values,
+                             dram_bytes=report.counters.get("dram_bytes"))
         except (FaultError, CorruptionError) as exc:
             retry_after = fm.total_retry_cycles if fm is not None else 0.0
             wasted = (pool.nominal_batch_cycles(lead, len(jobs))
                       + (retry_after - retry_before))
-            att = Attempt(ok=False, cycles=wasted,
-                          error=f"{type(exc).__name__}: {exc}")
-        if record:
-            self._record_batch(jobs, pool, now, att)
-        return att
+            return Attempt(ok=False, cycles=wasted,
+                           error=f"{type(exc).__name__}: {exc}")
 
     def record_flight(self, jobs: "List[Job]", pool: "DevicePool",
                       begin: float, end: float, ok: bool,
                       error: str = "", cat: str = "job") -> None:
-        """Record a deferred attempt's spans at its *true* interval.
+        """Record an attempt's spans at its *true* interval.
 
-        Lifecycle mode dispatches with ``record=False`` and calls this
-        when the attempt's fate is known: ``cat="job"`` for attempts
-        that ran to completion (hang-stretched ends included),
-        ``"voided"`` for work a crash destroyed, ``"hedge_cancelled"``
-        for a speculative duplicate that lost the race.  Only ``"job"``
-        spans participate in the device-exclusivity invariant, so the
+        Every span of scheduled work goes through here once the
+        attempt's fate is known: ``cat="job"`` for attempts that ran to
+        completion (hang-stretched ends included), ``"voided"`` for
+        work a crash or pool outage destroyed, ``"hedge_cancelled"``
+        for a speculative duplicate that lost the race, ``"probe"`` for
+        a fleet readmission probe.  A completed batch adds one umbrella
+        ``batch`` span; its id on the member spans is what lets the
+        device-exclusivity invariant accept their deliberate overlap.
+        Only ``"job"`` spans participate in that invariant, so the
         truncated non-job categories may share their interval freely.
+        The golden pricing device (id -1) stays untraced: its runs are
+        catalogue lookups, not scheduled work.
         """
         tracer = pool.tracer
         if tracer is None or self.device_id < 0 or end <= begin:
@@ -605,51 +580,6 @@ class Device:
             if error:
                 args["error"] = error
             tracer.add(f"{job.kernel}#{job.job_id}", cat, begin, end,
-                       track, args=args)
-
-    def _record(self, job: Job, pool: "DevicePool", now: float,
-                att: Attempt) -> None:
-        """Job span on this device's trace track.
-
-        The golden pricing device (id -1) stays untraced: its runs are
-        catalogue lookups, not scheduled work.
-        """
-        tracer = pool.tracer
-        if tracer is None or self.device_id < 0:
-            return
-        args: Dict[str, object] = {"ok": att.ok, "dataset": job.dataset}
-        if att.error:
-            args["error"] = att.error
-        tracer.add(f"{job.kernel}#{job.job_id}", "job", now,
-                   now + att.cycles,
-                   pool.track(f"device{self.device_id}"), args=args)
-
-    def _record_batch(self, jobs: "List[Job]", pool: "DevicePool",
-                      now: float, att: Attempt) -> None:
-        """One umbrella ``batch`` span plus the member ``job`` spans.
-
-        Every member occupies the device for the whole fused attempt,
-        so the job spans share one interval; the ``batch`` arg ties
-        them together, which is what lets the device-exclusivity
-        invariant accept the deliberate overlap.
-        """
-        tracer = pool.tracer
-        if tracer is None or self.device_id < 0:
-            return
-        bid = self._batch_seq
-        self._batch_seq += 1
-        end = now + att.cycles
-        track = pool.track(f"device{self.device_id}")
-        tracer.add(f"batch#{self.device_id}.{bid}", "batch", now, end,
-                   track, args={"jobs": float(len(jobs)),
-                                "kernel": jobs[0].kernel, "ok": att.ok})
-        for job in jobs:
-            args: Dict[str, object] = {
-                "ok": att.ok, "dataset": job.dataset,
-                "batch": float(bid), "batch_size": float(len(jobs))}
-            if att.error:
-                args["error"] = att.error
-            tracer.add(f"{job.kernel}#{job.job_id}", "job", now, end,
                        track, args=args)
 
 

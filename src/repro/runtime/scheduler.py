@@ -62,15 +62,29 @@ Policies
 
 Execution modes of the loop itself
 ----------------------------------
-Chaos-free and hedge-free, attempts finalise *eagerly at dispatch* —
-the historical code path, bit-identical to the scheduler before the
-chaos layer existed (the fingerprint corpus pins this).  With chaos or
-hedging configured the loop runs in *lifecycle* mode: an attempt's
-outcome is deferred to its ``DISPATCH_COMPLETE`` event so that crashes,
-hangs and hedge races can intervene mid-flight.  Deferred completion
-events validate by object identity against the device's single
-in-flight record — a postponed or cancelled attempt leaves its old
-event to die stale in the heap.
+Every attempt — solo job, fused batch or hedge twin — dispatches
+through one ``_launch`` and has its outcome applied by one ``_settle``:
+the trace span, the breaker verdict, the results or the
+retry/degrade decision, and cancelling a racing twin.  Only the
+*timing* of the settle differs.  Chaos-free and hedge-free, attempts
+settle *eagerly at dispatch*, the breaker verdict landing on the
+dispatch cycle — bit-identical to the scheduler before the chaos layer
+existed (the fingerprint corpus pins this).  With chaos or hedging
+configured, or in a fleet whose pools may go dark, the loop runs in
+*lifecycle* mode: the settle is deferred to the attempt's
+``DISPATCH_COMPLETE`` event so that crashes, hangs, outages and hedge
+races can intervene mid-flight.  Deferred completion events validate
+by object identity against the device's single in-flight record — a
+postponed or cancelled attempt leaves its old event to die stale in
+the heap.
+
+Both timings stay because they are not interchangeable.  Replaying
+the 90-case fingerprint corpus under the lifecycle timing leaves the
+45 fault-free cases identical except for ``events_processed`` and
+``events_stale``, but moves queue peak, makespan, latency or device
+stats in 18 of the 45 faulty cases: under the eager timing a fault's
+breaker verdict and requeue take effect at the dispatch cycle, under
+the lifecycle timing only at completion.
 """
 
 from __future__ import annotations
@@ -85,6 +99,7 @@ from repro.errors import (
     DeadlineError,
     RejectedError,
     ReproError,
+    SimulationError,
 )
 from repro.runtime.autoscale import AutoscaleConfig, Autoscaler
 from repro.runtime.events import Event, EventKind, EventQueue
@@ -120,7 +135,7 @@ class SchedulerConfig:
     #: flight for ``hedge_after ×`` the workload's golden nominal
     #: cycles, launch one speculative duplicate on a healthy untried
     #: device.  ``None`` disables hedging (and, absent chaos, keeps
-    #: the scheduler on its eager dispatch-time path).  Batched
+    #: the scheduler on its eager settle timing).  Batched
     #: dispatches never hedge.
     hedge_after: Optional[float] = None
 
@@ -145,6 +160,29 @@ class SchedulerConfig:
                 f"nominal estimate), got {self.hedge_after}")
 
 
+def deadline_verdict(job: Job, latency: float,
+                     status: JobStatus = JobStatus.OK,
+                     note: str = "") -> Tuple[JobStatus, str]:
+    """The strict-``>`` deadline rule every completion path applies.
+
+    An answer landing ``latency`` cycles after the job's arrival keeps
+    ``status`` — ``OK``, or ``DEGRADED`` for a reference answer — and
+    ``note`` as its error text when it met the deadline; finishing
+    *exactly* at the deadline counts.  A later answer is ``TIMEOUT``
+    (it stays attached: correct, merely late), its error naming how
+    late it landed and, after it, ``note``.
+    """
+    if latency <= job.deadline_cycles:
+        return status, note
+    what = ("completed" if status is JobStatus.OK
+            else "degraded answer completed")
+    error = (f"{what} {latency - job.deadline_cycles:.0f} cycles past "
+             f"deadline")
+    if note:
+        error += f" (after {note})"
+    return JobStatus.TIMEOUT, error
+
+
 class _JobState:
     """Mutable scheduling state for one admitted job."""
 
@@ -161,7 +199,8 @@ class _JobState:
         #: while a hedge race is on, empty while queued.
         self.flights: List["_Flight"] = []
         #: The job's current HEDGE_TIMER event; identity-checked on
-        #: pop, so a requeue-then-redispatch strands the old timer.
+        #: pop and cleared by every dispatch, so a redispatch — solo or
+        #: batched — strands the old timer.
         self.hedge_event: Optional[Event] = None
 
     @property
@@ -173,7 +212,7 @@ class _Flight:
     """One deferred in-flight attempt (lifecycle mode only).
 
     The outcome ``att`` is drawn at dispatch — device fault streams
-    stay bit-identical to eager mode — but nothing is *applied* until
+    stay bit-identical to eager mode — but nothing is *settled* until
     the flight's ``DISPATCH_COMPLETE`` event is consumed, so a crash
     can void it, a hang can stretch it, and a hedge twin can beat it.
     """
@@ -216,6 +255,12 @@ class Eviction:
     attempts: int
 
 
+#: Event kinds that only wake the engine: the dispatch pass that follows
+#: reads live state and does the work.
+_PURE_WAKES = (EventKind.ARRIVAL, EventKind.RETRY_READY,
+               EventKind.BREAKER_REOPEN)
+
+
 class Scheduler:
     """Runs a trace of jobs over a :class:`DevicePool` to completion."""
 
@@ -247,12 +292,12 @@ class Scheduler:
         #: The run's event heap (rebuilt per :meth:`run`); kept on the
         #: instance so tests and load benchmarks can read its counters.
         self.events = EventQueue()
-        #: Whether attempts defer finalisation to DISPATCH_COMPLETE.
-        #: False runs the exact historical eager path — the chaos-free
-        #: identity guarantee depends on this staying False when
-        #: neither chaos nor hedging is configured.  The fleet passes
-        #: ``lifecycle=True`` when pool-level chaos may strike: an
-        #: outage can only void an attempt that is still *deferred*.
+        #: The settle timing: True defers each attempt's settle to its
+        #: DISPATCH_COMPLETE, False settles it at dispatch (the eager
+        #: timing) — the chaos-free identity guarantee depends on this
+        #: staying False when neither chaos nor hedging is configured.
+        #: The fleet passes ``lifecycle=True`` when pool-level chaos
+        #: may strike: an outage can only void a *deferred* attempt.
         self._lifecycle = (self.pool.chaos is not None
                            or self.config.hedge_after is not None
                            or lifecycle)
@@ -384,8 +429,7 @@ class Scheduler:
         # Mirror of the scan-based loop's first iteration: admit and
         # dispatch anything actionable at cycle 0 before the first
         # clock advance.
-        self._step(self._now, self._arrivals, self._waiting,
-                   self._results)
+        self._step(self._now)
 
     def pending(self) -> bool:
         """Whether the session still has work (queued or in flight)."""
@@ -402,8 +446,7 @@ class Scheduler:
         if not self.pending():
             return None
         if self._held is None:
-            self._held = self._next_wake(self._now, self._waiting,
-                                         self._results)
+            self._held = self._next_wake()
         if self._held is None:
             return self._now
         return self._held.cycle
@@ -413,8 +456,7 @@ class Scheduler:
         if not self.pending():
             return False
         if self._held is None:
-            self._held = self._next_wake(self._now, self._waiting,
-                                         self._results)
+            self._held = self._next_wake()
         wake, self._held = self._held, None
         if wake is None:
             # No future event can unblock the queue (should be
@@ -422,12 +464,11 @@ class Scheduler:
             # whatever is left rather than spin.
             for state in list(self._waiting):
                 self._waiting.remove(state)
-                self._degrade(state, self._now, self._results)
+                self._degrade(state, self._now)
             return False
         self._now = wake.cycle
-        self._consume_at(wake, self._now, self._waiting, self._results)
-        self._step(self._now, self._arrivals, self._waiting,
-                   self._results)
+        self._consume_at(wake, self._now)
+        self._step(self._now)
         return True
 
     def finish(self) -> Tuple[List[JobResult], PoolReport]:
@@ -436,8 +477,18 @@ class Scheduler:
         Results are ordered by job id and cover exactly the jobs this
         scheduler finalised — a job the fleet evicted mid-outage
         belongs to whichever pool (or fleet-level fallback) answered
-        it.
+        it.  Every job given to the session, by the trace or by
+        :meth:`add_job`, must have one or the other: a job with
+        neither was lost, and :class:`SimulationError` names it rather
+        than letting the report count only the survivors.
         """
+        lost = sorted(self._seen - self._results.keys()
+                      - self._evicted_ids)
+        if lost:
+            shown = ", ".join(str(jid) for jid in lost[:20])
+            raise SimulationError(
+                f"{len(lost)} job(s) have neither a result nor an "
+                f"eviction: {shown}{', ...' if len(lost) > 20 else ''}")
         self._trace_devices()
         ordered = [self._results[jid] for jid in sorted(self._results)]
         autoscale_report = None
@@ -531,23 +582,10 @@ class Scheduler:
         self._outage_began = now
         self.outages += 1
         for device in self.pool.devices:
-            flight = device.inflight
-            if flight is not None:
-                device.busy_cycles -= flight.finish - now
-                device.busy_until = now
-                device.record_flight(
-                    [s.job for s in flight.states], self.pool,
-                    flight.start, now, ok=False,
-                    error="pool outage voided attempt", cat="voided")
-                device.inflight = None
-                self._inflight -= 1
-                for s in flight.states:
-                    s.flights.remove(flight)
-                    s.attempts -= 1
-                    s.tried.discard(device.device_id)
-                    if (not s.flights
-                            and s.job.job_id not in self._results):
-                        self._eject(s, now)
+            if device.inflight is not None:
+                for s in self._truncate(device.inflight, now,
+                                        "pool outage voided attempt"):
+                    self._eject(s, now)
             if device.up:
                 device.up = False
                 device.down_since = now
@@ -572,7 +610,7 @@ class Scheduler:
         device = next((d for d in self.pool.devices
                        if not d.retired and not d.draining),
                       self.pool.devices[0])
-        att = device.attempt(job, self.pool, now=now, record=False)
+        att = device.attempt(job, self.pool, now=now)
         finish = now + att.cycles
         device.busy_cycles += att.cycles
         device.busy_until = max(device.busy_until, finish)
@@ -600,16 +638,15 @@ class Scheduler:
     # ------------------------------------------------------------------
     # Event loop
     # ------------------------------------------------------------------
-    def _step(self, now: float, arrivals, waiting: List[_JobState],
-              results: Dict[int, JobResult]) -> None:
+    def _step(self, now: float) -> None:
         """One wake of the engine: admit everything due, then dispatch
         until no further progress is possible at this cycle."""
+        arrivals = self._arrivals
         while arrivals and arrivals[0].arrival_cycle <= now:
-            self._admit_at(arrivals.popleft(), waiting, results)
-        self._dispatch(now, waiting, results)
+            self._admit_at(arrivals.popleft())
+        self._dispatch(now)
 
-    def _valid(self, event: Event, now: float,
-               results: Dict[int, JobResult]) -> bool:
+    def _valid(self, event: Event) -> bool:
         """Whether a popped event still describes live state.
 
         The heap is append-only (lazy deletion), so an event may
@@ -620,13 +657,11 @@ class Scheduler:
         event order does not define, shifting timeout finalisation.
         """
         kind = event.kind
-        if kind == EventKind.ARRIVAL:
-            return True
         if kind == EventKind.DISPATCH_COMPLETE:
             if not self._lifecycle:
-                # Pushed at dispatch with the device's busy_until; a
-                # device is never redispatched before it completes, so
-                # each completion event matches exactly one real
+                # Eager attempts settled at dispatch, and a device is
+                # never redispatched before it completes: each
+                # completion is a pure wake matching one real
                 # transition.
                 return True
             # Deferred completions validate by identity: a hang
@@ -639,69 +674,62 @@ class Scheduler:
         if kind == EventKind.BREAKER_REOPEN:
             breaker = self.pool.devices[event.key].breaker
             return breaker.reopen_at == event.cycle
-        if kind in (EventKind.DEVICE_CRASH, EventKind.DEVICE_HANG,
-                    EventKind.DEVICE_RECOVER):
-            # Each is pushed exactly once per incident and incidents
-            # per device are strictly sequential — never stale.
-            return True
         if kind == EventKind.HEDGE_TIMER:
+            # Live only while the solo primary that armed it is the
+            # job's one flight: a finished, requeued or redispatched
+            # job has cleared or replaced its timer or emptied its
+            # flights.
             state = self._states.get(event.key)
-            return (state is not None
-                    and event.key not in results
-                    and state.hedge_event is event
-                    and len(state.flights) == 1
-                    and not state.flights[0].hedge)
-        if kind in (EventKind.SCALE_EVAL, EventKind.DEVICE_ADD):
-            # One SCALE_EVAL is live at a time (re-armed on consume)
-            # and every DEVICE_ADD lands exactly once — never stale.
-            return True
+            return (state is not None and state.hedge_event is event
+                    and len(state.flights) == 1)
         if kind == EventKind.DEVICE_DRAIN:
             # Identity-validated like deferred completions: a drain
             # re-armed past in-flight work strands its old event.
             device = self.pool.devices[event.key]
             return (device.draining and not device.retired
                     and device.drain_event is event)
-        # RETRY_READY / DEADLINE_EXPIRY concern a job that must still
-        # be in flight (admitted, no terminal result yet, not handed
-        # back to the fleet by a pool outage).
-        return (event.key not in results
-                and event.key not in self._evicted_ids)
+        if kind in (EventKind.RETRY_READY, EventKind.DEADLINE_EXPIRY):
+            # The job must still be in flight: admitted, no terminal
+            # result yet, not handed back to the fleet by a pool
+            # outage.
+            return (event.key not in self._results
+                    and event.key not in self._evicted_ids)
+        # Arrivals land once; chaos incidents are pushed once each and
+        # are strictly sequential per device; one SCALE_EVAL is live
+        # at a time and every DEVICE_ADD lands once — never stale.
+        return True
 
-    def _next_wake(self, now: float, waiting: List[_JobState],
-                   results: Dict[int, JobResult]) -> Optional[Event]:
+    def _next_wake(self) -> Optional[Event]:
         """Pop until the earliest strictly-future valid event."""
         events = self.events
         while events:
             event = events.pop()
-            if event.cycle <= now or not self._valid(event, now, results):
+            if event.cycle <= self._now or not self._valid(event):
                 events.mark_stale()
                 continue
             return event
         return None
 
-    def _consume_at(self, wake: Event, now: float,
-                    waiting: List[_JobState],
-                    results: Dict[int, JobResult]) -> None:
+    def _consume_at(self, wake: Event, now: float) -> None:
         """Drain every event coincident with ``wake`` and apply the
         ones with their own effect.
 
-        Most events only *wake* the engine — the dispatch pass that
-        follows reads live state and does the work.  The exception is
-        ``DEADLINE_EXPIRY`` for a job whose retry-ready cycle lies
-        strictly beyond its deadline: that job cannot be dispatched at
-        the deadline cycle (or ever before it), so it is finalised
-        ``TIMEOUT`` here, *at* the deadline — the scan-based engine
-        left it pending until its retry became ready and then stamped
-        the inflated cycle on it.
+        Arrivals, retry readiness and breaker reopenings only *wake*
+        the engine — the dispatch pass that follows reads live state
+        and does the work.  ``DEADLINE_EXPIRY`` has an effect only for
+        a job whose retry-ready cycle lies strictly beyond its
+        deadline: that job cannot be dispatched at the deadline cycle
+        (or ever before it), so it is finalised ``TIMEOUT`` here, *at*
+        the deadline — the scan-based engine left it pending until its
+        retry became ready and then stamped the inflated cycle on it.
 
-        In lifecycle mode the completion, chaos and hedge events also
-        carry their own effect, applied here in the documented
-        coincident order (kind, then key): a job completing the cycle
-        its device crashes completes *before* the crash voids
-        anything.  Each effectful event is re-validated immediately
-        before it applies — an earlier coincident event may have
-        cancelled it (e.g. the primary finishing at the same cycle as
-        its hedge twin) — and marked stale if so.
+        Every other kind carries its own effect, applied here in the
+        documented coincident order (kind, then key): a job completing
+        the cycle its device crashes completes *before* the crash
+        voids anything.  Each effectful event is re-validated
+        immediately before it applies — an earlier coincident event
+        may have cancelled it (e.g. the primary finishing at the same
+        cycle as its hedge twin) — and marked stale if so.
         """
         pending = [wake]
         events = self.events
@@ -712,60 +740,47 @@ class Scheduler:
             pending.append(events.pop())
         for event in pending:
             kind = event.kind
+            if kind in _PURE_WAKES:
+                continue
             if kind == EventKind.DEADLINE_EXPIRY:
-                state = next((s for s in waiting
+                state = next((s for s in self._waiting
                               if s.job.job_id == event.key), None)
                 if state is None or state.ready <= now:
                     # Dispatchable at its deadline cycle: the
                     # strict-`>` boundary rule lets it still be placed
                     # this wake.
                     continue
-                waiting.remove(state)
-                self._finalize_timeout(state, now, results)
+                self._waiting.remove(state)
+                self._finalize_timeout(state, now)
                 continue
-            # Autoscale events carry their own effect in *both* loop
-            # modes — elasticity is orthogonal to chaos/hedging.
-            if kind == EventKind.SCALE_EVAL:
+            if not self._valid(event):
+                if event is not wake:
+                    events.mark_stale()
+                continue
+            if kind == EventKind.HEDGE_TIMER:
+                self._launch_hedge(self._states[event.key], now)
+            elif kind == EventKind.SCALE_EVAL:
                 self._scale_eval(now)
-                continue
-            if kind == EventKind.DEVICE_ADD:
+            elif kind == EventKind.DEVICE_ADD:
                 self._apply_device_add(now)
-                continue
-            if kind == EventKind.DEVICE_DRAIN:
-                device = self.pool.devices[event.key]
-                if (device.draining and not device.retired
-                        and device.drain_event is event):
-                    if device.busy_until > now:
-                        # Still finishing work (a probe or hang pushed
-                        # its horizon out): re-arm at the new horizon.
-                        device.drain_event = events.push(
-                            device.busy_until, EventKind.DEVICE_DRAIN,
-                            device.device_id)
-                    else:
-                        self._retire(device, now)
-                elif event is not wake:
-                    events.mark_stale()
-                continue
-            if not self._lifecycle:
-                continue  # every other kind is a pure wake
-            if kind == EventKind.DISPATCH_COMPLETE:
-                flight = self.pool.devices[event.key].inflight
-                if flight is not None and flight.complete_event is event:
-                    self._complete(flight, now, waiting, results)
-                elif event is not wake:
-                    events.mark_stale()
+            elif kind == EventKind.DISPATCH_COMPLETE:
+                self._complete(self.pool.devices[event.key], now)
             elif kind == EventKind.DEVICE_CRASH:
-                self._apply_crash(self.pool.devices[event.key], now,
-                                  waiting, results)
+                self._apply_crash(self.pool.devices[event.key], now)
             elif kind == EventKind.DEVICE_HANG:
                 self._apply_hang(self.pool.devices[event.key], now)
             elif kind == EventKind.DEVICE_RECOVER:
                 self._apply_recover(self.pool.devices[event.key], now)
-            elif kind == EventKind.HEDGE_TIMER:
-                if self._valid(event, now, results):
-                    self._launch_hedge(self._states[event.key], now)
-                elif event is not wake:
-                    events.mark_stale()
+            else:  # DEVICE_DRAIN
+                device = self.pool.devices[event.key]
+                if device.busy_until > now:
+                    # Still finishing work (a probe or hang pushed its
+                    # horizon out): re-arm at the new horizon.
+                    device.drain_event = events.push(
+                        device.busy_until, EventKind.DEVICE_DRAIN,
+                        device.device_id)
+                else:
+                    self._retire(device, now)
 
     def _trace_devices(self) -> None:
         """Close a traced serve run: one summary span per device that
@@ -785,8 +800,7 @@ class Scheduler:
                              "breaker_trips": float(d.breaker.trips)})
 
     # ------------------------------------------------------------------
-    def _admit_at(self, job: Job, waiting: List[_JobState],
-                  results: Dict[int, JobResult]) -> None:
+    def _admit_at(self, job: Job) -> None:
         if self._pool_down and job.deadline_cycles > 0:
             # Arrived mid-outage: infrastructure loss alone is never a
             # terminal verdict — hand the job to the fleet to re-route.
@@ -795,9 +809,9 @@ class Scheduler:
             self._eject(_JobState(job), job.arrival_cycle)
             return
         try:
-            self.admit(job, queue_length=len(waiting))
+            self.admit(job, queue_length=len(self._waiting))
         except RejectedError as exc:
-            results[job.job_id] = JobResult(
+            self._results[job.job_id] = JobResult(
                 job_id=job.job_id, status=JobStatus.REJECTED,
                 finish_cycle=job.arrival_cycle, error=str(exc))
             if self.pool.tracer is not None:
@@ -807,26 +821,21 @@ class Scheduler:
             return
         state = _JobState(job)
         self._states[job.job_id] = state
-        waiting.append(state)
-        self.queue_peak = max(self.queue_peak, len(waiting))
+        self._waiting.append(state)
+        self.queue_peak = max(self.queue_peak, len(self._waiting))
         self.events.push(state.deadline_at, EventKind.DEADLINE_EXPIRY,
                          job.job_id)
 
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
-    def _dispatch(self, now: float, waiting: List[_JobState],
-                  results: Dict[int, JobResult]) -> bool:
-        """Place/finalise every job actionable at ``now``.
-
-        Returns True when any progress was made (the caller re-enters
-        before advancing the clock).
-        """
-        progressed = False
+    def _dispatch(self, now: float) -> None:
+        """Place/finalise every job actionable at ``now``."""
+        waiting = self._waiting
         while True:
             eligible = [s for s in waiting if s.ready <= now]
             if not eligible:
-                return progressed
+                return
             # Deterministic service order: priority desc, then FIFO.
             eligible.sort(key=lambda s: (-s.job.priority, s.job.job_id))
 
@@ -839,8 +848,7 @@ class Scheduler:
             if expired:
                 for state in expired:
                     waiting.remove(state)
-                    self._finalize_timeout(state, now, results)
-                progressed = True
+                    self._finalize_timeout(state, now)
                 continue
 
             # ``available`` folds the lifecycle state (crashed or
@@ -857,12 +865,10 @@ class Scheduler:
             if not free and self.pool.refusing(now) == len(self.pool):
                 state = eligible[0]
                 waiting.remove(state)
-                self._degrade(state, now, results)
-                progressed = True
+                self._degrade(state, now)
                 continue
 
             # 3. Place the best job on the best untried free device.
-            placed = False
             for state in eligible:
                 candidates = [d for d in free
                               if d.device_id not in state.tried]
@@ -878,16 +884,10 @@ class Scheduler:
                 batch = self._coalesce(state, device, eligible, now)
                 for member in batch:
                     waiting.remove(member)
-                if len(batch) == 1:
-                    self._execute(state, device, now, waiting, results)
-                else:
-                    self._execute_batch(batch, device, now, waiting,
-                                        results)
-                placed = True
-                progressed = True
+                self._launch(batch, device, now)
                 break
-            if not placed:
-                return progressed
+            else:
+                return  # nothing placeable until the next event
 
     def _coalesce(self, lead: _JobState, device: Device,
                   eligible: List[_JobState],
@@ -930,18 +930,35 @@ class Scheduler:
         return batch
 
     # ------------------------------------------------------------------
-    # Attempt execution and finalisation
+    # One dispatch path, one settle path
     # ------------------------------------------------------------------
-    def _execute(self, state: _JobState, device: Device, now: float,
-                 waiting: List[_JobState],
-                 results: Dict[int, JobResult]) -> None:
-        job = state.job
-        state.attempts += 1
-        state.tried.add(device.device_id)
+    def _launch(self, states: List[_JobState], device: Device,
+                now: float, hedge: bool = False) -> None:
+        """Dispatch a solo job, a fused batch or a hedge twin.
+
+        Each member consumes one attempt and marks the device tried;
+        the breaker sees one dispatch, because a batch's members share
+        one payload stream and so one fault exposure.  The outcome is
+        drawn here — fault streams are the same under both settle
+        timings — and applied by :meth:`_settle`: at once under the
+        eager timing, with the breaker verdict on the dispatch cycle,
+        or at the flight's ``DISPATCH_COMPLETE`` under the lifecycle
+        timing, so chaos and hedging can intervene while it is in
+        flight.
+        """
+        jobs = [s.job for s in states]
+        for s in states:
+            s.attempts += 1
+            s.tried.add(device.device_id)
+            # A timer armed by an earlier solo attempt must not hedge
+            # this one; only a solo primary arms a fresh timer below.
+            s.hedge_event = None
         device.breaker.on_dispatch(now)
         try:
-            att = device.attempt(job, self.pool, now=now,
-                                 record=not self._lifecycle)
+            if len(jobs) == 1:
+                att = device.attempt(jobs[0], self.pool, now=now)
+            else:
+                att = device.attempt_batch(jobs, self.pool, now=now)
         except ReproError as exc:
             # Not a device fault — the job itself is unserviceable
             # (unknown dataset/kernel, bad config).  No retry can help.
@@ -951,103 +968,15 @@ class Scheduler:
             # half-open forever and the device would never take
             # traffic again.
             device.breaker.release_probe()
-            results[job.job_id] = JobResult(
-                job_id=job.job_id, status=JobStatus.FAILED,
-                device_id=device.device_id, attempts=state.attempts,
-                finish_cycle=now,
-                error=f"{type(exc).__name__}: {exc}")
-            return
-        finish = now + att.cycles
-        device.busy_until = finish
-        device.busy_cycles += att.cycles
-        event = self.events.push(finish, EventKind.DISPATCH_COMPLETE,
-                                 device.device_id)
-        if self._lifecycle:
-            # Defer everything — breaker verdict, result, spans — to
-            # the completion event, so chaos and hedging can intervene
-            # while the attempt is in flight.
-            self._register_flight([state], att, device, now, finish,
-                                  hedge=False, event=event)
-            if self.config.hedge_after is not None and len(self.pool) > 1:
-                hedge_at = (now + self.config.hedge_after
-                            * self.pool.nominal_cycles(job))
-                state.hedge_event = self.events.push(
-                    hedge_at, EventKind.HEDGE_TIMER, job.job_id)
-            return
-
-        if att.ok:
-            device.breaker.on_success()
-            latency = finish - job.arrival_cycle
-            if latency > job.deadline_cycles:
-                status, error = JobStatus.TIMEOUT, (
-                    f"completed {latency - job.deadline_cycles:.0f} "
-                    f"cycles past deadline")
-            else:
-                status, error = JobStatus.OK, ""
-            results[job.job_id] = JobResult(
-                job_id=job.job_id, status=status,
-                device_id=device.device_id, attempts=state.attempts,
-                latency_cycles=latency, finish_cycle=finish,
-                value_crc=(value_crc(att.values)
-                           if att.values is not None else 0),
-                error=error)
-            return
-
-        # Device fault: feed the breaker, then retry elsewhere or
-        # degrade.  The breaker opens at the dispatch cycle so its
-        # cooldown is measured purely in simulated time.
-        self._on_attempt_failure(device, now)
-        exhausted = (state.attempts >= self.config.max_attempts
-                     or self.pool.untried_targets(state.tried) == 0)
-        if exhausted:
-            self._degrade(state, finish, results, last_error=att.error,
-                          device_id=device.device_id)
-        else:
-            self._requeue(state, finish, waiting)
-
-    def _on_attempt_failure(self, device: Device, now: float) -> None:
-        """Feed the breaker; if this failure tripped it, schedule the
-        cooldown-elapsed probe opportunity as an event."""
-        device.breaker.on_failure(now)
-        reopen = device.breaker.reopen_at
-        if reopen is not None:
-            self.events.push(reopen, EventKind.BREAKER_REOPEN,
-                             device.device_id)
-
-    def _requeue(self, state: _JobState, ready: float,
-                 waiting: List[_JobState]) -> None:
-        """Put a faulted job back in the queue, dispatchable at
-        ``ready`` (the cycle its failed attempt released the device)."""
-        state.ready = ready
-        waiting.append(state)
-        self.queue_peak = max(self.queue_peak, len(waiting))
-        self.events.push(ready, EventKind.RETRY_READY, state.job.job_id)
-
-    def _execute_batch(self, states: List[_JobState], device: Device,
-                       now: float, waiting: List[_JobState],
-                       results: Dict[int, JobResult]) -> None:
-        """One fused multi-RHS attempt; per-job outcomes split out.
-
-        The breaker sees the batch as a single dispatch/outcome — one
-        payload stream either served everyone or faulted on everyone —
-        while results, CRCs and latencies stay per job.  On a fault
-        every member is requeued (or degraded) under its own attempt
-        budget, exactly as if it had failed a solo attempt.
-        """
-        jobs = [s.job for s in states]
-        for s in states:
-            s.attempts += 1
-            s.tried.add(device.device_id)
-        device.breaker.on_dispatch(now)
-        try:
-            att = device.attempt_batch(jobs, self.pool, now=now,
-                                       record=not self._lifecycle)
-        except ReproError as exc:
-            # Same rationale as the solo path: unserviceable work, not
-            # a device verdict — release a claimed probe.
-            device.breaker.release_probe()
+            if hedge:
+                # The primary dispatched the same job fine, so this is
+                # unreachable in practice; refund the slot rather than
+                # fail a job that still has a live primary.
+                states[0].attempts -= 1
+                states[0].tried.discard(device.device_id)
+                return
             for s in states:
-                results[s.job.job_id] = JobResult(
+                self._results[s.job.job_id] = JobResult(
                     job_id=s.job.job_id, status=JobStatus.FAILED,
                     device_id=device.device_id, attempts=s.attempts,
                     finish_cycle=now,
@@ -1058,169 +987,168 @@ class Scheduler:
         device.busy_cycles += att.cycles
         event = self.events.push(finish, EventKind.DISPATCH_COMPLETE,
                                  device.device_id)
-        if self._lifecycle:
+        if not self._lifecycle:
+            self._settle(states, att, device, now, finish, now, hedge)
+            return
+        flight = _Flight(states, att, device, now, finish, hedge, event)
+        device.inflight = flight
+        for s in states:
+            s.flights.append(flight)
+        self._inflight += 1
+        if hedge:
+            self.hedges_launched += 1
+            if self.pool.tracer is not None:
+                self.pool.tracer.instant_event(
+                    f"hedge#{jobs[0].job_id}", "hedge", now,
+                    self.pool.track("scheduler"))
+        elif (len(jobs) == 1 and self.config.hedge_after is not None
+              and len(self.pool) > 1):
             # Batched flights never hedge — one speculative duplicate
             # of a k-wide panel would double the panel's stream cost
             # for one straggler's tail.
-            self._register_flight(list(states), att, device, now,
-                                  finish, hedge=False, event=event)
-            return
+            hedge_at = (now + self.config.hedge_after
+                        * self.pool.nominal_cycles(jobs[0]))
+            states[0].hedge_event = self.events.push(
+                hedge_at, EventKind.HEDGE_TIMER, jobs[0].job_id)
 
-        if att.ok:
-            device.breaker.on_success()
+    def _settle(self, states: List[_JobState], att, device: Device,
+                start: float, end: float, verdict_at: float,
+                hedge: bool) -> None:
+        """Apply an attempt's outcome: span, breaker verdict, then
+        results — or retry/degrade — per member.
+
+        ``end`` is the cycle the attempt released the device: its
+        answers' finish cycle, or when a faulted member may retry.
+        ``verdict_at`` is when the breaker hears of a fault: the
+        dispatch cycle under the eager timing, ``end`` under the
+        lifecycle timing (a hang may have stretched the flight).  On
+        success any twin still racing for a member is cancelled —
+        first verified answer wins; on a fault a member whose twin is
+        still racing waits for it instead of retrying.
+        """
+        jobs = [s.job for s in states]
+        device.record_flight(jobs, self.pool, start, end, ok=att.ok,
+                             error=att.error)
+        if not att.ok:
+            # One breaker outcome for the whole dispatch, then each
+            # member retries elsewhere or degrades on its own attempt
+            # budget.  The breaker opens at ``verdict_at`` so its
+            # cooldown is measured purely in simulated time.
+            self._on_attempt_failure(device, verdict_at)
+            for s in states:
+                if s.flights:
+                    continue
+                if (s.attempts >= self.config.max_attempts
+                        or self.pool.untried_targets(s.tried) == 0):
+                    self._degrade(s, end, last_error=att.error,
+                                  device_id=device.device_id)
+                else:
+                    self._requeue(s, end)
+            return
+        device.breaker.on_success()
+        if hedge:
+            self.hedges_won += 1
+        if len(jobs) > 1:
             self.batches += 1
             self.batched_jobs += len(jobs)
             solo_bytes = self.pool.nominal_dram_bytes(jobs[0])
             self.stream_bytes_saved += max(
                 0.0, solo_bytes * len(jobs) - att.dram_bytes)
-            for col, s in enumerate(states):
-                job = s.job
-                latency = finish - job.arrival_cycle
-                if latency > job.deadline_cycles:
-                    status, error = JobStatus.TIMEOUT, (
-                        f"completed {latency - job.deadline_cycles:.0f} "
-                        f"cycles past deadline")
-                else:
-                    status, error = JobStatus.OK, ""
-                results[job.job_id] = JobResult(
-                    job_id=job.job_id, status=status,
-                    device_id=device.device_id, attempts=s.attempts,
-                    latency_cycles=latency, finish_cycle=finish,
-                    value_crc=(value_crc(att.values[:, col])
-                               if att.values is not None else 0),
-                    batch_size=len(jobs), error=error)
-            return
-
-        # One shared payload stream faulted on the whole batch: one
-        # breaker outcome, every member retried or degraded on its own
-        # attempt budget.
-        self._on_attempt_failure(device, now)
-        for s in states:
-            exhausted = (s.attempts >= self.config.max_attempts
-                         or self.pool.untried_targets(s.tried) == 0)
-            if exhausted:
-                self._degrade(s, finish, results, last_error=att.error,
-                              device_id=device.device_id)
+        for col, s in enumerate(states):
+            job = s.job
+            latency = end - job.arrival_cycle
+            status, error = deadline_verdict(job, latency)
+            if att.values is None:
+                crc = 0
+            elif len(jobs) > 1:
+                crc = value_crc(att.values[:, col])
             else:
-                self._requeue(s, finish, waiting)
+                crc = value_crc(att.values)
+            self._results[job.job_id] = JobResult(
+                job_id=job.job_id, status=status,
+                device_id=device.device_id, attempts=s.attempts,
+                latency_cycles=latency, finish_cycle=end,
+                value_crc=crc, batch_size=len(jobs), error=error,
+                hedged=hedge)
+            for loser in list(s.flights):
+                # A race loss says nothing about device health: the
+                # loser's claimed half-open probe is released, not
+                # resolved, and the attempt stays counted.
+                loser.device.breaker.release_probe()
+                self._truncate(loser, end, "hedge race lost",
+                               cat="hedge_cancelled")
+                if self.pool.tracer is not None:
+                    self.pool.tracer.instant_event(
+                        f"hedge_cancel#{job.job_id}", "hedge_cancel",
+                        end, self.pool.track("scheduler"))
+
+    def _on_attempt_failure(self, device: Device, now: float) -> None:
+        """Feed the breaker; if this failure tripped it, schedule the
+        cooldown-elapsed probe opportunity as an event."""
+        device.breaker.on_failure(now)
+        reopen = device.breaker.reopen_at
+        if reopen is not None:
+            self.events.push(reopen, EventKind.BREAKER_REOPEN,
+                             device.device_id)
+
+    def _requeue(self, state: _JobState, ready: float) -> None:
+        """Put a faulted job back in the queue, dispatchable at
+        ``ready`` (the cycle its failed attempt released the device)."""
+        state.ready = ready
+        self._waiting.append(state)
+        self.queue_peak = max(self.queue_peak, len(self._waiting))
+        self.events.push(ready, EventKind.RETRY_READY, state.job.job_id)
 
     # ------------------------------------------------------------------
-    # Lifecycle mode: deferred flights, hedging, chaos
+    # Lifecycle timing: deferred flights, hedging, chaos
     # ------------------------------------------------------------------
-    def _register_flight(self, states: List[_JobState], att,
-                         device: Device, start: float, finish: float,
-                         hedge: bool, event: Event) -> None:
-        flight = _Flight(states, att, device, start, finish, hedge,
-                         event)
-        device.inflight = flight
-        for s in states:
-            s.flights.append(flight)
-        self._inflight += 1
+    def _complete(self, device: Device, now: float) -> None:
+        """Settle the device's deferred flight at its completion.
 
-    def _complete(self, flight: _Flight, now: float,
-                  waiting: List[_JobState],
-                  results: Dict[int, JobResult]) -> None:
-        """Apply a deferred attempt's outcome at its completion cycle.
-
-        The breaker is fed *here* — at the cycle the verdict exists —
-        and the trace spans are recorded at the flight's true interval
-        (a hang may have stretched it).  On success any hedge twin
-        still in flight is cancelled; on failure a live twin keeps the
-        job's fate open and nothing is requeued yet.
+        An eager attempt settled at dispatch, so its completion is a
+        pure wake.
         """
-        device = flight.device
-        states = flight.states
-        jobs = [s.job for s in states]
-        att = flight.att
+        flight = device.inflight
+        if flight is None:
+            return
         device.inflight = None
         self._inflight -= 1
-        for s in states:
+        for s in flight.states:
             s.flights.remove(flight)
+        self._settle(flight.states, flight.att, device, flight.start,
+                     now, now, flight.hedge)
 
-        if att.ok:
-            device.record_flight(jobs, self.pool, flight.start, now,
-                                 ok=True)
-            device.breaker.on_success()
-            if flight.hedge:
-                self.hedges_won += 1
-            if len(states) > 1:
-                self.batches += 1
-                self.batched_jobs += len(jobs)
-                solo_bytes = self.pool.nominal_dram_bytes(jobs[0])
-                self.stream_bytes_saved += max(
-                    0.0, solo_bytes * len(jobs) - att.dram_bytes)
-            for col, s in enumerate(states):
-                job = s.job
-                latency = now - job.arrival_cycle
-                if latency > job.deadline_cycles:
-                    status, error = JobStatus.TIMEOUT, (
-                        f"completed "
-                        f"{latency - job.deadline_cycles:.0f} "
-                        f"cycles past deadline")
-                else:
-                    status, error = JobStatus.OK, ""
-                if att.values is None:
-                    crc = 0
-                elif len(states) > 1:
-                    crc = value_crc(att.values[:, col])
-                else:
-                    crc = value_crc(att.values)
-                results[job.job_id] = JobResult(
-                    job_id=job.job_id, status=status,
-                    device_id=device.device_id, attempts=s.attempts,
-                    latency_cycles=latency, finish_cycle=now,
-                    value_crc=crc, batch_size=len(jobs), error=error,
-                    hedged=flight.hedge)
-                # First verified answer wins: a twin still racing is
-                # cancelled, its device time trimmed to the cycles it
-                # actually burned.
-                for loser in list(s.flights):
-                    self._cancel_flight(loser, now)
-                    s.flights.remove(loser)
-            return
+    def _truncate(self, flight: _Flight, now: float, error: str,
+                  cat: str = "voided") -> List[_JobState]:
+        """Cut a deferred flight short at ``now``.
 
-        # Fault at completion: one breaker verdict, then each member
-        # retries, degrades — or simply waits, if its hedge twin is
-        # still racing and may yet answer.
-        device.record_flight(jobs, self.pool, flight.start, now,
-                             ok=False, error=att.error)
-        self._on_attempt_failure(device, now)
-        for s in states:
-            if s.flights:
-                continue
-            exhausted = (s.attempts >= self.config.max_attempts
-                         or self.pool.untried_targets(s.tried) == 0)
-            if exhausted:
-                self._degrade(s, now, results, last_error=att.error,
-                              device_id=device.device_id)
-            else:
-                self._requeue(s, now, waiting)
-
-    def _cancel_flight(self, flight: _Flight, now: float) -> None:
-        """Cancel a hedge loser: trim its device to the cycles actually
-        occupied and strand its completion event (lazy deletion).
-
-        The attempt stays *counted* — it really dispatched and burned
-        ``now - start`` cycles — but produces no breaker verdict (a
-        race loss says nothing about device health, so a claimed
-        half-open probe is released, not resolved) and never touches
-        the job's result.
+        The device is trimmed to the cycles actually occupied, the
+        flight's completion event is stranded (lazy deletion) and the
+        cut span is recorded as ``cat``.  A ``voided`` attempt — work a
+        device crash or pool outage destroyed — is also uncharged:
+        each member's attempt-budget slot is refunded and the device
+        leaves its ``tried`` set, so even a one-device pool can retry
+        after recovery.  A cancelled hedge loser stays counted.
+        Returns the members left with neither a live flight nor a
+        result, for the caller to requeue or hand back.
         """
         device = flight.device
         device.busy_cycles -= flight.finish - now
         device.busy_until = now
-        device.breaker.release_probe()
         device.inflight = None
         self._inflight -= 1
-        jobs = [s.job for s in flight.states]
-        device.record_flight(jobs, self.pool, flight.start, now,
-                             ok=False, error="hedge race lost",
-                             cat="hedge_cancelled")
-        if self.pool.tracer is not None:
-            for job in jobs:
-                self.pool.tracer.instant_event(
-                    f"hedge_cancel#{job.job_id}", "hedge_cancel", now,
-                    self.pool.track("scheduler"))
+        device.record_flight([s.job for s in flight.states], self.pool,
+                             flight.start, now, ok=False, error=error,
+                             cat=cat)
+        orphans = []
+        for s in flight.states:
+            s.flights.remove(flight)
+            if cat == "voided":
+                s.attempts -= 1
+                s.tried.discard(device.device_id)
+            if not s.flights and s.job.job_id not in self._results:
+                orphans.append(s)
+        return orphans
 
     def _launch_hedge(self, state: _JobState, now: float) -> None:
         """Launch the speculative duplicate a HEDGE_TIMER asked for.
@@ -1230,38 +1158,12 @@ class Scheduler:
         dispatch, not a standing order).
         """
         state.hedge_event = None
-        job = state.job
         free = [d for d in self.pool.devices
                 if d.busy_until <= now and d.available(now)
                 and d.device_id not in state.tried]
-        if not free:
-            return
-        device = min(free, key=lambda d: (d.busy_cycles, d.device_id))
-        state.attempts += 1
-        state.tried.add(device.device_id)
-        device.breaker.on_dispatch(now)
-        try:
-            att = device.attempt(job, self.pool, now=now, record=False)
-        except ReproError:
-            # The primary dispatched the same job fine, so this is
-            # unreachable in practice; refund the slot rather than
-            # fail a job that still has a live primary.
-            device.breaker.release_probe()
-            state.attempts -= 1
-            state.tried.discard(device.device_id)
-            return
-        finish = now + att.cycles
-        device.busy_until = finish
-        device.busy_cycles += att.cycles
-        event = self.events.push(finish, EventKind.DISPATCH_COMPLETE,
-                                 device.device_id)
-        self._register_flight([state], att, device, now, finish,
-                              hedge=True, event=event)
-        self.hedges_launched += 1
-        if self.pool.tracer is not None:
-            self.pool.tracer.instant_event(
-                f"hedge#{job.job_id}", "hedge", now,
-                self.pool.track("scheduler"))
+        if free:
+            device = min(free, key=lambda d: (d.busy_cycles, d.device_id))
+            self._launch([state], device, now, hedge=True)
 
     def _schedule_incident(self, device: Device, now: float) -> None:
         """Draw the device's next incident and push its onset event."""
@@ -1275,15 +1177,11 @@ class Scheduler:
                 else EventKind.DEVICE_HANG)
         self.events.push(inc.at, kind, device.device_id)
 
-    def _apply_crash(self, device: Device, now: float,
-                     waiting: List[_JobState],
-                     results: Dict[int, JobResult]) -> None:
+    def _apply_crash(self, device: Device, now: float) -> None:
         """The device dies until its incident's recovery cycle.
 
-        In-flight work is *voided* — lost, not failed: the attempt is
-        uncharged (cycles trimmed, attempt-budget slot refunded, the
-        device removed from ``tried`` so even a one-device pool can
-        retry after recovery) and each orphaned job requeues
+        In-flight work is *voided* — lost, not failed (see
+        :meth:`_truncate`) — and each orphaned job requeues
         immediately unless a hedge twin is still racing for it.  The
         breaker is quarantined, not tripped: the outage is a known
         lifecycle fact, not an inferred health verdict.
@@ -1308,23 +1206,10 @@ class Scheduler:
                 f"crash#{device.device_id}.{device.crashes}", "crash",
                 now, inc.until, self.pool.track("chaos"),
                 args={"device": float(device.device_id)})
-        flight = device.inflight
-        if flight is None:
-            return
-        device.busy_cycles -= flight.finish - now
-        device.busy_until = now
-        device.record_flight([s.job for s in flight.states], self.pool,
-                             flight.start, now, ok=False,
-                             error="device crashed mid-attempt",
-                             cat="voided")
-        device.inflight = None
-        self._inflight -= 1
-        for s in flight.states:
-            s.flights.remove(flight)
-            s.attempts -= 1
-            s.tried.discard(device.device_id)
-            if not s.flights and s.job.job_id not in results:
-                self._requeue(s, now, waiting)
+        if device.inflight is not None:
+            for s in self._truncate(device.inflight, now,
+                                    "device crashed mid-attempt"):
+                self._requeue(s, now)
 
     def _apply_hang(self, device: Device, now: float) -> None:
         """The device stalls until the incident clears.
@@ -1476,7 +1361,7 @@ class Scheduler:
 
         The device takes no new placements from this cycle on
         (``available`` is False while draining); in-flight work — the
-        eager mode's busy horizon or a deferred flight — finishes
+        eager timing's busy horizon or a deferred flight — finishes
         first, then the DEVICE_DRAIN retires it.  An idle target
         retires immediately.
         """
@@ -1513,13 +1398,12 @@ class Scheduler:
                 self.pool.track("autoscale"),
                 args={"device": float(device.device_id)})
 
-    def _finalize_timeout(self, state: _JobState, now: float,
-                          results: Dict[int, JobResult]) -> None:
+    def _finalize_timeout(self, state: _JobState, now: float) -> None:
         job = state.job
         err = DeadlineError(
             f"job {job.job_id}: deadline of {job.deadline_cycles:.0f} "
             f"cycles expired at cycle {now:.0f} before execution")
-        results[job.job_id] = JobResult(
+        self._results[job.job_id] = JobResult(
             job_id=job.job_id, status=JobStatus.TIMEOUT,
             attempts=state.attempts,
             latency_cycles=now - job.arrival_cycle,
@@ -1530,16 +1414,10 @@ class Scheduler:
                 self.pool.track("scheduler"))
 
     def _degrade(self, state: _JobState, start: float,
-                 results: Dict[int, JobResult], last_error: str = "",
-                 device_id: int = -1) -> None:
-        """Answer on the reference path, explicitly marked DEGRADED.
-
-        The deadline rule is the same strict-``>`` boundary every other
-        completion path applies: a degraded answer landing past the
-        job's deadline is ``TIMEOUT`` — the reference answer stays
-        attached (correct, merely late), exactly like an accelerator
-        answer that finished late.
-        """
+                 last_error: str = "", device_id: int = -1) -> None:
+        """Answer on the reference path, explicitly marked DEGRADED —
+        or ``TIMEOUT`` under the same :func:`deadline_verdict` every
+        completion path applies, the reference answer still attached."""
         job = state.job
         try:
             values = self.pool.reference_values(job)
@@ -1547,7 +1425,7 @@ class Scheduler:
             detail = f"{type(exc).__name__}: {exc}"
             if last_error:
                 detail += f" (after {last_error})"
-            results[job.job_id] = JobResult(
+            self._results[job.job_id] = JobResult(
                 job_id=job.job_id, status=JobStatus.FAILED,
                 device_id=device_id, attempts=state.attempts,
                 finish_cycle=start, error=detail)
@@ -1556,16 +1434,9 @@ class Scheduler:
                   * self.config.reference_slowdown)
         finish = start + cycles
         latency = finish - job.arrival_cycle
-        if latency > job.deadline_cycles:
-            status = JobStatus.TIMEOUT
-            error = (f"degraded answer completed "
-                     f"{latency - job.deadline_cycles:.0f} cycles past "
-                     f"deadline")
-            if last_error:
-                error += f" (after {last_error})"
-        else:
-            status, error = JobStatus.DEGRADED, last_error
-        results[job.job_id] = JobResult(
+        status, error = deadline_verdict(job, latency, JobStatus.DEGRADED,
+                                         last_error)
+        self._results[job.job_id] = JobResult(
             job_id=job.job_id, status=status,
             device_id=-1, attempts=state.attempts,
             latency_cycles=latency,

@@ -6,7 +6,8 @@ Three contracts pinned here:
    field-identical to the pre-chaos scheduler.  A 90-case fingerprint
    corpus (``tests/data/poolreport_fingerprints.json``, captured from
    the tree before the chaos layer landed) is replayed and compared
-   field-for-field.
+   field-for-field.  Its fault-free half is also replayed under the
+   lifecycle settle timing, which may differ only in event counts.
 
 2. **Survival under storm** — with tight incident gaps every job still
    reaches a terminal status, nothing FAILs from infrastructure loss
@@ -30,11 +31,15 @@ from repro.errors import ConfigError
 from repro.observe import Tracer, check_trace
 from repro.runtime import (
     ChaosModel,
+    FleetConfig,
     JobStatus,
     Scheduler,
     SchedulerConfig,
     DevicePool,
+    TraceSpec,
+    make_trace,
     serve,
+    serve_fleet,
 )
 from repro.runtime.metrics import PoolReport, report_json
 
@@ -53,11 +58,32 @@ def storm(seed, rate=0.2, kinds=None):
 
 
 def storm_serve(seed, *, chaos=None, hedge_after=None, tracer=None,
-                n_requests=60, n_devices=3, fault_rate=0.1):
+                n_requests=60, n_devices=3, fault_rate=0.1, max_batch=1):
     return serve(n_requests=n_requests, n_devices=n_devices,
                  fault_rate=fault_rate, seed=seed, scale=0.04,
                  execution="model", chaos=chaos,
-                 hedge_after=hedge_after, tracer=tracer)
+                 hedge_after=hedge_after, tracer=tracer,
+                 max_batch=max_batch)
+
+
+def assert_matches_corpus(entry, report, skip=()):
+    """Compare a report with one corpus entry, field for field.
+
+    Only fields present at capture time are compared: counters added
+    later (zero when chaos is off) don't invalidate the corpus.
+    """
+    got = dataclasses.asdict(report)
+    for key, expect in entry["report"].items():
+        if key in skip:
+            continue
+        if key == "devices":
+            assert len(got["devices"]) == len(expect)
+            for gd, wd in zip(got["devices"], expect):
+                for dk, dv in wd.items():
+                    assert gd[dk] == dv, \
+                        f"{entry['case']}: devices[].{dk}"
+        else:
+            assert got[key] == expect, f"{entry['case']}: {key}"
 
 
 # ----------------------------------------------------------------------
@@ -70,20 +96,29 @@ class TestChaosFreeIdentity:
         for entry in corpus:
             _, report = serve(n_requests=20, scale=0.04,
                               execution="model", **entry["case"])
-            got = dataclasses.asdict(report)
-            want = entry["report"]
-            # Compare only fields present at capture time: counters
-            # added later (zero when chaos is off) don't invalidate
-            # the corpus.
-            for key, expect in want.items():
-                if key == "devices":
-                    assert len(got["devices"]) == len(expect)
-                    for gd, wd in zip(got["devices"], expect):
-                        for dk, dv in wd.items():
-                            assert gd[dk] == dv, \
-                                f"{entry['case']}: devices[].{dk}"
-                else:
-                    assert got[key] == expect, f"{entry['case']}: {key}"
+            assert_matches_corpus(entry, report)
+
+    def test_lifecycle_timing_matches_corpus_without_faults(self):
+        # Eager and lifecycle dispatch share one launch/settle path and
+        # differ only in when an outcome settles.  Without faults no
+        # verdict can move a job, so the deferred timing reproduces the
+        # eager corpus except for its event bookkeeping (the completion
+        # events it consumes).  Faulty cases are left out on purpose:
+        # there the timing of the breaker verdict and requeue moves
+        # queue peak, latency and device stats — which is why the
+        # eager timing is kept rather than deleted.
+        corpus = json.loads(FINGERPRINTS.read_text())
+        fault_free = [e for e in corpus if e["case"]["fault_rate"] == 0.0]
+        assert len(fault_free) == 45
+        for entry in fault_free:
+            case = entry["case"]
+            pool = DevicePool(case["n_devices"], seed=case["seed"],
+                              execution="model")
+            trace = make_trace(TraceSpec(n_requests=20, seed=case["seed"],
+                                         scale=0.04))
+            _, report = Scheduler(pool, lifecycle=True).run(trace)
+            assert_matches_corpus(
+                entry, report, skip=("events_processed", "events_stale"))
 
     def test_eager_path_without_chaos_or_hedge(self):
         pool = DevicePool(2, fault_rate=0.0, seed=0)
@@ -113,12 +148,14 @@ class TestChaosFreeIdentity:
 # 2. Survival under storm
 # ----------------------------------------------------------------------
 class TestStormSurvival:
+    @pytest.mark.parametrize("max_batch", [1, 4])
     @pytest.mark.parametrize("seed", range(6))
     def test_every_job_terminal_and_none_lost_to_infrastructure(
-            self, seed):
+            self, seed, max_batch):
         tr = Tracer()
         results, rep = storm_serve(seed, chaos=storm(seed),
-                                   hedge_after=1.5, tracer=tr)
+                                   hedge_after=1.5, tracer=tr,
+                                   max_batch=max_batch)
         assert len(results) == 60
         assert {r.job_id for r in results} == set(range(60))
         for r in results:
@@ -146,7 +183,6 @@ class TestStormSurvival:
         chaos = storm(seed)
         pool = DevicePool(3, fault_rate=0.1, seed=seed,
                           execution="model", chaos=chaos)
-        from repro.runtime.jobs import TraceSpec, make_trace
         trace = make_trace(TraceSpec(n_requests=60, seed=seed,
                                      scale=0.04))
         _, rep = Scheduler(pool).run(trace)
@@ -255,6 +291,33 @@ class TestHedging:
             Scheduler(pool, SchedulerConfig(hedge_after=0.0))
         with pytest.raises(ConfigError):
             Scheduler(pool, SchedulerConfig(hedge_after=-1.5))
+
+    #: Batched, hedged serving under a light fault rate: a job whose
+    #: solo attempt faulted before its hedge timer fired may be
+    #: redispatched inside a batch while that timer is still pending.
+    BATCH_HEDGE = dict(
+        n_devices=4, fault_rate=0.02, scale=0.05, execution="model",
+        scheduler_config=SchedulerConfig(max_batch=4, hedge_after=2.0),
+        mean_interarrival_cycles=300.0,
+        deadline_range=(200_000.0, 400_000.0))
+
+    def test_stale_hedge_timer_never_cancels_a_batch(self):
+        # The timer armed by a job's faulted solo attempt used to stay
+        # live after the job joined a batch; the hedge it launched won
+        # and cancelled the whole batch, and the batch's other jobs
+        # (90-92 here) never got a result.
+        results, rep = serve(n_requests=500, seed=13, **self.BATCH_HEDGE)
+        assert [r.job_id for r in results] == list(range(500))
+        assert rep.requests == 500
+
+    def test_stale_hedge_timer_never_loses_a_fleet_job(self):
+        # The same defect on a 2-pool fleet surfaced as a KeyError when
+        # the fleet assembled its results.
+        results, rep = serve_fleet(
+            n_requests=400, seed=7, fleet_config=FleetConfig(n_pools=2),
+            **self.BATCH_HEDGE)
+        assert [r.job_id for r in results] == list(range(400))
+        assert rep.requests == 400
 
     def test_busy_cycles_stay_consistent_under_cancellation(self):
         # Cancelled hedge attempts are trimmed to the cycles actually

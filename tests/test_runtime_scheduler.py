@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import load_dataset
-from repro.errors import ConfigError, RejectedError
+from repro.errors import ConfigError, RejectedError, SimulationError
 from repro.kernels.spmv import to_csr
 from repro.runtime import (
     DevicePool,
@@ -435,6 +435,20 @@ class TestDuplicateJobIds:
     def test_unique_ids_unaffected(self):
         results, _ = run([job(0), job(1)], n_devices=1)
         assert [r.job_id for r in results] == [0, 1]
+
+
+class TestLostJobs:
+    def test_finish_names_a_job_with_no_result(self):
+        # A lost job used to vanish silently: the report counted only
+        # the results that existed, so ``requests`` shrank with it.
+        pool = DevicePool(2, seed=0)
+        sched = Scheduler(pool, SchedulerConfig())
+        sched.start([job(i, arrival=i * 2000.0) for i in range(4)])
+        while sched.advance():
+            pass
+        del sched._results[2]
+        with pytest.raises(SimulationError, match=r"1 job\(s\).*: 2$"):
+            sched.finish()
 
 
 class TestEventEngine:
