@@ -26,7 +26,7 @@ def test_spmm_panel_amortization(benchmark, scale, results_dir):
         out = {}
         for k in (1, 2, 4, 8, 16):
             x = rng.normal(size=(n, k))
-            y, report = acc.run_spmm(x)
+            y, report = acc.run_spmv_batch(x)
             assert np.allclose(y, matrix @ x, atol=1e-8)
             out[k] = report
         return out

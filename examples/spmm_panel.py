@@ -34,7 +34,7 @@ def main() -> None:
     base = None
     for k in (1, 2, 4, 8, 16, 32):
         x = rng.normal(size=(n, k))
-        y, report = acc.run_spmm(x)
+        y, report = acc.run_spmv_batch(x)
         assert np.allclose(y, matrix @ x, atol=1e-8)
         if base is None:
             base = report.energy_j

@@ -32,14 +32,6 @@ from repro.core.switch import (
     SwitchConfiguration,
     switch_distance,
 )
-from repro.core.statemachine import (
-    ACCELERATED,
-    HOST,
-    KernelState,
-    KernelStateMachine,
-    pcg_state_machine,
-    walk_pcg,
-)
 from repro.core.config import (
     NO_CACHE_WRITE,
     AccessOrder,
@@ -73,10 +65,6 @@ __all__ = [
     "SimReport",
     "combine",
     "convert",
-    "ACCELERATED",
-    "HOST",
-    "KernelState",
-    "KernelStateMachine",
     "DEFAULT_FIFO_DEPTH",
     "DetailedReport",
     "crosscheck_with_analytic",
@@ -90,8 +78,6 @@ __all__ = [
     "decode_program",
     "encode_image",
     "image_size_bytes",
-    "pcg_state_machine",
-    "walk_pcg",
     "encode_program",
     "program_size_bytes",
 ]

@@ -31,6 +31,15 @@ chunk it produces, so the pass costs the *sum over block rows* of
 ``max(row stream, row GEMV compute) + row D-SymGS compute``.  Data-path
 switches add their pipeline fill, and reconfiguration adds only what the
 tree drain cannot hide (§4.4).
+
+Execution paths
+---------------
+Each ``Alrescha.run_*`` method checks its operands and makes one
+dispatch (``Alrescha._run``): the pass's compiled plan
+(:mod:`repro.core.plan`) by default, or the per-block interpreter
+(:mod:`repro.core.interpreter`) with ``config.use_plan`` off or after
+cross-check failures degraded the plans.  Batched runs take the same
+route with ``(n, k)`` operand panels; a solo run is the width-1 case.
 """
 
 from __future__ import annotations
@@ -47,20 +56,18 @@ from repro.core.config import (
     KernelType,
     OperandPort,
 )
+from repro.core import interpreter
 from repro.core.convert import ConversionResult, convert
-from repro.core.datapaths import (
-    DEFAULT_DSYMGS_STEP_LATENCY,
-    DataPathTiming,
-    dbfs_block,
-    dpr_block,
-    dsssp_block,
-    dsymgs_block,
-    gemv_block,
-)
+from repro.core.datapaths import DEFAULT_DSYMGS_STEP_LATENCY, DataPathTiming
 from repro.core.fcu import DEFAULT_N_ALUS, FixedComputeUnit
-from repro.core.plan import KERNEL_PLAN_KINDS, compile_pass
+from repro.core.plan import (
+    KERNEL_PLAN_KINDS,
+    CompiledStreamingPass,
+    CompiledSymgsPass,
+    compile_pass,
+)
 from repro.core.report import SimReport
-from repro.observe.tracer import PassTraceBuilder, Tracer
+from repro.observe.tracer import Tracer
 from repro.core.rcu import RCUConfig, ReconfigurableComputeUnit
 from repro.sim.cache import LocalCache
 from repro.sim.energy import EnergyModel
@@ -92,8 +99,8 @@ class AlreschaConfig:
     element_bytes: int = 8
     #: Execute passes through compiled plans (:mod:`repro.core.plan`):
     #: bit-identical results and reports, batched numpy instead of the
-    #: per-block interpreter.  False falls back to the legacy path
-    #: (the equivalence oracle).
+    #: per-block interpreter.  False runs every pass on the interpreter
+    #: (:mod:`repro.core.interpreter`, the equivalence oracle).
     use_plan: bool = True
     #: Modelled DRAM capacity; :meth:`Alrescha.program` rejects device
     #: images whose resident set exceeds it (the model never pages).
@@ -110,11 +117,13 @@ class AlreschaConfig:
     #: stay *visible* in the output unless the user opts into guarding.
     guard_nonfinite: bool = False
     #: Fraction of block rows whose compiled-plan output is spot-checked
-    #: against an independent recompute per pass (0 disables).
+    #: against an independent recompute per pass (0 disables).  Only
+    #: the streaming plans (SpMV, batched SpMV, D-BFS, D-SSSP, D-PR)
+    #: are checked; the SymGS and parent-tracking D-BFS plans are not.
     crosscheck_rows: float = 0.0
     crosscheck_seed: int = 1
     #: Cross-check mismatches tolerated before the accelerator degrades
-    #: plans to the legacy interpreter with checksums forced on.
+    #: plans to the interpreter with checksums forced on.
     crosscheck_threshold: int = 1
     #: Optional :class:`~repro.observe.tracer.Tracer` recording
     #: cycle-attributed spans of every pass (engine windows, drains,
@@ -220,12 +229,12 @@ class Alrescha:
         #: first run of each kind and invalidated by :meth:`program`.
         self._plans: Dict[str, object] = {}
         #: Set while a plan captures its report template by replaying the
-        #: legacy interpreter: the capture must see the clean channel or
+        #: interpreter: the capture must see the clean channel or
         #: the template (and plan verification) would absorb faults.
         self._suppress_faults: bool = False
         #: Cross-check mismatches seen so far; at
         #: ``crosscheck_threshold`` the accelerator degrades plans to
-        #: the legacy interpreter with checksums forced on.
+        #: the interpreter with checksums forced on.
         self._crosscheck_failures: int = 0
         self._plan_degraded: bool = False
         self._force_verify: bool = False
@@ -386,23 +395,25 @@ class Alrescha:
         """True once cross-check failures forced plans off for good."""
         return self._plan_degraded
 
-    def _run_plan_checked(self, kind: str, plan_call: Callable,
-                          legacy_call: Callable):
-        """Run a pass through its plan, degrading on cross-check failure.
+    def _run(self, kind: str, plan_method: Callable, *operands,
+             k: Optional[int] = None):
+        """Run pass ``kind`` once — the single plan/interpreter dispatch.
 
-        ``plan_call(plan)`` executes the compiled plan; ``legacy_call()``
-        executes the same pass on the per-block interpreter.  When the
-        plan's sampled cross-check reports a mismatch, the plan output
-        is *discarded* — never returned — and the pass reruns on the
+        ``plan_method(plan, *operands)`` runs the compiled plan;
+        :func:`repro.core.interpreter.run` runs the same pass on the
+        per-block interpreter, which serves ``config.use_plan=False``
+        and plans degraded by cross-check failures.  When a plan's
+        sampled cross-check reports a mismatch, the plan output is
+        *discarded* — never returned — and the pass reruns on the
         interpreter with checksum verification forced on, charged for
         the wasted plan cycles.  Mismatches accumulate; at
         ``crosscheck_threshold`` the accelerator stops trusting plans
-        for the rest of the program.  On a clean run this wrapper adds
-        nothing: the plan result passes through untouched.
+        for the rest of the program.  On a clean run the plan result
+        passes through untouched.
         """
-        if self._plan_degraded:
-            return legacy_call()
-        result = plan_call(self._plan(kind))
+        if not self.config.use_plan or self._plan_degraded:
+            return interpreter.run(self, kind, operands, k)
+        result = plan_method(self._plan(kind), *operands)
         report = result[-1]
         mismatches = report.counters.get("crosscheck_mismatches")
         if not mismatches:
@@ -412,7 +423,7 @@ class Alrescha:
             self._plan_degraded = True
         self._force_verify = True
         try:
-            rerun = legacy_call()
+            rerun = interpreter.run(self, kind, operands, k)
         finally:
             self._force_verify = self._plan_degraded
         rerun_report = rerun[-1]
@@ -429,23 +440,6 @@ class Alrescha:
             if value:
                 rerun_report.counters.add(key, value)
         return rerun
-
-    def _stream_op(self, mem: StreamingMemory, op: _Op
-                   ) -> Tuple[np.ndarray, float]:
-        """Stream one entry's payload block, consulting the fault model.
-
-        Returns ``(delivered values, extra cycles)``.  With no fault
-        model attached — or while a plan captures its report template —
-        this is exactly the pre-resilience ``stream_cycles`` call.
-        """
-        nbytes = self.config.omega * self.config.omega \
-            * self.config.element_bytes
-        if mem.fault_model is None or self._suppress_faults:
-            mem.stream_cycles(nbytes)
-            return op.values, 0.0
-        checksum = op.checksum if (self.config.verify_checksums
-                                   or self._force_verify) else None
-        return mem.stream_payload_block(op.values, nbytes, checksum)
 
     @property
     def conversion(self) -> ConversionResult:
@@ -464,100 +458,32 @@ class Alrescha:
     # ------------------------------------------------------------------
     # Kernel runners
     # ------------------------------------------------------------------
-    def run_spmm(self, x: np.ndarray) -> Tuple[np.ndarray, SimReport]:
-        """Multi-vector SpMV (``Y = A @ X`` for an n x k operand).
+    def run_spmv(self, x: np.ndarray) -> Tuple[np.ndarray, SimReport]:
+        """SpMV over the programmed matrix: ``y = A @ x``."""
+        self._require_kernel(KernelType.SPMV)
+        return self._run("spmv", CompiledStreamingPass.run_spmv,
+                         self._vector("x", x))
 
-        The matrix payload streams from memory *once* and each block is
-        applied to all ``k`` operand columns while resident — the data
-        reuse the paper's storage format exists to enable, extended from
-        one vector to a panel.  Timing: the stream cost is unchanged
-        from one SpMV; compute and cache costs scale with ``k``, so
+    def run_spmv_batch(self, x: np.ndarray) -> Tuple[np.ndarray, SimReport]:
+        """Multi-vector SpMV (``Y = A @ X`` for an ``(n, k)`` panel).
+
+        The programmed payload streams from memory *once* and each
+        block is applied to all ``k`` operand columns while resident —
+        the data reuse the paper's storage format exists to enable,
+        extended from one vector to a panel.  The stream cost is one
+        SpMV's (``dram_requests`` does not grow with ``k``); compute,
+        cache traffic and the fp64 write-back scale with ``k``, so
         throughput per column improves until the ALU row saturates.
-
-        Always runs on the per-block interpreter: the operand panel
-        width ``k`` varies per call, so there is no per-program pass
-        structure for :mod:`repro.core.plan` to compile.
+        Column ``j`` of the result is bit-identical to
+        ``run_spmv(x[:, j])`` served alone, which is what lets the
+        serving runtime fuse jobs without changing their answers.  A
+        1-D operand is treated as one column; the report's kernel is
+        ``"spmm"``.
         """
         self._require_kernel(KernelType.SPMV)
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim == 1:
-            x = x[:, None]
-        n, w = self.n, self.config.omega
-        if x.shape[0] != n or x.ndim != 2 or x.shape[1] < 1:
-            raise SimulationError(
-                f"operand must be ({n}, k>=1), got {x.shape}"
-            )
-        k = x.shape[1]
-        fcu = self.config.make_fcu()
-        rcu = self.config.make_rcu()
-        mem = self.config.make_memory()
-        timing = self.config.timing()
-        tracer = self.tracer
-        mem.tracer = tracer
-        tb = (PassTraceBuilder(tracer, "spmm")
-              if tracer is not None else None)
-        for col in range(k):
-            rcu.load_operand(f"x{col}", x[:, col])
-
-        y = np.zeros((n, k))
-        stream_cycles = 0.0
-        compute_cycles = 0.0
-        fills = 0.0
-        exposed = 0.0
-        prev_dp: Optional[DataPathType] = None
-        spb = timing.stream_cycles_per_block()
-        for group in self._rows:
-            if not group.streaming:
-                continue
-            start = group.block_row * w
-            valid = max(0, min(w, n - start))
-            acc = np.zeros((w, k))
-            for op in group.streaming:
-                if prev_dp is not op.dp:
-                    drain = (timing.drain(prev_dp) if prev_dp
-                             else rcu.config.reconfig_cycles)
-                    step_exposed = rcu.reconfigure(op.dp, drain)
-                    exposed += step_exposed
-                    fill = timing.pipeline_fill(op.dp)
-                    fills += fill
-                    if tb is not None:
-                        tb.switch(op.dp.value,
-                                  prev_dp.value if prev_dp else None,
-                                  drain, rcu.config.reconfig_cycles,
-                                  step_exposed,
-                                  rcu.config.hide_under_drain, fill)
-                    prev_dp = op.dp
-                values, fault_extra = self._stream_op(mem, op)
-                stream_cycles += spb + fault_extra
-                block_compute = k * timing.compute_cycles_per_block(op.dp)
-                compute_cycles += block_compute
-                if tb is not None:
-                    tb.block(block_compute, spb + fault_extra)
-                for col in range(k):
-                    chunk = rcu.read_chunk(f"x{col}", op.inx_in, w)
-                    acc[:, col] += gemv_block(fcu, values, chunk,
-                                              op.reversed_cols)
-            y[start:start + valid] = acc[:valid]
-            if valid:
-                rcu.cache.write("out", start, valid)
-                rcu.counters.add("cache_busy_cycles", 1.0)
-
-        writeback_bytes = float(n * self.config.element_bytes * k)
-        miss_bytes = rcu.cache.counters.get("cache_misses") \
-            * self.config.cache_line_bytes
-        stream_total = stream_cycles \
-            + (writeback_bytes + miss_bytes) / self.config.bytes_per_cycle
-        total = max(stream_total, compute_cycles) + fills + exposed
-        report = self._make_report(
-            "spmm", total, 0.0, fills, exposed, fcu, rcu, mem,
-            {"gemv": compute_cycles},
-            extra_stream_bytes=writeback_bytes + miss_bytes,
-        )
-        report.useful_bytes *= 1.0  # matrix streamed once regardless of k
-        if tb is not None:
-            tb.finish(report, gap_name="stream_wait", args={
-                "extra_stream_bytes": writeback_bytes + miss_bytes})
-        return y, report
+        (x,) = self._panels(x=x)
+        return self._run("spmv", CompiledStreamingPass.run_spmv_batch, x,
+                         k=x.shape[1])
 
     def run_sptrsv(self, b: np.ndarray) -> Tuple[np.ndarray, SimReport]:
         """Sparse lower-triangular solve ``(L + D) x = b``.
@@ -574,53 +500,6 @@ class Alrescha:
         report.kernel = "sptrsv"
         return x, report
 
-    def run_spmv(self, x: np.ndarray) -> Tuple[np.ndarray, SimReport]:
-        """SpMV over the programmed matrix: ``y = A @ x``."""
-        self._require_kernel(KernelType.SPMV)
-        x = np.asarray(x, dtype=np.float64)
-        if self.config.use_plan:
-            return self._run_plan_checked(
-                "spmv", lambda plan: plan.run_spmv(x),
-                lambda: self._legacy_run_spmv(x))
-        return self._legacy_run_spmv(x)
-
-    def run_spmv_batch(self, x: np.ndarray) -> Tuple[np.ndarray, SimReport]:
-        """Batched multi-RHS SpMV: plan-accelerated :meth:`run_spmm`.
-
-        Semantics and accounting are exactly :meth:`run_spmm` — the
-        programmed payload streams from memory *once* for all ``k``
-        operand columns (``dram_requests`` does not grow with ``k``;
-        FCU work does) — but the hot loop runs on the compiled plan
-        with per-width report templates.  Column ``j`` of the result is
-        bit-identical to ``run_spmv(x[:, j])`` served alone, which is
-        what lets the serving runtime fuse jobs without changing their
-        answers.  A 1-D operand is treated as one column.
-        """
-        self._require_kernel(KernelType.SPMV)
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim == 1:
-            x = x[:, None]
-        if self.config.use_plan:
-            return self._run_plan_checked(
-                "spmv", lambda plan: plan.run_spmv_batch(x),
-                lambda: self.run_spmm(x))
-        return self.run_spmm(x)
-
-    def _legacy_run_spmv(self, x: np.ndarray) -> Tuple[np.ndarray, SimReport]:
-        """Per-block interpreter for SpMV (the plan-equivalence oracle)."""
-        return self._run_streaming_pass(
-            kernel_name="spmv",
-            operand_vectors={"x": np.asarray(x, dtype=np.float64)},
-            block_fn=lambda fcu, rcu, op, values, chunks: gemv_block(
-                fcu, values, chunks["x"], op.reversed_cols
-            ),
-            row_init=lambda w: np.zeros(w),
-            row_accumulate=lambda acc, part: acc + part,
-            assign=lambda rcu, prev_chunk, acc, valid: acc[:valid],
-            reduce_op="sum",
-            output_init=np.zeros(self.n),
-        )
-
     def run_bfs_pass(self, dist: np.ndarray) -> Tuple[np.ndarray, SimReport]:
         """One synchronous D-BFS relaxation pass over all blocks.
 
@@ -628,28 +507,8 @@ class Alrescha:
         returned vector applies ``min(dist, min-plus candidates)``.
         """
         self._require_kernel(KernelType.BFS)
-        dist = np.asarray(dist, dtype=np.float64)
-        if self.config.use_plan:
-            return self._run_plan_checked(
-                "bfs", lambda plan: plan.run_minplus(dist),
-                lambda: self._legacy_run_bfs_pass(dist))
-        return self._legacy_run_bfs_pass(dist)
-
-    def _legacy_run_bfs_pass(self, dist: np.ndarray
-                             ) -> Tuple[np.ndarray, SimReport]:
-        """Per-block interpreter for D-BFS (the plan-equivalence oracle)."""
-        return self._run_streaming_pass(
-            kernel_name="bfs",
-            operand_vectors={"dist": dist},
-            block_fn=lambda fcu, rcu, op, values, chunks: dbfs_block(
-                fcu, values, chunks["dist"]
-            ),
-            row_init=lambda w: np.full(w, np.inf),
-            row_accumulate=np.minimum,
-            assign=self._assign_min,
-            reduce_op="min",
-            output_init=dist.copy(),
-        )
+        return self._run("bfs", CompiledStreamingPass.run_minplus,
+                         self._vector("dist", dist))
 
     def run_bfs_pass_parents(
         self, dist: np.ndarray, parent: np.ndarray
@@ -662,129 +521,15 @@ class Alrescha:
         ``(new_dist, new_parent, report)``.
         """
         self._require_kernel(KernelType.BFS)
-        dist = np.asarray(dist, dtype=np.float64)
-        parent = np.asarray(parent, dtype=np.int64)
-        if self.config.use_plan:
-            return self._run_plan_checked(
-                "bfs-parents", lambda plan: plan.run_parents(dist, parent),
-                lambda: self._legacy_run_bfs_pass_parents(dist, parent))
-        return self._legacy_run_bfs_pass_parents(dist, parent)
-
-    def _legacy_run_bfs_pass_parents(
-        self, dist: np.ndarray, parent: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, SimReport]:
-        """Per-block interpreter for parent-tracking D-BFS (the
-        plan-equivalence oracle)."""
-        n, w = self.n, self.config.omega
-        if dist.shape != (n,) or parent.shape != (n,):
-            raise SimulationError(f"operands must have shape ({n},)")
-        fcu = self.config.make_fcu()
-        rcu = self.config.make_rcu()
-        mem = self.config.make_memory()
-        timing = self.config.timing()
-        tracer = self.tracer
-        mem.tracer = tracer
-        tb = (PassTraceBuilder(tracer, "bfs-parents")
-              if tracer is not None else None)
-        rcu.load_operand("dist", dist)
-
-        new_dist = dist.copy()
-        new_parent = parent.copy()
-        stream_cycles = 0.0
-        compute_cycles = 0.0
-        fills = 0.0
-        exposed = 0.0
-        prev_dp: Optional[DataPathType] = None
-        spb = timing.stream_cycles_per_block()
-
-        for group in self._rows:
-            if not group.streaming:
-                continue
-            start = group.block_row * w
-            valid = max(0, min(w, n - start))
-            best = np.full(w, np.inf)
-            best_parent = np.full(w, -1, dtype=np.int64)
-            for op in group.streaming:
-                if prev_dp is not op.dp:
-                    drain = (timing.drain(prev_dp) if prev_dp
-                             else rcu.config.reconfig_cycles)
-                    step_exposed = rcu.reconfigure(op.dp, drain)
-                    exposed += step_exposed
-                    fill = timing.pipeline_fill(op.dp)
-                    fills += fill
-                    if tb is not None:
-                        tb.switch(op.dp.value,
-                                  prev_dp.value if prev_dp else None,
-                                  drain, rcu.config.reconfig_cycles,
-                                  step_exposed,
-                                  rcu.config.hide_under_drain, fill)
-                    prev_dp = op.dp
-                values, fault_extra = self._stream_op(mem, op)
-                stream_cycles += spb + fault_extra
-                cpb = timing.compute_cycles_per_block(op.dp)
-                compute_cycles += cpb
-                if tb is not None:
-                    tb.block(cpb, spb + fault_extra)
-                chunk = rcu.read_chunk("dist", op.inx_in, w)
-                cand, lanes = dbfs_block(fcu, values, chunk,
-                                         with_argmin=True)
-                improved = cand < best
-                best = np.where(improved, cand, best)
-                global_src = op.inx_in + lanes
-                best_parent = np.where(improved & (lanes >= 0),
-                                       global_src, best_parent)
-            take = best[:valid] < new_dist[start:start + valid]
-            rcu.counters.add("pe_op", float(valid))  # compare & update
-            new_dist[start:start + valid] = np.where(
-                take, best[:valid], new_dist[start:start + valid])
-            new_parent[start:start + valid] = np.where(
-                take, best_parent[:valid],
-                new_parent[start:start + valid])
-            if valid:
-                rcu.cache.write("out", start, valid)
-                rcu.counters.add("cache_busy_cycles", 1.0)
-
-        writeback_bytes = float(n * 12)  # distance + parent tag
-        miss_bytes = rcu.cache.counters.get("cache_misses") \
-            * self.config.cache_line_bytes
-        stream_total = stream_cycles \
-            + (writeback_bytes + miss_bytes) / self.config.bytes_per_cycle
-        total = max(stream_total, compute_cycles) + fills + exposed
-        report = self._make_report(
-            "bfs-parents", total, 0.0, fills, exposed, fcu, rcu, mem,
-            {"d-bfs": compute_cycles},
-            extra_stream_bytes=writeback_bytes + miss_bytes,
-        )
-        if tb is not None:
-            tb.finish(report, gap_name="stream_wait", args={
-                "extra_stream_bytes": writeback_bytes + miss_bytes})
-        return new_dist, new_parent, report
+        return self._run("bfs-parents", CompiledStreamingPass.run_parents,
+                         self._vector("dist", dist),
+                         self._vector("parent", parent, np.int64))
 
     def run_sssp_pass(self, dist: np.ndarray) -> Tuple[np.ndarray, SimReport]:
         """One synchronous D-SSSP relaxation pass (weighted min-plus)."""
         self._require_kernel(KernelType.SSSP)
-        dist = np.asarray(dist, dtype=np.float64)
-        if self.config.use_plan:
-            return self._run_plan_checked(
-                "sssp", lambda plan: plan.run_minplus(dist),
-                lambda: self._legacy_run_sssp_pass(dist))
-        return self._legacy_run_sssp_pass(dist)
-
-    def _legacy_run_sssp_pass(self, dist: np.ndarray
-                              ) -> Tuple[np.ndarray, SimReport]:
-        """Per-block interpreter for D-SSSP (the plan-equivalence oracle)."""
-        return self._run_streaming_pass(
-            kernel_name="sssp",
-            operand_vectors={"dist": dist},
-            block_fn=lambda fcu, rcu, op, values, chunks: dsssp_block(
-                fcu, values, chunks["dist"]
-            ),
-            row_init=lambda w: np.full(w, np.inf),
-            row_accumulate=np.minimum,
-            assign=self._assign_min,
-            reduce_op="min",
-            output_init=dist.copy(),
-        )
+        return self._run("sssp", CompiledStreamingPass.run_minplus,
+                         self._vector("dist", dist))
 
     def run_pr_pass(self, rank: np.ndarray,
                     outdeg: np.ndarray) -> Tuple[np.ndarray, SimReport]:
@@ -795,48 +540,17 @@ class Alrescha:
         here (two PE ops per updated element).
         """
         self._require_kernel(KernelType.PAGERANK)
-        rank = np.asarray(rank, dtype=np.float64)
-        outdeg = np.asarray(outdeg, dtype=np.float64)
-        if self.config.use_plan:
-            return self._run_plan_checked(
-                "pagerank", lambda plan: plan.run_pagerank(rank, outdeg),
-                lambda: self._legacy_run_pr_pass(rank, outdeg))
-        return self._legacy_run_pr_pass(rank, outdeg)
-
-    def _legacy_run_pr_pass(self, rank: np.ndarray, outdeg: np.ndarray
-                            ) -> Tuple[np.ndarray, SimReport]:
-        """Per-block interpreter for D-PR (the plan-equivalence oracle)."""
-
-        def block_fn(fcu, rcu, op, values, chunks):
-            return dpr_block(fcu, rcu, values, chunks["rank"],
-                             chunks["outdeg"])
-
-        def assign(rcu, prev_chunk, acc, valid):
-            rcu.counters.add("pe_op", 2.0 * valid)  # damping mul + add
-            return acc[:valid]
-
-        return self._run_streaming_pass(
-            kernel_name="pagerank",
-            operand_vectors={"rank": rank, "outdeg": outdeg},
-            block_fn=block_fn,
-            row_init=lambda w: np.zeros(w),
-            row_accumulate=lambda acc, part: acc + part,
-            assign=assign,
-            reduce_op="sum",
-            output_init=np.zeros(self.n),
-        )
+        return self._run("pagerank", CompiledStreamingPass.run_pagerank,
+                         self._vector("rank", rank),
+                         self._vector("outdeg", outdeg))
 
     def run_symgs_sweep(self, b: np.ndarray,
                         x_prev: np.ndarray) -> Tuple[np.ndarray, SimReport]:
         """One forward SymGS sweep via the GEMV + D-SymGS decomposition."""
         self._require_kernel(KernelType.SYMGS)
-        b = np.asarray(b, dtype=np.float64)
-        x_prev = np.asarray(x_prev, dtype=np.float64)
-        if self.config.use_plan:
-            return self._run_plan_checked(
-                "symgs", lambda plan: plan.run(b, x_prev),
-                lambda: self._legacy_run_symgs_sweep(b, x_prev))
-        return self._legacy_run_symgs_sweep(b, x_prev)
+        return self._run("symgs", CompiledSymgsPass.run,
+                         self._vector("b", b),
+                         self._vector("x_prev", x_prev))
 
     def run_symgs_batch(self, b: np.ndarray, x_prev: np.ndarray
                         ) -> Tuple[np.ndarray, SimReport]:
@@ -851,482 +565,12 @@ class Alrescha:
         scale with ``k``.
         """
         self._require_kernel(KernelType.SYMGS)
-        b = np.asarray(b, dtype=np.float64)
-        x_prev = np.asarray(x_prev, dtype=np.float64)
-        if b.ndim == 1:
-            b = b[:, None]
-        if x_prev.ndim == 1:
-            x_prev = x_prev[:, None]
-        if self.config.use_plan:
-            return self._run_plan_checked(
-                "symgs", lambda plan: plan.run_batch(b, x_prev),
-                lambda: self._legacy_run_symgs_batch(b, x_prev))
-        return self._legacy_run_symgs_batch(b, x_prev)
-
-    def _legacy_run_symgs_sweep(self, b: np.ndarray, x_prev: np.ndarray
-                                ) -> Tuple[np.ndarray, SimReport]:
-        """Per-block interpreter for the SymGS sweep (the
-        plan-equivalence oracle)."""
-        n, w = self.n, self.config.omega
-        if b.shape != (n,) or x_prev.shape != (n,):
-            raise SimulationError(
-                f"operand vectors must have shape ({n},)"
-            )
-        diag = self.conversion.matrix.diagonal
-        if diag is None:
-            raise SimulationError("programmed matrix lacks SymGS layout")
-
-        fcu = self.config.make_fcu()
-        rcu = self.config.make_rcu()
-        mem = self.config.make_memory()
-        timing = self.config.timing()
-        tracer = self.tracer
-        mem.tracer = tracer
-        tb = (PassTraceBuilder(tracer, "symgs")
-              if tracer is not None else None)
-
-        rcu.load_operand("x_prev", x_prev)
-        rcu.load_operand("x_curr", x_prev.copy())
-        rcu.load_operand("b", b)
-        rcu.load_operand("diag", diag)
-
-        stream_cycles = 0.0
-        chain_cycles = 0.0
-        seq_cycles = 0.0
-        fills = 0.0
-        exposed = 0.0
-        dp_cycles: Dict[str, float] = {}
-        prev_dp: Optional[DataPathType] = None
-        spb = timing.stream_cycles_per_block()
-
-        for group in self._rows:
-            row_stream = 0.0
-            row_gemv_compute = 0.0
-            # Data-path switches of this row, recorded as they are
-            # charged and laid onto the trace only once the row's
-            # windows are measured (the GEMV window's width — and hence
-            # the drain anchor — depends on the whole row's stream).
-            trans_gemv: List[Tuple[str, Optional[str], float, float, float]] = []
-            trans_diag: List[Tuple[str, Optional[str], float, float, float]] = []
-            ablation_penalty = 0.0
-            for op in group.streaming:
-                if prev_dp is not op.dp:
-                    drain = (timing.drain(prev_dp) if prev_dp
-                             else rcu.config.reconfig_cycles)
-                    step_exposed = rcu.reconfigure(op.dp, drain)
-                    exposed += step_exposed
-                    fill = timing.pipeline_fill(op.dp)
-                    fills += fill
-                    if tb is not None:
-                        trans_gemv.append((
-                            op.dp.value,
-                            prev_dp.value if prev_dp else None,
-                            drain, step_exposed, fill))
-                    prev_dp = op.dp
-                values, fault_extra = self._stream_op(mem, op)
-                row_stream += spb + fault_extra
-                row_gemv_compute += timing.compute_cycles_per_block(op.dp)
-                space = ("x_curr" if op.port is OperandPort.PORT1
-                         else "x_prev")
-                chunk = rcu.read_chunk(space, op.inx_in, w)
-                partial = gemv_block(fcu, values, chunk, op.reversed_cols)
-                rcu.link.push(partial)
-                dp_cycles["gemv"] = dp_cycles.get("gemv", 0.0) \
-                    + timing.compute_cycles_per_block(op.dp)
-            dsymgs_compute = 0.0
-            if group.diagonal is not None:
-                op = group.diagonal
-                if prev_dp is not op.dp:
-                    drain = (timing.drain(prev_dp) if prev_dp
-                             else rcu.config.reconfig_cycles)
-                    step_exposed = rcu.reconfigure(op.dp, drain)
-                    exposed += step_exposed
-                    fill = timing.pipeline_fill(op.dp)
-                    fills += fill
-                    if tb is not None:
-                        trans_diag.append((
-                            op.dp.value,
-                            prev_dp.value if prev_dp else None,
-                            drain, step_exposed, fill))
-                    prev_dp = op.dp
-                values, fault_extra = self._stream_op(mem, op)
-                row_stream += spb + fault_extra
-                if not self.conversion.reordered and group.streaming:
-                    # Ablation: without §4.1's reordering the diagonal
-                    # block streamed past mid-row, before this row's
-                    # trailing GEMV partials existed; it is re-fetched
-                    # now, and the mid-row D-SymGS visit cost two extra
-                    # data-path toggles.
-                    mem.stream_cycles(w * w * self.config.element_bytes)
-                    row_stream += spb
-                    extra = (0.0 if rcu.config.hide_under_drain
-                             else 2.0 * rcu.config.reconfig_cycles)
-                    rcu.counters.add("switch_toggle", 2.0)
-                    rcu.counters.add("config_write", 2.0)
-                    rcu.counters.add("reconfig_exposed_cycles", extra)
-                    exposed += extra
-                    ablation_fills = timing.pipeline_fill(op.dp) \
-                        + timing.pipeline_fill(DataPathType.GEMV)
-                    fills += ablation_fills
-                    ablation_penalty = extra + ablation_fills
-                start = op.block_row * w
-                valid = max(0, min(w, n - start))
-                acc = np.zeros(w, dtype=np.float64)
-                while not rcu.link.empty:
-                    acc += rcu.link.pop()
-                b_chunk = rcu.read_chunk("b", start, w)
-                d_chunk = rcu.read_chunk("diag", start, w)
-                x_old = rcu.read_chunk("x_prev", start, w)
-                x_new = dsymgs_block(fcu, rcu, values, d_chunk, b_chunk,
-                                     x_old, acc, valid)
-                rcu.write_chunk("x_curr", start, x_new[:valid])
-                dsymgs_compute = timing.compute_cycles_per_block(op.dp)
-                dp_cycles["d-symgs"] = dp_cycles.get("d-symgs", 0.0) \
-                    + dsymgs_compute
-            row_cycles = max(row_stream, row_gemv_compute) + dsymgs_compute
-            chain_cycles += row_cycles
-            stream_cycles += row_stream
-            seq_cycles += dsymgs_compute
-            if tb is not None:
-                self._trace_symgs_row(
-                    tb, rcu, group, trans_gemv, trans_diag,
-                    row_stream, row_gemv_compute, dsymgs_compute,
-                    ablation_penalty)
-
-        # Cache refills contend for the memory channel.
-        miss_bytes = rcu.cache.counters.get("cache_misses") \
-            * self.config.cache_line_bytes
-        total = chain_cycles + fills + exposed \
-            + miss_bytes / self.config.bytes_per_cycle
-        result = rcu.operand("x_curr").copy()
-        report = self._make_report(
-            "symgs", total, seq_cycles, fills, exposed, fcu, rcu, mem,
-            dp_cycles, extra_stream_bytes=miss_bytes,
-        )
-        if tb is not None:
-            tb.finish(report, gap_name="cache_refill",
-                      args={"extra_stream_bytes": miss_bytes})
-        return result, report
-
-    def _legacy_run_symgs_batch(self, b: np.ndarray, x_prev: np.ndarray
-                                ) -> Tuple[np.ndarray, SimReport]:
-        """Per-block interpreter for batched SymGS sweeps (the batch
-        plan's template/equivalence oracle).
-
-        The SymGS analogue of :meth:`run_spmm`: each payload block —
-        GEMV entries, then the row's diagonal — is streamed *once* and
-        applied to every operand column while resident, so the stream
-        term of a row is unchanged from one sweep while GEMV and
-        D-SymGS compute scale with ``k``.  Each column advances its own
-        ``x_curr`` recurrence; partials cross the RCU link stack per
-        column exactly as in the single sweep, so per-column results
-        are bit-identical to :meth:`_legacy_run_symgs_sweep`.
-        """
-        n, w = self.n, self.config.omega
-        if (b.ndim != 2 or b.shape[0] != n or b.shape[1] < 1
-                or x_prev.shape != b.shape):
-            raise SimulationError(
-                f"operand panels must be ({n}, k>=1) and equal-shaped, "
-                f"got {b.shape} and {x_prev.shape}"
-            )
-        k = b.shape[1]
-        diag = self.conversion.matrix.diagonal
-        if diag is None:
-            raise SimulationError("programmed matrix lacks SymGS layout")
-
-        fcu = self.config.make_fcu()
-        rcu = self.config.make_rcu()
-        mem = self.config.make_memory()
-        timing = self.config.timing()
-        tracer = self.tracer
-        mem.tracer = tracer
-        tb = (PassTraceBuilder(tracer, "symgs-batch")
-              if tracer is not None else None)
-
-        for col in range(k):
-            rcu.load_operand(f"x_prev{col}", x_prev[:, col])
-            rcu.load_operand(f"x_curr{col}", x_prev[:, col].copy())
-            rcu.load_operand(f"b{col}", b[:, col])
-        rcu.load_operand("diag", diag)
-
-        stream_cycles = 0.0
-        chain_cycles = 0.0
-        seq_cycles = 0.0
-        fills = 0.0
-        exposed = 0.0
-        dp_cycles: Dict[str, float] = {}
-        prev_dp: Optional[DataPathType] = None
-        spb = timing.stream_cycles_per_block()
-        # Per-column pending partials, in push order.  The physical
-        # link stack is one LIFO; the batch engine tags partials per
-        # column, each crossing the link once as in the single sweep.
-        partials: List[List[np.ndarray]] = [[] for _ in range(k)]
-
-        for group in self._rows:
-            row_stream = 0.0
-            row_gemv_compute = 0.0
-            trans_gemv: List[Tuple[str, Optional[str], float, float, float]] = []
-            trans_diag: List[Tuple[str, Optional[str], float, float, float]] = []
-            ablation_penalty = 0.0
-            for op in group.streaming:
-                if prev_dp is not op.dp:
-                    drain = (timing.drain(prev_dp) if prev_dp
-                             else rcu.config.reconfig_cycles)
-                    step_exposed = rcu.reconfigure(op.dp, drain)
-                    exposed += step_exposed
-                    fill = timing.pipeline_fill(op.dp)
-                    fills += fill
-                    if tb is not None:
-                        trans_gemv.append((
-                            op.dp.value,
-                            prev_dp.value if prev_dp else None,
-                            drain, step_exposed, fill))
-                    prev_dp = op.dp
-                values, fault_extra = self._stream_op(mem, op)
-                row_stream += spb + fault_extra
-                block_compute = k * timing.compute_cycles_per_block(op.dp)
-                row_gemv_compute += block_compute
-                dp_cycles["gemv"] = dp_cycles.get("gemv", 0.0) \
-                    + block_compute
-                space = ("x_curr" if op.port is OperandPort.PORT1
-                         else "x_prev")
-                for col in range(k):
-                    chunk = rcu.read_chunk(f"{space}{col}", op.inx_in, w)
-                    partial = gemv_block(fcu, values, chunk,
-                                         op.reversed_cols)
-                    rcu.link.push(partial)
-                    partials[col].append(rcu.link.pop())
-            dsymgs_compute = 0.0
-            if group.diagonal is not None:
-                op = group.diagonal
-                if prev_dp is not op.dp:
-                    drain = (timing.drain(prev_dp) if prev_dp
-                             else rcu.config.reconfig_cycles)
-                    step_exposed = rcu.reconfigure(op.dp, drain)
-                    exposed += step_exposed
-                    fill = timing.pipeline_fill(op.dp)
-                    fills += fill
-                    if tb is not None:
-                        trans_diag.append((
-                            op.dp.value,
-                            prev_dp.value if prev_dp else None,
-                            drain, step_exposed, fill))
-                    prev_dp = op.dp
-                values, fault_extra = self._stream_op(mem, op)
-                row_stream += spb + fault_extra
-                if not self.conversion.reordered and group.streaming:
-                    # Same ablation refetch as the single sweep —
-                    # charged once per batch, like the payload itself.
-                    mem.stream_cycles(w * w * self.config.element_bytes)
-                    row_stream += spb
-                    extra = (0.0 if rcu.config.hide_under_drain
-                             else 2.0 * rcu.config.reconfig_cycles)
-                    rcu.counters.add("switch_toggle", 2.0)
-                    rcu.counters.add("config_write", 2.0)
-                    rcu.counters.add("reconfig_exposed_cycles", extra)
-                    exposed += extra
-                    ablation_fills = timing.pipeline_fill(op.dp) \
-                        + timing.pipeline_fill(DataPathType.GEMV)
-                    fills += ablation_fills
-                    ablation_penalty = extra + ablation_fills
-                start = op.block_row * w
-                valid = max(0, min(w, n - start))
-                d_chunk = rcu.read_chunk("diag", start, w)
-                for col in range(k):
-                    acc = np.zeros(w, dtype=np.float64)
-                    for partial in reversed(partials[col]):
-                        acc += partial
-                    partials[col].clear()
-                    b_chunk = rcu.read_chunk(f"b{col}", start, w)
-                    x_old = rcu.read_chunk(f"x_prev{col}", start, w)
-                    x_new = dsymgs_block(fcu, rcu, values, d_chunk,
-                                         b_chunk, x_old, acc, valid)
-                    rcu.write_chunk(f"x_curr{col}", start, x_new[:valid])
-                dsymgs_compute = k * timing.compute_cycles_per_block(op.dp)
-                dp_cycles["d-symgs"] = dp_cycles.get("d-symgs", 0.0) \
-                    + dsymgs_compute
-            row_cycles = max(row_stream, row_gemv_compute) + dsymgs_compute
-            chain_cycles += row_cycles
-            stream_cycles += row_stream
-            seq_cycles += dsymgs_compute
-            if tb is not None:
-                self._trace_symgs_row(
-                    tb, rcu, group, trans_gemv, trans_diag,
-                    row_stream, row_gemv_compute, dsymgs_compute,
-                    ablation_penalty)
-
-        miss_bytes = rcu.cache.counters.get("cache_misses") \
-            * self.config.cache_line_bytes
-        total = chain_cycles + fills + exposed \
-            + miss_bytes / self.config.bytes_per_cycle
-        result = np.stack(
-            [rcu.operand(f"x_curr{col}") for col in range(k)], axis=1)
-        report = self._make_report(
-            "symgs-batch", total, seq_cycles, fills, exposed, fcu, rcu,
-            mem, dp_cycles, extra_stream_bytes=miss_bytes,
-        )
-        if tb is not None:
-            tb.finish(report, gap_name="cache_refill",
-                      args={"extra_stream_bytes": miss_bytes})
-        return result, report
-
-    @staticmethod
-    def _trace_symgs_row(tb: PassTraceBuilder,
-                         rcu: ReconfigurableComputeUnit, group: _RowGroup,
-                         trans_gemv, trans_diag, row_stream: float,
-                         row_gemv_compute: float, dsymgs_compute: float,
-                         ablation_penalty: float) -> None:
-        """Lay one measured SymGS block-row onto the engine timeline.
-
-        The GEMV window is ``max(row stream, row GEMV compute)`` — the
-        FIFO overlap of the row's stream with its partial-sum GEMVs —
-        and the D-SymGS window follows it, exactly the per-row term of
-        the pass cost model.  Switch spans recorded during the row
-        anchor at the window boundaries: the drain of the retiring path
-        occupies the window's tail with the reconfig span inside it
-        (or after it, exposed, under the hiding ablation).
-        """
-        reconfig = rcu.config.reconfig_cycles
-        hidden = rcu.config.hide_under_drain
-        tb.row_begin(group.block_row)
-        for dpv, prevv, drain, step_exposed, fill in trans_gemv:
-            if prevv is None:
-                tb.configure(dpv)
-            else:
-                tb.reconfigure(dpv, prevv, drain, reconfig, step_exposed,
-                               hidden)
-            tb.fill(dpv, fill)
-        gemv_window = max(row_stream, row_gemv_compute)
-        if group.streaming:
-            tb.window("gemv", gemv_window, args={
-                "row": group.block_row,
-                "compute_cycles": row_gemv_compute,
-                "stream_cycles": row_stream,
-            })
-        elif gemv_window > 0.0:
-            # A row with only a diagonal block still waits for its
-            # stream; no GEMV ran, so no window is drawn.
-            tb.advance(gemv_window)
-        for dpv, prevv, drain, step_exposed, fill in trans_diag:
-            if prevv is None:
-                tb.configure(dpv)
-            else:
-                tb.reconfigure(dpv, prevv, drain, reconfig, step_exposed,
-                               hidden)
-            tb.fill(dpv, fill)
-        if ablation_penalty > 0.0:
-            tb.advance(ablation_penalty)
-        if group.diagonal is not None:
-            tb.window("d-symgs", dsymgs_compute,
-                      args={"row": group.block_row})
-        tb.row_end()
+        b, x_prev = self._panels(b=b, x_prev=x_prev)
+        return self._run("symgs", CompiledSymgsPass.run_batch, b, x_prev,
+                         k=b.shape[1])
 
     # ------------------------------------------------------------------
-    # Shared streaming-pass machinery (SpMV, D-BFS, D-SSSP, D-PR)
-    # ------------------------------------------------------------------
-    def _run_streaming_pass(
-        self,
-        kernel_name: str,
-        operand_vectors: Dict[str, np.ndarray],
-        block_fn: Callable,
-        row_init: Callable[[int], np.ndarray],
-        row_accumulate: Callable,
-        assign: Callable,
-        reduce_op: str,
-        output_init: np.ndarray,
-    ) -> Tuple[np.ndarray, SimReport]:
-        n, w = self.n, self.config.omega
-        for name, vec in operand_vectors.items():
-            if vec.shape != (n,):
-                raise SimulationError(
-                    f"operand {name!r} must have shape ({n},), "
-                    f"got {vec.shape}"
-                )
-        fcu = self.config.make_fcu()
-        rcu = self.config.make_rcu()
-        mem = self.config.make_memory()
-        timing = self.config.timing()
-        tracer = self.tracer
-        mem.tracer = tracer
-        tb = (PassTraceBuilder(tracer, kernel_name)
-              if tracer is not None else None)
-        for name, vec in operand_vectors.items():
-            rcu.load_operand(name, vec)
-
-        output = np.asarray(output_init, dtype=np.float64).copy()
-        stream_cycles = 0.0
-        compute_cycles = 0.0
-        fills = 0.0
-        exposed = 0.0
-        dp_cycles: Dict[str, float] = {}
-        prev_dp: Optional[DataPathType] = None
-        spb = timing.stream_cycles_per_block()
-
-        for group in self._rows:
-            if not group.streaming:
-                continue
-            acc = row_init(w)
-            start = group.block_row * w
-            valid = max(0, min(w, n - start))
-            for op in group.streaming:
-                if prev_dp is not op.dp:
-                    drain = (timing.drain(prev_dp) if prev_dp
-                             else rcu.config.reconfig_cycles)
-                    step_exposed = rcu.reconfigure(op.dp, drain)
-                    exposed += step_exposed
-                    fill = timing.pipeline_fill(op.dp)
-                    fills += fill
-                    if tb is not None:
-                        tb.switch(op.dp.value,
-                                  prev_dp.value if prev_dp else None,
-                                  drain, rcu.config.reconfig_cycles,
-                                  step_exposed,
-                                  rcu.config.hide_under_drain, fill)
-                    prev_dp = op.dp
-                values, fault_extra = self._stream_op(mem, op)
-                stream_cycles += spb + fault_extra
-                cpb = timing.compute_cycles_per_block(op.dp)
-                compute_cycles += cpb
-                dp_cycles[op.dp.value] = dp_cycles.get(op.dp.value, 0.0) + cpb
-                if tb is not None:
-                    tb.block(cpb, spb + fault_extra)
-                chunks = {
-                    name: rcu.read_chunk(name, op.inx_in, w)
-                    for name in operand_vectors
-                }
-                partial = block_fn(fcu, rcu, op, values, chunks)
-                acc = row_accumulate(acc, partial)
-            prev_chunk = output[start:start + valid]
-            output[start:start + valid] = assign(rcu, prev_chunk, acc, valid)
-            if valid:
-                rcu.cache.write("out", start, valid)
-                rcu.counters.add("cache_busy_cycles", 1.0)
-
-        # Output write-back and cache refills share the memory channel.
-        writeback_bytes = float(n * 8)
-        miss_bytes = rcu.cache.counters.get("cache_misses") \
-            * self.config.cache_line_bytes
-        stream_total = stream_cycles \
-            + (writeback_bytes + miss_bytes) / self.config.bytes_per_cycle
-        total = max(stream_total, compute_cycles) + fills + exposed
-        report = self._make_report(
-            kernel_name, total, 0.0, fills, exposed, fcu, rcu, mem,
-            dp_cycles, extra_stream_bytes=writeback_bytes + miss_bytes,
-        )
-        if tb is not None:
-            tb.finish(report, gap_name="stream_wait", args={
-                "extra_stream_bytes": writeback_bytes + miss_bytes})
-        return output, report
-
-    @staticmethod
-    def _assign_min(rcu: ReconfigurableComputeUnit, prev_chunk: np.ndarray,
-                    acc: np.ndarray, valid: int) -> np.ndarray:
-        """Phase-3 'compare and update' of BFS/SSSP (one PE cmp each)."""
-        rcu.counters.add("pe_op", float(valid))
-        return np.minimum(prev_chunk, acc[:valid])
-
-    # ------------------------------------------------------------------
-    # Reporting
+    # Operand checks
     # ------------------------------------------------------------------
     def _require_kernel(self, kernel: KernelType) -> None:
         if self.conversion.kernel is not kernel:
@@ -1335,37 +579,29 @@ class Alrescha:
                 f"asked to run {kernel}"
             )
 
-    def _make_report(self, kernel_name: str, total_cycles: float,
-                     seq_cycles: float, fills: float, exposed: float,
-                     fcu: FixedComputeUnit,
-                     rcu: ReconfigurableComputeUnit,
-                     mem: StreamingMemory,
-                     dp_cycles: Dict[str, float],
-                     extra_stream_bytes: float = 0.0) -> SimReport:
-        counters = fcu.counters + rcu.counters
-        counters.merge(rcu.cache.counters)
-        counters.merge(rcu.link.counters)
-        counters.merge(rcu.fifo_a.counters)
-        counters.merge(rcu.fifo_b.counters)
-        counters.merge(mem.counters)
-        counters.add("dram_bytes", extra_stream_bytes)
-        seconds = total_cycles / self.config.frequency_hz
-        energy = self.config.energy_model.energy_j(counters, seconds)
-        report = SimReport(
-            kernel=kernel_name,
-            cycles=total_cycles,
-            frequency_hz=self.config.frequency_hz,
-            useful_bytes=float(self.conversion.bcsr.nnz
-                               * self.config.element_bytes),
-            streamed_bytes=mem.total_bytes + extra_stream_bytes,
-            sequential_cycles=seq_cycles,
-            cache_busy_cycles=rcu.cache_busy_cycles,
-            exposed_reconfig_cycles=exposed,
-            n_entries=len(self.table),
-            n_switches=self._table_order_switches,
-            counters=counters,
-            energy_j=energy,
-            datapath_cycles=dp_cycles,
-            bytes_per_cycle=self.config.bytes_per_cycle,
-        )
-        return report
+    def _vector(self, name: str, vec, dtype=np.float64) -> np.ndarray:
+        """``vec`` as an ``(n,)`` array of ``dtype``, or a typed error."""
+        vec = np.asarray(vec, dtype=dtype)
+        if vec.shape != (self.n,):
+            raise SimulationError(
+                f"operand {name!r} must have shape ({self.n},), "
+                f"got {vec.shape}"
+            )
+        return vec
+
+    def _panels(self, **operands) -> List[np.ndarray]:
+        """Equal-shaped ``(n, k>=1)`` float64 panels, 1-D as one column."""
+        panels: List[np.ndarray] = []
+        for name, panel in operands.items():
+            panel = np.asarray(panel, dtype=np.float64)
+            if panel.ndim == 1:
+                panel = panel[:, None]
+            if (panel.ndim != 2 or panel.shape[0] != self.n
+                    or panel.shape[1] < 1
+                    or (panels and panel.shape != panels[0].shape)):
+                raise SimulationError(
+                    f"operand {name!r} must be an equal-shaped "
+                    f"({self.n}, k>=1) panel, got {panel.shape}"
+                )
+            panels.append(panel)
+        return panels

@@ -1,6 +1,6 @@
 """Compiled per-pass execution plans: the accelerator hot loop, batched.
 
-The interpreter in :mod:`repro.core.accelerator` walks the programmed
+The interpreter in :mod:`repro.core.interpreter` walks the programmed
 configuration table block by block, touching the cache model, the event
 counters and the memory model once per ω×ω block.  That is faithful to
 the paper's narrative but wall-clock dominated by Python overhead — the
@@ -26,13 +26,16 @@ Every quantity in a :class:`~repro.core.report.SimReport` — cycles,
 counters, energy, bytes — depends only on the block structure fixed at
 ``program()`` time, never on operand *values* (block nnz decides ALU/RE
 activity, the table decides cache/stack/memory traffic).  Compilation
-therefore replays the legacy interpreter once with neutral (zero)
-operands and captures its report as a template; each plan run returns a
-:meth:`~repro.core.report.SimReport.clone` of it.  This makes report
-identity hold by construction — including the sequence-dependent LRU
-cache counters — and the functional results are computed with
-operation-for-operation identical numpy expressions, so kernel outputs
-are bit-identical too (property-tested against the legacy path).
+therefore replays the interpreter once with neutral (zero) operands and
+captures its report as a template; each plan run returns a
+:meth:`~repro.core.report.SimReport.clone` of it.  Batched runs clone a
+per-width template, captured the same way the first time each width
+runs.  This makes report identity hold by construction — including the
+sequence-dependent LRU cache counters — and the functional results are
+computed with operation-for-operation identical numpy expressions, so
+kernel outputs are bit-identical too (property-tested against the
+interpreter).  Solo SpMV and solo SymGS are the width-1 calls of their
+batch loops.
 
 Compilation cross-checks the lowered artifacts against the captured
 template (compute-cycle totals, memory request counts) and refuses to
@@ -49,6 +52,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import SimulationError
+from repro.core import interpreter
 from repro.core.config import DataPathType, KernelType, OperandPort
 from repro.core.datapaths import dsymgs_solve
 from repro.core.report import SimReport
@@ -102,7 +106,7 @@ def _time_groups(seg_len: np.ndarray,
     Replaying these groups in order applies every row's partials in
     exactly the interpreter's per-row sequence (position 0 first), so
     floating-point accumulation order — and hence the bit pattern of the
-    result — matches the legacy path.
+    result — matches the interpreter.
     """
     groups: List[Tuple[np.ndarray, np.ndarray]] = []
     t = 0
@@ -113,13 +117,6 @@ def _time_groups(seg_len: np.ndarray,
         groups.append((live, seg_start[live] + t))
         t += 1
     return groups
-
-
-def _check_operand(name: str, vec: np.ndarray, n: int) -> None:
-    if vec.shape != (n,):
-        raise SimulationError(
-            f"operand {name!r} must have shape ({n},), got {vec.shape}"
-        )
 
 
 def _apply_fault_events(report: SimReport, extra_cycles: float,
@@ -201,18 +198,11 @@ def _verify_against_template(kind: str, artifacts: PassArtifacts,
         )
 
 
-class CompiledStreamingPass:
-    """A compiled SpMV / D-BFS / D-SSSP / D-PR pass.
+class _CompiledPass:
+    """State and report handling shared by the compiled pass kinds."""
 
-    Executes as: one gather of operand chunks, one batched block
-    compute, a short live-row accumulation loop (longest block row many
-    steps, each fully vectorized across rows), one scatter — then clones
-    the report template.
-    """
-
-    def __init__(self, kind: str, n: int, omega: int,
-                 blocks: np.ndarray, gather: np.ndarray,
-                 src_base: np.ndarray, artifacts: PassArtifacts,
+    def __init__(self, kind: str, n: int, omega: int, blocks: np.ndarray,
+                 gather: np.ndarray, artifacts: PassArtifacts,
                  template: SimReport, acc=None,
                  checksums: Optional[List[int]] = None,
                  restream_cycles: float = 0.0,
@@ -223,9 +213,7 @@ class CompiledStreamingPass:
         self.omega = omega
         self.nbr, self.npad = _padded_length(n, omega)
         self.blocks = blocks
-        self.masks = (blocks != 0.0) if kind != "spmv" else None
         self.gather = gather
-        self.src_base = src_base
         self.artifacts = artifacts
         self.template = template
         #: Back-reference to the owning accelerator: the fault model and
@@ -240,11 +228,82 @@ class CompiledStreamingPass:
         #: Spans captured alongside the report template (empty when the
         #: owning accelerator had no tracer at compile time).
         self.span_template = span_template or []
+        #: Per-width batch report templates, captured lazily from the
+        #: interpreter the first time each width runs.
+        self._batch_templates: Dict[int, Tuple[SimReport, List[Span]]] = {}
+
+    def _templates(self, k: Optional[int]) -> Tuple[SimReport, List[Span]]:
+        """Report and span templates of a solo run (``k`` None) or of a
+        width-``k`` batch."""
+        if k is None:
+            return self.template, self.span_template
+        cached = self._batch_templates.get(k)
+        if cached is None:
+            cached = _capture_template(self.acc, self.kind, k)
+            self._batch_templates[k] = cached
+        return cached
+
+    def _deliver_blocks(self, blocks: np.ndarray, checksums,
+                        extra: float, events: list
+                        ) -> Tuple[np.ndarray, float]:
+        """Stream ``blocks`` through the attached fault model, in order.
+
+        Returns ``(delivered, extra)``: ``blocks`` itself or — once a
+        silent bitflip strikes — a corrupted *copy* (the compile-time
+        payload stays pristine for cross-checking), and ``extra``
+        advanced by each transfer's recovery cycles.  Fault events are
+        appended to ``events``.
+        """
+        cfg = self.acc.config
+        fm = cfg.fault_model
+        verify = cfg.verify_checksums or self.acc._force_verify
+        delivered = blocks
+        for i in range(blocks.shape[0]):
+            src = blocks[i]
+            checksum = int(checksums[i]) if verify else None
+            vals, cycles, event = fm.deliver(
+                src, checksum, restream_cycles=self.restream_cycles)
+            extra += cycles
+            if event is not None:
+                events.append(event)
+            if vals is not src:
+                if delivered is blocks:
+                    delivered = blocks.copy()
+                delivered[i] = vals
+        return delivered, extra
+
+    def _finish_report(self, extra_cycles: float, events,
+                       templates: Optional[Tuple[SimReport, List[Span]]]
+                       = None) -> SimReport:
+        """Clone the run's template (solo by default) and charge its
+        faults onto the report and the user's trace."""
+        template, span_template = templates or self._templates(None)
+        report = template.clone()
+        _apply_fault_events(report, extra_cycles, events,
+                            self.padded_block_bytes)
+        _replay_spans(self.acc, span_template, extra_cycles, events)
+        return report
+
+
+class CompiledStreamingPass(_CompiledPass):
+    """A compiled SpMV / D-BFS / D-SSSP / D-PR pass.
+
+    Executes as: one gather of operand chunks, one batched block
+    compute, a short live-row accumulation loop (longest block row many
+    steps, each fully vectorized across rows), one scatter — then clones
+    the report template.
+    """
+
+    def __init__(self, kind: str, n: int, omega: int,
+                 blocks: np.ndarray, gather: np.ndarray,
+                 src_base: np.ndarray, artifacts: PassArtifacts,
+                 template: SimReport, **kwargs) -> None:
+        super().__init__(kind, n, omega, blocks, gather, artifacts,
+                         template, **kwargs)
+        self.masks = (blocks != 0.0) if kind != "spmv" else None
+        self.src_base = src_base
         self._tgroups = _time_groups(artifacts.seg_len, artifacts.seg_start)
         self._n_rows = int(artifacts.out_rows.size)
-        #: Per-width batch report templates, captured lazily from the
-        #: legacy batch interpreter the first time each width runs.
-        self._batch_templates: Dict[int, Tuple[SimReport, List[Span]]] = {}
 
     # ------------------------------------------------------------------
     # Shared pieces
@@ -295,35 +354,15 @@ class CompiledStreamingPass:
         stacked tensor with a corrupted *copy* — the compile-time
         ``self.blocks`` stays pristine for cross-checking.
         """
-        cfg = self.acc.config
-        fm = cfg.fault_model
-        if fm is None:
+        if self.acc.config.fault_model is None:
             return self.blocks, self.masks, 0.0, []
-        verify = cfg.verify_checksums or self.acc._force_verify
-        blocks, masks = self.blocks, self.masks
-        extra, events = 0.0, []
-        for i in range(self.blocks.shape[0]):
-            src = self.blocks[i]
-            checksum = int(self.checksums[i]) if verify else None
-            vals, cycles, event = fm.deliver(
-                src, checksum, restream_cycles=self.restream_cycles)
-            extra += cycles
-            if event is not None:
-                events.append(event)
-            if vals is not src:
-                if blocks is self.blocks:
-                    blocks = self.blocks.copy()
-                blocks[i] = vals
+        events: list = []
+        blocks, extra = self._deliver_blocks(self.blocks, self.checksums,
+                                             0.0, events)
+        masks = self.masks
         if blocks is not self.blocks and self.kind != "spmv":
             masks = blocks != 0.0
         return blocks, masks, extra, events
-
-    def _finish_report(self, extra_cycles: float, events) -> SimReport:
-        report = self.template.clone()
-        _apply_fault_events(report, extra_cycles, events,
-                            self.padded_block_bytes)
-        _replay_spans(self.acc, self.span_template, extra_cycles, events)
-        return report
 
     def _crosscheck(self, report: SimReport, acc: np.ndarray,
                     reduce_kind: str, partial_fn) -> None:
@@ -363,73 +402,48 @@ class CompiledStreamingPass:
     # ------------------------------------------------------------------
     # Pass kinds
     # ------------------------------------------------------------------
+    def run_spmv(self, x: np.ndarray) -> Tuple[np.ndarray, SimReport]:
+        """Solo SpMV: the width-1 call of the panel loop."""
+        ys, report = self._spmv_panel(x[:, None], None)
+        return ys[0], report
+
     def run_spmv_batch(self, x: np.ndarray
                        ) -> Tuple[np.ndarray, SimReport]:
-        """Batched multi-RHS SpMV: one payload delivery, ``k`` columns.
+        """Batched multi-RHS SpMV over an ``(n, k)`` panel."""
+        ys, report = self._spmv_panel(x, x.shape[1])
+        return np.stack(ys, axis=1), report
+
+    def _spmv_panel(self, x: np.ndarray, k: Optional[int]
+                    ) -> Tuple[List[np.ndarray], SimReport]:
+        """SpMV of every column of ``x`` over one payload delivery.
 
         The stacked blocks cross the (possibly faulty) channel *once*
-        for the whole batch — one shared fault exposure, one payload's
-        DRAM traffic — and each column is then computed with
-        expressions identical to :meth:`run_spmv` on that column alone
-        (per-column matmul, deliberately not one wide matmul whose
-        BLAS summation order could differ), so every column's answer is
-        bit-identical to solo service.  The report clones the
-        width-``k`` template captured from the legacy batch
-        interpreter (:meth:`~repro.core.accelerator.Alrescha.run_spmm`).
+        for all columns — one shared fault exposure, one payload's DRAM
+        traffic — and each column is then computed with its own matmul
+        (deliberately not one wide matmul whose BLAS summation order
+        could differ), so every column's answer is bit-identical to solo
+        service.  The report clones the solo template (``k`` None) or
+        the width-``k`` batch template.
         """
-        if self.kind != "spmv":
-            raise SimulationError(
-                f"pass kind {self.kind!r} does not batch")
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[0] != self.n or x.shape[1] < 1:
-            raise SimulationError(
-                f"operand must be ({self.n}, k>=1), got {x.shape}")
-        k = x.shape[1]
-        template, span_template = self._batch_template(k)
+        templates = self._templates(k)
         blocks, _masks, extra, events = self._deliver()
-        y = np.empty((self.n, k))
-        accs = []
-        for col in range(k):
+        ys, accs = [], []
+        for col in range(x.shape[1]):
             chunks = self._gather_chunks(x[:, col])
             partial = np.matmul(blocks, chunks[:, :, None])[:, :, 0]
             acc = self._accumulate_sum(partial)
             accs.append((acc, chunks))
-            y[:, col] = self._scatter_assign(acc)
-        report = template.clone()
-        _apply_fault_events(report, extra, events,
-                            self.padded_block_bytes)
-        _replay_spans(self.acc, span_template, extra, events)
+            ys.append(self._scatter_assign(acc))
+        report = self._finish_report(extra, events, templates)
         for acc, chunks in accs:
             self._crosscheck(
                 report, acc, "sum",
                 lambda lo, hi, c=chunks: np.matmul(
                     self.blocks[lo:hi], c[lo:hi, :, None])[:, :, 0])
-        return y, report
-
-    def _batch_template(self, k: int) -> Tuple[SimReport, List[Span]]:
-        cached = self._batch_templates.get(k)
-        if cached is None:
-            cached = _capture_batch_template(self.acc, self.kind, k)
-            self._batch_templates[k] = cached
-        return cached
-
-    def run_spmv(self, x: np.ndarray) -> Tuple[np.ndarray, SimReport]:
-        _check_operand("x", x, self.n)
-        blocks, _masks, extra, events = self._deliver()
-        chunks = self._gather_chunks(x)
-        partial = np.matmul(blocks, chunks[:, :, None])[:, :, 0]
-        acc = self._accumulate_sum(partial)
-        y = self._scatter_assign(acc)
-        report = self._finish_report(extra, events)
-        self._crosscheck(
-            report, acc, "sum",
-            lambda lo, hi: np.matmul(self.blocks[lo:hi],
-                                     chunks[lo:hi, :, None])[:, :, 0])
-        return y, report
+        return ys, report
 
     def run_minplus(self, dist: np.ndarray) -> Tuple[np.ndarray, SimReport]:
         """D-BFS (unit cost) or D-SSSP (stored weights) relaxation."""
-        _check_operand("dist", dist, self.n)
         blocks, masks, extra, events = self._deliver()
         chunks = self._gather_chunks(dist)
         step = 1.0 if self.kind == "bfs" else blocks
@@ -448,8 +462,6 @@ class CompiledStreamingPass:
 
     def run_parents(self, dist: np.ndarray, parent: np.ndarray
                     ) -> Tuple[np.ndarray, np.ndarray, SimReport]:
-        if dist.shape != (self.n,) or parent.shape != (self.n,):
-            raise SimulationError(f"operands must have shape ({self.n},)")
         _blocks, masks, extra, events = self._deliver()
         chunks = self._gather_chunks(dist)
         cand = np.where(masks, chunks[:, None, :] + 1.0, np.inf)
@@ -479,8 +491,6 @@ class CompiledStreamingPass:
 
     def run_pagerank(self, rank: np.ndarray, outdeg: np.ndarray
                      ) -> Tuple[np.ndarray, SimReport]:
-        _check_operand("rank", rank, self.n)
-        _check_operand("outdeg", outdeg, self.n)
         _blocks, masks, extra, events = self._deliver()
         rank_c = self._gather_chunks(rank)
         deg_c = self._gather_chunks(outdeg)
@@ -513,7 +523,7 @@ class _SymgsRow:
     checksum: int = 0
 
 
-class CompiledSymgsPass:
+class CompiledSymgsPass(_CompiledPass):
     """A compiled forward SymGS sweep.
 
     Block rows are inherently sequential — the D-SymGS of row *i* waits
@@ -527,206 +537,85 @@ class CompiledSymgsPass:
     def __init__(self, n: int, omega: int, blocks: np.ndarray,
                  gather: np.ndarray, rows: List[_SymgsRow],
                  diag: np.ndarray, artifacts: PassArtifacts,
-                 template: SimReport, acc=None,
-                 checksums: Optional[List[int]] = None,
-                 restream_cycles: float = 0.0,
-                 padded_block_bytes: float = 0.0,
-                 span_template: Optional[List[Span]] = None) -> None:
-        self.n = n
-        self.omega = omega
-        self.nbr, self.npad = _padded_length(n, omega)
-        self.blocks = blocks
-        self.gather = gather
+                 template: SimReport, **kwargs) -> None:
+        super().__init__("symgs", n, omega, blocks, gather, artifacts,
+                         template, **kwargs)
         self.rows = rows
-        self.artifacts = artifacts
-        self.template = template
-        self.acc = acc
-        #: Per-GEMV-block payload CRCs in stacked order.
-        self.checksums = checksums or []
-        self.restream_cycles = restream_cycles
-        self.padded_block_bytes = padded_block_bytes
-        #: Spans captured alongside the report template (empty when the
-        #: owning accelerator had no tracer at compile time).
-        self.span_template = span_template or []
         self._diag_pad = np.zeros(self.npad)
         self._diag_pad[:n] = diag
-        #: Per-width batch report templates, captured lazily from the
-        #: legacy batch interpreter the first time each width runs.
-        self._batch_templates: Dict[int, Tuple[SimReport, List[Span]]] = {}
 
     def run(self, b: np.ndarray, x_prev: np.ndarray
             ) -> Tuple[np.ndarray, SimReport]:
-        n, w, npad = self.n, self.omega, self.npad
-        if b.shape != (n,) or x_prev.shape != (n,):
-            raise SimulationError(
-                f"operand vectors must have shape ({n},)"
-            )
-        # Plane 0 is x^t (updated in place), plane 1 the read-only
-        # x^{t-1}; gather indices address the flattened pair so each
-        # entry's operand port resolves with no per-block branching.
-        state = np.zeros((2, npad))
-        state[0, :n] = x_prev
-        state[1, :n] = x_prev
-        flat = state.reshape(-1)
-        b_pad = np.zeros(npad)
-        b_pad[:n] = b
-        cfg = self.acc.config
-        fm = cfg.fault_model
-        verify = fm is not None and (cfg.verify_checksums
-                                     or self.acc._force_verify)
-        extra, events = 0.0, []
-        stack: List[np.ndarray] = []
-        for row in self.rows:
-            if row.seg_len:
-                lo = row.seg_start
-                hi = lo + row.seg_len
-                seg_blocks = self.blocks[lo:hi]
-                if fm is not None:
-                    # Same transfer order as the interpreter: the row's
-                    # GEMV blocks first, then its diagonal block below.
-                    delivered = None
-                    for j in range(lo, hi):
-                        src = self.blocks[j]
-                        checksum = (int(self.checksums[j]) if verify
-                                    else None)
-                        vals, cycles, event = fm.deliver(
-                            src, checksum,
-                            restream_cycles=self.restream_cycles)
-                        extra += cycles
-                        if event is not None:
-                            events.append(event)
-                        if vals is not src:
-                            if delivered is None:
-                                delivered = seg_blocks.copy()
-                            delivered[j - lo] = vals
-                    if delivered is not None:
-                        seg_blocks = delivered
-                chunks = flat[self.gather[lo:hi]]
-                partial = np.matmul(seg_blocks,
-                                    chunks[:, :, None])[:, :, 0]
-                stack.extend(partial)
-            if row.body is not None:
-                body = row.body
-                if fm is not None:
-                    checksum = row.checksum if verify else None
-                    vals, cycles, event = fm.deliver(
-                        body, checksum,
-                        restream_cycles=self.restream_cycles)
-                    extra += cycles
-                    if event is not None:
-                        events.append(event)
-                    body = vals
-                acc = np.zeros(w)
-                while stack:
-                    acc += stack.pop()
-                sl = slice(row.start, row.start + w)
-                x_new = dsymgs_solve(body, self._diag_pad[sl],
-                                     b_pad[sl], state[1, sl], acc,
-                                     row.valid, w)
-                state[0, row.start:row.start + row.valid] = \
-                    x_new[:row.valid]
-        report = self.template.clone()
-        _apply_fault_events(report, extra, events, self.padded_block_bytes)
-        _replay_spans(self.acc, self.span_template, extra, events)
-        return state[0, :n].copy(), report
-
-    def _batch_template(self, k: int) -> Tuple[SimReport, List[Span]]:
-        cached = self._batch_templates.get(k)
-        if cached is None:
-            cached = _capture_batch_template(self.acc, "symgs", k)
-            self._batch_templates[k] = cached
-        return cached
+        """One forward sweep: the width-1 call of the batch loop."""
+        x, report = self._sweep(b[:, None], x_prev[:, None], None)
+        return x[0].copy(), report
 
     def run_batch(self, b: np.ndarray, x_prev: np.ndarray
                   ) -> Tuple[np.ndarray, SimReport]:
-        """Batched forward sweeps: one payload delivery drives ``k``
-        independent column recurrences.
+        """Batched forward sweeps over ``(n, k)`` panels."""
+        x, report = self._sweep(b, x_prev, b.shape[1])
+        return x.T.copy(), report
 
-        Each payload block crosses the channel once per batch — shared
-        fault exposure, one payload's DRAM traffic — and every column
-        then advances its own two-plane state with expressions
-        identical to :meth:`run` on that column alone, so per-column
-        answers are bit-identical to solo service.  The report clones
-        the width-``k`` template captured from
-        :meth:`~repro.core.accelerator.Alrescha._legacy_run_symgs_batch`.
+    def _sweep(self, b: np.ndarray, x_prev: np.ndarray, k: Optional[int]
+               ) -> Tuple[np.ndarray, SimReport]:
+        """Forward sweeps of every column over one payload delivery;
+        returns the ``(columns, n)`` iterates and the report.
+
+        Each payload block crosses the channel once — shared fault
+        exposure, one payload's DRAM traffic — and every column then
+        advances its own two-plane state: plane 0 is x^t (updated in
+        place), plane 1 the read-only x^{t-1}, and gather indices
+        address the flattened pair so each entry's operand port
+        resolves with no per-block branching.  The expressions are the
+        same for every column, so per-column answers are bit-identical
+        to solo service.  The report clones the solo template (``k``
+        None) or the width-``k`` batch template.
         """
+        templates = self._templates(k)
         n, w, npad = self.n, self.omega, self.npad
-        b = np.asarray(b, dtype=np.float64)
-        x_prev = np.asarray(x_prev, dtype=np.float64)
-        if (b.ndim != 2 or b.shape[0] != n or b.shape[1] < 1
-                or x_prev.shape != b.shape):
-            raise SimulationError(
-                f"operand panels must be ({n}, k>=1) and equal-shaped, "
-                f"got {b.shape} and {x_prev.shape}")
-        k = b.shape[1]
-        template, span_template = self._batch_template(k)
-        states = np.zeros((k, 2, npad))
+        width = b.shape[1]
+        states = np.zeros((width, 2, npad))
         states[:, 0, :n] = x_prev.T
         states[:, 1, :n] = x_prev.T
-        flats = [states[col].reshape(-1) for col in range(k)]
-        b_pads = np.zeros((k, npad))
+        b_pads = np.zeros((width, npad))
         b_pads[:, :n] = b.T
-        cfg = self.acc.config
-        fm = cfg.fault_model
-        verify = fm is not None and (cfg.verify_checksums
-                                     or self.acc._force_verify)
+        # Per column: flattened state pair, b, x^{t-1}, x^t, link stack.
+        columns = [(states[col].reshape(-1), b_pads[col], states[col, 1],
+                    states[col, 0], []) for col in range(width)]
+        faulty = self.acc.config.fault_model is not None
         extra, events = 0.0, []
-        stacks: List[List[np.ndarray]] = [[] for _ in range(k)]
         for row in self.rows:
             if row.seg_len:
                 lo = row.seg_start
                 hi = lo + row.seg_len
                 seg_blocks = self.blocks[lo:hi]
-                if fm is not None:
-                    delivered = None
-                    for j in range(lo, hi):
-                        src = self.blocks[j]
-                        checksum = (int(self.checksums[j]) if verify
-                                    else None)
-                        vals, cycles, event = fm.deliver(
-                            src, checksum,
-                            restream_cycles=self.restream_cycles)
-                        extra += cycles
-                        if event is not None:
-                            events.append(event)
-                        if vals is not src:
-                            if delivered is None:
-                                delivered = seg_blocks.copy()
-                            delivered[j - lo] = vals
-                    if delivered is not None:
-                        seg_blocks = delivered
-                for col in range(k):
-                    chunks = flats[col][self.gather[lo:hi]]
-                    partial = np.matmul(seg_blocks,
-                                        chunks[:, :, None])[:, :, 0]
-                    stacks[col].extend(partial)
+                if faulty:
+                    # Same transfer order as the interpreter: the row's
+                    # GEMV blocks first, then its diagonal block below.
+                    seg_blocks, extra = self._deliver_blocks(
+                        seg_blocks, self.checksums[lo:hi], extra, events)
+                gather = self.gather[lo:hi]
+                for flat, _b, _prev, _cur, stack in columns:
+                    chunks = flat[gather]
+                    stack.extend(np.matmul(seg_blocks,
+                                           chunks[:, :, None])[:, :, 0])
             if row.body is not None:
                 body = row.body
-                if fm is not None:
-                    checksum = row.checksum if verify else None
-                    vals, cycles, event = fm.deliver(
-                        body, checksum,
-                        restream_cycles=self.restream_cycles)
-                    extra += cycles
-                    if event is not None:
-                        events.append(event)
-                    body = vals
+                if faulty:
+                    bodies, extra = self._deliver_blocks(
+                        body[None], [row.checksum], extra, events)
+                    body = bodies[0]
                 sl = slice(row.start, row.start + w)
-                for col in range(k):
+                diag = self._diag_pad[sl]
+                for _flat, b_pad, prev, cur, stack in columns:
                     acc = np.zeros(w)
-                    stack = stacks[col]
                     while stack:
                         acc += stack.pop()
-                    x_new = dsymgs_solve(body, self._diag_pad[sl],
-                                         b_pads[col, sl],
-                                         states[col, 1, sl], acc,
-                                         row.valid, w)
-                    states[col, 0, row.start:row.start + row.valid] = \
-                        x_new[:row.valid]
-        report = template.clone()
-        _apply_fault_events(report, extra, events, self.padded_block_bytes)
-        _replay_spans(self.acc, span_template, extra, events)
-        return states[:, 0, :n].T.copy(), report
+                    x_new = dsymgs_solve(body, diag, b_pad[sl], prev[sl],
+                                         acc, row.valid, w)
+                    cur[row.start:row.start + row.valid] = x_new[:row.valid]
+        report = self._finish_report(extra, events, templates)
+        return states[:, 0, :n], report
 
 
 # ---------------------------------------------------------------------
@@ -777,10 +666,18 @@ def _save_stored_template(acc, kind: str, k, report: SimReport,
     store.save_template(key, kind, report, spans, k=k)
 
 
-def _capture_template(acc, kind: str) -> Tuple[SimReport, List[Span]]:
-    """Replay the legacy interpreter once with neutral operands and keep
-    its report — and, when the accelerator is traced, its spans (see the
+def _capture_template(acc, kind: str, k: Optional[int] = None
+                      ) -> Tuple[SimReport, List[Span]]:
+    """Replay the interpreter once with neutral operands and keep its
+    report — and, when the accelerator is traced, its spans (see the
     module docstring for why this is exact).
+
+    ``k`` None captures the solo pass at compile time; an integer
+    captures a width-``k`` batch (``(n, k)`` zero panels), lazily the
+    first time each width runs, so a program that never batches pays
+    nothing.  The interpreter is looked up in the same pass-kind table
+    (:data:`repro.core.interpreter.ORACLES`) the accelerator falls back
+    to.
 
     Fault injection is suppressed for the replay: the template must
     record the *clean* pass (faults would advance the injector's RNG,
@@ -791,69 +688,21 @@ def _capture_template(acc, kind: str) -> Tuple[SimReport, List[Span]]:
     cycle 0) never leak into the user's trace.
     """
     traced = acc.config.tracer is not None
-    cached = _load_stored_template(acc, kind, None, traced)
-    if cached is not None:
-        return cached
-    zeros = np.zeros(acc.n)
-    capture = Tracer() if traced else None
-    acc._suppress_faults = True
-    acc._capture_tracer = capture
-    try:
-        if kind == "spmv":
-            report = acc._legacy_run_spmv(zeros)[1]
-        elif kind == "bfs":
-            report = acc._legacy_run_bfs_pass(zeros)[1]
-        elif kind == "bfs-parents":
-            report = acc._legacy_run_bfs_pass_parents(
-                zeros, np.zeros(acc.n, dtype=np.int64))[2]
-        elif kind == "sssp":
-            report = acc._legacy_run_sssp_pass(zeros)[1]
-        elif kind == "pagerank":
-            report = acc._legacy_run_pr_pass(zeros, zeros)[1]
-        else:
-            report = acc._legacy_run_symgs_sweep(zeros, zeros)[1]
-    finally:
-        acc._suppress_faults = False
-        acc._capture_tracer = None
-    spans = capture.spans if capture is not None else []
-    _save_stored_template(acc, kind, None, report,
-                          spans if traced else None)
-    return report, spans
-
-
-def _capture_batch_template(acc, kind: str,
-                            k: int) -> Tuple[SimReport, List[Span]]:
-    """Replay the legacy *batch* interpreter once with neutral ``(n,
-    k)`` operand panels and keep its report/spans.
-
-    The per-width analogue of :func:`_capture_template` — batch timing
-    and counters depend only on the programmed block structure and the
-    width ``k``, never on operand values — with the same fault
-    suppression and tracer shadowing (see there).  Templates are
-    captured lazily per width, so a program that never batches pays
-    nothing.
-    """
-    if kind not in ("spmv", "symgs"):
-        raise SimulationError(f"pass kind {kind!r} does not batch")
-    traced = acc.config.tracer is not None
     cached = _load_stored_template(acc, kind, k, traced)
     if cached is not None:
         return cached
-    zeros = np.zeros((acc.n, k))
+    _loop, arity = interpreter.ORACLES[kind]
+    zeros = np.zeros(acc.n if k is None else (acc.n, k))
     capture = Tracer() if traced else None
     acc._suppress_faults = True
     acc._capture_tracer = capture
     try:
-        if kind == "spmv":
-            report = acc.run_spmm(zeros)[1]
-        else:
-            report = acc._legacy_run_symgs_batch(zeros, zeros)[1]
+        report = interpreter.run(acc, kind, (zeros,) * arity, k)[-1]
     finally:
         acc._suppress_faults = False
         acc._capture_tracer = None
     spans = capture.spans if capture is not None else []
-    _save_stored_template(acc, kind, k, report,
-                          spans if traced else None)
+    _save_stored_template(acc, kind, k, report, spans if traced else None)
     return report, spans
 
 
@@ -878,34 +727,10 @@ def _compile_streaming(acc, kind: str) -> CompiledStreamingPass:
             checksums.append(op.checksum)
             compute.append(timing.compute_cycles_per_block(op.dp))
     m = len(blocks)
-    seg_len_arr = np.asarray(seg_len, dtype=np.int64)
-    seg_start = np.zeros(len(seg_len), dtype=np.int64)
-    if len(seg_len) > 1:
-        seg_start[1:] = np.cumsum(seg_len_arr)[:-1]
-    mem = acc.config.make_memory()
-    payload = mem.stream_block_run(m, timing.block_bytes)
-    padded_block_bytes = mem._padded_bytes(timing.block_bytes)
-    artifacts = PassArtifacts(
-        stream_cycles_per_block=np.full(m, spb),
-        compute_cycles_per_block=np.asarray(compute),
-        seg_start=seg_start,
-        seg_len=seg_len_arr,
-        out_rows=np.asarray(out_rows, dtype=np.int64),
-        payload_stream_cycles=payload,
-    )
-    template, span_template = _capture_template(acc, kind)
-    _verify_against_template(kind, artifacts, template, n_requests=m)
     return CompiledStreamingPass(
-        kind, n, w,
-        blocks=(np.stack(blocks) if m else np.zeros((0, w, w))),
-        gather=(np.stack(gather) if m else np.zeros((0, w), dtype=np.int64)),
-        src_base=np.asarray(src_base, dtype=np.int64),
-        artifacts=artifacts, template=template, acc=acc,
-        checksums=checksums,
-        restream_cycles=padded_block_bytes / mem.bytes_per_cycle,
-        padded_block_bytes=padded_block_bytes,
-        span_template=span_template,
-    )
+        kind, n, w, src_base=np.asarray(src_base, dtype=np.int64),
+        **_lowered(acc, kind, blocks, gather, checksums, seg_len, out_rows,
+                   [spb] * m, compute, n_requests=m))
 
 
 def _compile_symgs(acc) -> CompiledSymgsPass:
@@ -951,34 +776,43 @@ def _compile_symgs(acc) -> CompiledSymgsPass:
                               checksum=body_checksum))
         seg_len.append(len(blocks) - seg_start)
         out_rows.append(group.block_row)
-    m = len(blocks)
+    return CompiledSymgsPass(
+        n, w, rows=rows, diag=diag,
+        **_lowered(acc, "symgs", blocks, gather, checksums, seg_len,
+                   out_rows, stream_vec, compute_vec, n_requests))
+
+
+def _lowered(acc, kind: str, blocks, gather, checksums, seg_len, out_rows,
+             stream_vec, compute_vec, n_requests: int) -> dict:
+    """Stack a lowered pass, capture and verify its report template,
+    and return the constructor keywords every compiled pass shares."""
+    w = acc.config.omega
+    block_bytes = acc.config.timing().block_bytes
     seg_len_arr = np.asarray(seg_len, dtype=np.int64)
-    seg_start_arr = np.zeros(len(seg_len), dtype=np.int64)
+    seg_start = np.zeros(len(seg_len), dtype=np.int64)
     if len(seg_len) > 1:
-        seg_start_arr[1:] = np.cumsum(seg_len_arr)[:-1]
+        seg_start[1:] = np.cumsum(seg_len_arr)[:-1]
     mem = acc.config.make_memory()
-    payload = mem.stream_block_run(n_requests, timing.block_bytes)
-    padded_block_bytes = mem._padded_bytes(timing.block_bytes)
+    padded_block_bytes = mem._padded_bytes(block_bytes)
     artifacts = PassArtifacts(
-        stream_cycles_per_block=np.asarray(stream_vec),
-        compute_cycles_per_block=np.asarray(compute_vec),
-        seg_start=seg_start_arr,
+        stream_cycles_per_block=np.asarray(stream_vec, dtype=np.float64),
+        compute_cycles_per_block=np.asarray(compute_vec, dtype=np.float64),
+        seg_start=seg_start,
         seg_len=seg_len_arr,
         out_rows=np.asarray(out_rows, dtype=np.int64),
-        payload_stream_cycles=payload,
+        payload_stream_cycles=mem.stream_block_run(n_requests, block_bytes),
     )
-    template, span_template = _capture_template(acc, "symgs")
-    _verify_against_template("symgs", artifacts, template, n_requests)
-    return CompiledSymgsPass(
-        n, w,
-        blocks=(np.stack(blocks) if m else np.zeros((0, w, w))),
-        gather=(np.stack(gather) if m else np.zeros((0, w), dtype=np.int64)),
-        rows=rows, diag=diag, artifacts=artifacts, template=template,
-        acc=acc, checksums=checksums,
+    template, span_template = _capture_template(acc, kind)
+    _verify_against_template(kind, artifacts, template, n_requests)
+    m = len(blocks)
+    return dict(
+        blocks=np.stack(blocks) if m else np.zeros((0, w, w)),
+        gather=np.stack(gather) if m else np.zeros((0, w), dtype=np.int64),
+        artifacts=artifacts, template=template, acc=acc,
+        checksums=checksums,
         restream_cycles=padded_block_bytes / mem.bytes_per_cycle,
         padded_block_bytes=padded_block_bytes,
-        span_template=span_template,
-    )
+        span_template=span_template)
 
 
 # KernelType is imported for the kernel→plan-kind map used by

@@ -1,7 +1,7 @@
 """JSON [de]serialization for captured report and span templates.
 
-The compiled-plan layer replays each kernel once through the legacy
-interpreter to capture a :class:`~repro.core.report.SimReport` and (when
+The compiled-plan layer replays each kernel once through the per-block
+interpreter (:mod:`repro.core.interpreter`) to capture a :class:`~repro.core.report.SimReport` and (when
 tracing) the :class:`~repro.observe.tracer.Span` timeline; those
 templates are then cloned per request.  This module round-trips them
 through JSON so the artifact store can persist the capture and a warm

@@ -142,6 +142,45 @@ class TestPayloadStreamedOnce:
         assert rep1.cycles < repk.cycles < k * rep1.cycles
 
 
+class TestBatchAccountingFollowsSolo:
+    """A width-k SpMV batch charges each column exactly what a solo
+    SpMV charges: results stay fp64 at every element width (8 bytes of
+    write-back per output element), and an empty matrix reports no
+    data-path cycles at all."""
+
+    @pytest.mark.parametrize("use_plan", [False, True])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_element_width_only_shrinks_the_payload(self, matrix,
+                                                    use_plan, k):
+        x = panel(matrix.shape[0], k)
+
+        def streamed(element_bytes, run):
+            acc = Alrescha.from_matrix(
+                KernelType.SPMV, matrix, config=AlreschaConfig(
+                    use_plan=use_plan, element_bytes=element_bytes))
+            return run(acc).streamed_bytes
+
+        def solo(acc):
+            return acc.run_spmv(x[:, 0])[1]
+
+        def batch(acc):
+            return acc.run_spmv_batch(x)[1]
+
+        solo_drop = streamed(8, solo) - streamed(4, solo)
+        batch_drop = streamed(8, batch) - streamed(4, batch)
+        assert solo_drop > 0.0
+        assert batch_drop == solo_drop
+
+    @pytest.mark.parametrize("use_plan", [False, True])
+    def test_empty_matrix_reports_no_datapath_cycles(self, use_plan):
+        empty = np.zeros((13, 13))
+        solo = make(KernelType.SPMV, empty, use_plan)
+        _, solo_rep = solo.run_spmv(np.ones(13))
+        batch = make(KernelType.SPMV, empty, use_plan)
+        _, batch_rep = batch.run_spmv_batch(np.ones((13, 2)))
+        assert batch_rep.datapath_cycles == solo_rep.datapath_cycles
+
+
 class TestBatchValidation:
     @pytest.mark.parametrize("use_plan", [False, True])
     def test_symgs_panel_shapes_must_match(self, matrix, use_plan):

@@ -15,12 +15,12 @@ def spmv_acc(spd_medium):
 class TestSpMM:
     def test_matches_dense_product(self, spmv_acc, spd_medium, rng):
         x = rng.normal(size=(70, 5))
-        y, _report = spmv_acc.run_spmm(x)
+        y, _report = spmv_acc.run_spmv_batch(x)
         np.testing.assert_allclose(y, spd_medium @ x, atol=1e-9)
 
     def test_single_column_matches_spmv(self, spmv_acc, rng):
         x = rng.normal(size=70)
-        y_mm, _ = spmv_acc.run_spmm(x)
+        y_mm, _ = spmv_acc.run_spmv_batch(x)
         y_mv, _ = spmv_acc.run_spmv(x)
         np.testing.assert_allclose(y_mm[:, 0], y_mv)
 
@@ -29,8 +29,8 @@ class TestSpMM:
         once, not k times."""
         x1 = rng.normal(size=(70, 1))
         x8 = rng.normal(size=(70, 8))
-        _y, r1 = spmv_acc.run_spmm(x1)
-        _y, r8 = spmv_acc.run_spmm(x8)
+        _y, r1 = spmv_acc.run_spmv_batch(x1)
+        _y, r8 = spmv_acc.run_spmv_batch(x8)
         payload1 = r1.counters.get("dram_bytes")
         payload8 = r8.counters.get("dram_bytes")
         # Write-back grows with k but the dominant matrix payload does
@@ -40,8 +40,8 @@ class TestSpMM:
     def test_throughput_per_column_improves(self, spmv_acc, rng):
         x1 = rng.normal(size=(70, 1))
         x8 = rng.normal(size=(70, 8))
-        _y, r1 = spmv_acc.run_spmm(x1)
-        _y, r8 = spmv_acc.run_spmm(x8)
+        _y, r1 = spmv_acc.run_spmv_batch(x1)
+        _y, r8 = spmv_acc.run_spmv_batch(x8)
         per_col_1 = r1.cycles
         per_col_8 = r8.cycles / 8.0
         assert per_col_8 < per_col_1
@@ -49,18 +49,18 @@ class TestSpMM:
     def test_wide_panel_becomes_compute_bound(self, spmv_acc, rng):
         """At large k the ALU row is the limit: cycles grow ~linearly
         in k once compute dominates."""
-        _y, r8 = spmv_acc.run_spmm(rng.normal(size=(70, 8)))
-        _y, r16 = spmv_acc.run_spmm(rng.normal(size=(70, 16)))
+        _y, r8 = spmv_acc.run_spmv_batch(rng.normal(size=(70, 8)))
+        _y, r16 = spmv_acc.run_spmv_batch(rng.normal(size=(70, 16)))
         assert r16.cycles > 1.5 * r8.cycles / 2.0  # superlinear vs /2
 
     def test_shape_validation(self, spmv_acc):
         with pytest.raises(SimulationError):
-            spmv_acc.run_spmm(np.zeros((5, 2)))
+            spmv_acc.run_spmv_batch(np.zeros((5, 2)))
 
     def test_wrong_kernel_rejected(self, spd_medium):
         acc = Alrescha.from_matrix(KernelType.SYMGS, spd_medium)
         with pytest.raises(SimulationError):
-            acc.run_spmm(np.zeros((70, 2)))
+            acc.run_spmv_batch(np.zeros((70, 2)))
 
 
 class TestSpTRSV:
