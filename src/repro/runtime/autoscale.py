@@ -26,9 +26,10 @@ pool thrash.
 * **Scale-down** — when load falls to ``queue_low`` with nothing on
   order, the least-busy live device starts *draining*: it finishes its
   in-flight work, takes no new placements, and retires when its
-  ``DEVICE_DRAIN`` event finds it idle.  Retired devices stay in
-  ``pool.devices`` (heap event keys index that list) but never serve
-  again.
+  ``DEVICE_DRAIN`` event finds it idle.  Retired devices keep their
+  slot in ``pool.devices`` (heap event keys index that list) but leave
+  the pool's live-device index ``pool.live``, which every per-wake scan
+  walks, and never serve again.
 
 Everything is deterministic: decisions read only simulated-clock state,
 so one seed + trace + knob set reproduces the identical scale history,
@@ -204,10 +205,9 @@ class Autoscaler:
         """
         cfg = self.config
         self.evals += 1
-        live = [d for d in pool.devices
-                if not d.retired and not d.draining]
-        healthy = sum(1 for d in live
-                      if d.health.failure_rate < cfg.failure_rate_high)
+        healthy = sum(1 for d in pool.live
+                      if not d.draining
+                      and d.health.failure_rate < cfg.failure_rate_high)
         load = queue_len / max(1, healthy + self.pending_adds)
         if now - self.last_action_cycle < cfg.cooldown_cycles:
             return ""

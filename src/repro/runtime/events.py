@@ -10,7 +10,10 @@ it becomes known, and the main loop pops the earliest one in O(log n).
 Event vocabulary (:class:`EventKind`):
 
 ``ARRIVAL``
-    A job enters the system at its ``arrival_cycle``.
+    A job enters the system at its ``arrival_cycle``.  The scheduler
+    keeps only the earliest not-yet-popped trace arrival on the heap
+    and arms the next one when it pops, so the heap's size does not
+    grow with the trace.
 ``DISPATCH_COMPLETE``
     A device finishes the attempt it is running (its ``busy_until``).
 ``RETRY_READY``
