@@ -11,6 +11,7 @@ from repro.observe.export import (
 from repro.observe.invariants import (
     check_device_exclusive,
     check_hedge_cancellation,
+    check_no_incident_after_retirement,
     check_no_service_after_timeout,
     check_no_service_in_downtime,
     check_no_service_on_draining_device,
@@ -32,6 +33,7 @@ __all__ = [
     "write_chrome_trace",
     "check_device_exclusive",
     "check_hedge_cancellation",
+    "check_no_incident_after_retirement",
     "check_no_service_after_timeout",
     "check_no_service_in_downtime",
     "check_no_service_on_draining_device",

@@ -50,6 +50,10 @@ counters cannot express:
   after the drain's start: a draining device finishes its in-flight
   work but takes no new placements, and a retired device never serves
   again.
+* :func:`check_no_incident_after_retirement` — every ``crash`` or
+  ``hang`` span on the ``chaos`` track begins no later than the end of
+  its device's ``drain`` span: retirement ends a device's incident
+  chain, so hardware that has left service never crashes or hangs.
 
 Fleet traces prefix every per-pool track with ``p<i>.`` (see
 :class:`~repro.runtime.pool.DevicePool`'s ``track_prefix``); all
@@ -97,6 +101,23 @@ def _device_track(track: str) -> Optional[Tuple[str, int]]:
 
 def _is_concurrent(track: str) -> bool:
     return track.rsplit(".", 1)[-1] in CONCURRENT_TRACKS
+
+
+def _spans_by_device(tracer: Tracer, base: str,
+                     cats: Tuple[str, ...]) -> Dict[Tuple[str, int],
+                                                    List[Span]]:
+    """Non-instant ``cats`` spans on a pool-wide ``base`` track (the
+    ``chaos`` or ``autoscale`` track, ``p<i>.``-prefixed in fleets),
+    keyed by ``(pool_prefix, device)`` from their ``device`` arg — the
+    key :func:`_device_track` parses a device track into."""
+    out: Dict[Tuple[str, int], List[Span]] = {}
+    for s in tracer.spans:
+        if (s.instant or s.cat not in cats
+                or s.track.rsplit(".", 1)[-1] != base):
+            continue
+        prefix = s.track[:len(s.track) - len(base)]
+        out.setdefault((prefix, int(s.args["device"])), []).append(s)
+    return out
 
 
 def check_reconfig_hidden(tracer: Tracer) -> List[str]:
@@ -263,13 +284,7 @@ def check_no_service_in_downtime(tracer: Tracer) -> List[str]:
     constrain devices of the *same* pool.
     """
     violations = []
-    incidents: Dict[Tuple[str, int], List[Span]] = {}
-    for s in tracer.spans:
-        base = s.track.rsplit(".", 1)[-1]
-        if base == "chaos" and s.cat in ("crash", "hang"):
-            prefix = s.track[:len(s.track) - len("chaos")]
-            incidents.setdefault(
-                (prefix, int(s.args["device"])), []).append(s)
+    incidents = _spans_by_device(tracer, "chaos", ("crash", "hang"))
     if not incidents:
         return violations
     for s in tracer.spans:
@@ -421,13 +436,7 @@ def check_no_service_on_draining_device(tracer: Tracer) -> List[str]:
     lands inside the drain window or after retirement.
     """
     violations = []
-    drains: Dict[Tuple[str, int], List[Span]] = {}
-    for s in tracer.spans:
-        base = s.track.rsplit(".", 1)[-1]
-        if base == "autoscale" and s.cat == "drain" and not s.instant:
-            prefix = s.track[:len(s.track) - len("autoscale")]
-            drains.setdefault(
-                (prefix, int(s.args["device"])), []).append(s)
+    drains = _spans_by_device(tracer, "autoscale", ("drain",))
     if not drains:
         return violations
     for s in tracer.spans:
@@ -442,6 +451,32 @@ def check_no_service_on_draining_device(tracer: Tracer) -> List[str]:
                     f"{s.track}: job {s.name!r} begins at "
                     f"{s.begin:.2f} on or after the device's drain "
                     f"started at {d.begin:.2f}")
+    return violations
+
+
+def check_no_incident_after_retirement(tracer: Tracer) -> List[str]:
+    """No device crashes or hangs once it has retired.
+
+    A ``drain`` span on the ``autoscale`` track ends at the cycle its
+    device retired; retirement ends the device's incident chain, so
+    every ``crash`` or ``hang`` span on the same pool's ``chaos`` track
+    naming that device must begin at or before that cycle.  A recovery
+    already pending at retirement still lands, so an incident that
+    began in service may run past it.
+    """
+    violations = []
+    drains = _spans_by_device(tracer, "autoscale", ("drain",))
+    if not drains:
+        return violations
+    incidents = _spans_by_device(tracer, "chaos", ("crash", "hang"))
+    for key, spans in sorted(incidents.items()):
+        for d in drains.get(key, ()):
+            for s in spans:
+                if s.begin > d.end + EPS:
+                    violations.append(
+                        f"{s.track}: {s.cat} {s.name!r} of device "
+                        f"{key[1]} begins at {s.begin:.2f}, after the "
+                        f"device retired at {d.end:.2f}")
     return violations
 
 
@@ -471,4 +506,5 @@ def check_trace(tracer: Tracer) -> List[str]:
     violations.extend(check_no_service_in_pool_outage(tracer))
     violations.extend(check_reroute_attribution(tracer))
     violations.extend(check_no_service_on_draining_device(tracer))
+    violations.extend(check_no_incident_after_retirement(tracer))
     return violations
