@@ -3,12 +3,14 @@
 Public surface:
 
 * :class:`~repro.core.accelerator.Alrescha` — program + run kernels.
+* :class:`~repro.core.accelerator.ProgrammedImage` — the programmed
+  state accelerators bind and share (:meth:`Alrescha.bind`).
 * :func:`~repro.core.convert.convert` — Algorithm 1.
 * :class:`~repro.core.config.ConfigTable` and friends — the programmed
   representation of a kernel.
 """
 
-from repro.core.accelerator import Alrescha, AlreschaConfig
+from repro.core.accelerator import Alrescha, AlreschaConfig, ProgrammedImage
 from repro.core.binary import (
     decode_program,
     encode_program,
@@ -60,6 +62,7 @@ __all__ = [
     "KernelType",
     "NO_CACHE_WRITE",
     "OperandPort",
+    "ProgrammedImage",
     "RCUConfig",
     "ReconfigurableComputeUnit",
     "SimReport",

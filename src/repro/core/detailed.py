@@ -71,7 +71,7 @@ def _jobs_from_accelerator(acc: Alrescha,
                            timing: DataPathTiming) -> List[_Job]:
     jobs: List[_Job] = []
     spb = timing.stream_cycles_per_block()
-    for group in acc._rows:  # noqa: SLF001 - deliberate white-box access
+    for group in acc.image.rows:
         for op in group.streaming:
             jobs.append(_Job(op.dp, spb,
                              timing.compute_cycles_per_block(op.dp)))

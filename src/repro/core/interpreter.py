@@ -151,7 +151,7 @@ class _Engine:
             cache_busy_cycles=rcu.cache_busy_cycles,
             exposed_reconfig_cycles=self.exposed,
             n_entries=len(acc.table),
-            n_switches=acc._table_order_switches,
+            n_switches=acc.image.table_switches,
             counters=counters,
             energy_j=cfg.energy_model.energy_j(counters, seconds),
             datapath_cycles=dp_cycles,
@@ -254,7 +254,7 @@ def streaming_pass(acc, kind: str, operands: Sequence[np.ndarray],
     stream_cycles = 0.0
     compute_cycles = 0.0
     dp_cycles: Dict[str, float] = {}
-    for group in acc._rows:
+    for group in acc.image.rows:
         if not group.streaming:
             continue
         accs = [np.full(w, identity) for _ in suffixes]
@@ -310,7 +310,7 @@ def bfs_parents_pass(acc, kind: str, operands: Sequence[np.ndarray],
     new_parent = parent.copy()
     stream_cycles = 0.0
     compute_cycles = 0.0
-    for group in acc._rows:
+    for group in acc.image.rows:
         if not group.streaming:
             continue
         start, valid = _row_span(acc, group.block_row)
@@ -387,7 +387,7 @@ def symgs_sweep(acc, kind: str, operands: Sequence[np.ndarray],
     chain_cycles = 0.0
     seq_cycles = 0.0
     dp_cycles: Dict[str, float] = {}
-    for group in acc._rows:
+    for group in acc.image.rows:
         row_stream = 0.0
         row_gemv_compute = 0.0
         # Data-path switches of this row, recorded as they are charged

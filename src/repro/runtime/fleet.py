@@ -276,7 +276,8 @@ class Fleet:
     wiring, replicated per pool: pool ``i`` gets fault seed
     ``seed + i * 1_000_003`` (pool 0 identical to a solo pool), its own
     device-chaos sibling, and the trace-track prefix ``p<i>.`` so all
-    pools share one tracer without collisions.
+    pools share one tracer without collisions.  All pools bind one
+    image table, so a workload is programmed once per fleet.
     """
 
     def __init__(self, n_devices: int, config: FleetConfig,
@@ -314,6 +315,11 @@ class Fleet:
                 tracer=tracer, execution=execution,
                 chaos=pool_chaos_model, track_prefix=f"p{i}.",
                 artifact_store=artifact_store)
+            if self.pools:
+                # The pools share one compile configuration, so they
+                # share pool 0's image table: each workload is
+                # programmed once per fleet.
+                pool.images = self.pools[0].images
             self.pools.append(pool)
             self.scheds.append(Scheduler(pool, self.scheduler_config,
                                          lifecycle=lifecycle,

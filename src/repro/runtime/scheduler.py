@@ -111,6 +111,7 @@ from repro.runtime.pool import (
     Device,
     DevicePool,
     value_crc,
+    workload_programs,
 )
 
 
@@ -1372,29 +1373,25 @@ class Scheduler:
         return device
 
     def _prime_device(self, device: Device, now: float) -> None:
-        """Warm a fresh device from the shared artifact store.
+        """Bind a fresh device to every workload its siblings served.
 
-        Every workload a sibling has programmed is resolved through the
-        store before the newcomer takes traffic, so a warm store means
-        the scale-up compiles nothing — the elastic analogue of the
-        store's warm-start serving guarantee.  ``prime_hits`` counts
-        the store loads/memory hits the priming pass consumed.  A
-        storeless pool (or ``model`` execution, which never programs)
-        skips priming entirely.
+        The images are the pool's, already programmed, so priming
+        programs and compiles nothing: the newcomer binds them before
+        it takes traffic.  ``prime_hits`` counts the images bound — one
+        per spmv or symgs workload, three per pcg workload — which is
+        the number of store hits the same pass made when every device
+        programmed its own images.  A storeless pool (or ``model``
+        execution, which never binds) skips priming and counts nothing.
         """
         pool = self.pool
         if pool.artifact_store is None or pool.execution != "simulate":
             return
-        before = pool.artifact_store.report()
-        warm = before.conversions_loaded + before.memory_hits
-        for dataset, scale, kernel in list(pool.workloads_seen):
+        for dataset, scale, kernel in pool.workloads_seen:
             job = Job(job_id=-1, kernel=kernel, dataset=dataset,
                       scale=scale, arrival_cycle=now,
                       deadline_cycles=1.0)
             device._executor(job, pool)
-        after = pool.artifact_store.report()
-        self.autoscaler.prime_hits += max(
-            0, after.conversions_loaded + after.memory_hits - warm)
+            self.autoscaler.prime_hits += len(workload_programs(kernel))
 
     def _start_drain(self, device: Device, now: float) -> None:
         """Begin drain-before-remove on a scale-down target.

@@ -11,17 +11,19 @@ dominant kernels — SpMV and the SymGS smoother/preconditioner (Figure 3)
   symmetric sweep runs on a second accelerator programmed with the
   order-reversed matrix ``P A P`` (forward Gauss-Seidel on ``P A P`` is
   exactly backward Gauss-Seidel on ``A``), reusing the same D-SymGS
-  hardware path.
+  hardware path.  A backend built from a matrix programs its own
+  images; :meth:`AcceleratorBackend.bind` runs on images programmed
+  elsewhere (a serving pool's shared table, see :data:`PCG_PROGRAMS`).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
-from repro.core.accelerator import Alrescha, AlreschaConfig
+from repro.core.accelerator import Alrescha, AlreschaConfig, ProgrammedImage
 from repro.core.config import KernelType
 from repro.core.report import SimReport, combine
 from repro.errors import ConfigError
@@ -51,6 +53,36 @@ class ReferenceBackend:
         return None
 
 
+def _as_csr(matrix) -> sp.csr_matrix:
+    """``matrix`` (scipy sparse or dense) as a float64 CSR matrix."""
+    return matrix.tocsr() if sp.issparse(matrix) else sp.csr_matrix(
+        np.asarray(matrix, dtype=np.float64))
+
+
+#: The programs a PCG solve runs on, in binding order: SpMV, the
+#: forward SymGS sweep, and SymGS on the order-reversed matrix (the
+#: backward sweep of the symmetric smoother).
+PCG_PROGRAMS = ("spmv", "symgs", "symgs-reversed")
+
+
+def program_image(program: str, matrix, config: AlreschaConfig,
+                  source: Optional[dict] = None) -> ProgrammedImage:
+    """Program one of :data:`PCG_PROGRAMS` for ``matrix``.
+
+    ``"symgs-reversed"`` programs SymGS on ``P A P`` (``P`` reverses the
+    row order), recording ``"transform": "reverse"`` in ``source``.
+    """
+    kernel = KernelType.SPMV if program == "spmv" else KernelType.SYMGS
+    if program == "symgs-reversed":
+        csr = _as_csr(matrix)
+        perm = np.arange(csr.shape[0])[::-1]
+        matrix = csr[perm][:, perm].tocsr()
+        source = None if source is None else {**source,
+                                              "transform": "reverse"}
+    return Alrescha.from_matrix(kernel, matrix, config=config,
+                                source=source).image
+
+
 class AcceleratorBackend:
     """Alrescha-accelerated SpMV + SymGS with full timing/energy."""
 
@@ -59,25 +91,35 @@ class AcceleratorBackend:
     def __init__(self, matrix, config: Optional[AlreschaConfig] = None,
                  symmetric_smoother: bool = True,
                  source: Optional[dict] = None) -> None:
-        csr = matrix.tocsr() if sp.issparse(matrix) else sp.csr_matrix(
-            np.asarray(matrix, dtype=np.float64))
-        self.n = csr.shape[0]
-        self.config = config or AlreschaConfig()
-        self.symmetric_smoother = symmetric_smoother
-        self._spmv_acc = Alrescha.from_matrix(
-            KernelType.SPMV, csr, config=self.config, source=source)
-        self._symgs_acc = Alrescha.from_matrix(
-            KernelType.SYMGS, csr, config=self.config, source=source)
-        self._symgs_rev_acc: Optional[Alrescha] = None
-        if symmetric_smoother:
-            perm = np.arange(self.n)[::-1]
-            reversed_csr = csr[perm][:, perm].tocsr()
-            rev_source = (None if source is None
-                          else {**source, "transform": "reverse"})
-            self._symgs_rev_acc = Alrescha.from_matrix(
-                KernelType.SYMGS, reversed_csr, config=self.config,
-                source=rev_source)
-        if self.config.use_plan:
+        csr = _as_csr(matrix)
+        config = config or AlreschaConfig()
+        programs = PCG_PROGRAMS if symmetric_smoother else PCG_PROGRAMS[:2]
+        self._bind([program_image(p, csr, config, source)
+                    for p in programs], config)
+
+    @classmethod
+    def bind(cls, images: Sequence[ProgrammedImage],
+             config: Optional[AlreschaConfig] = None
+             ) -> "AcceleratorBackend":
+        """A backend running already programmed ``images``: SpMV and
+        forward SymGS, plus the reversed SymGS of the symmetric smoother
+        when given (the order of :data:`PCG_PROGRAMS`).  The images and
+        their plans are shared, not copied."""
+        backend = cls.__new__(cls)
+        backend._bind(images, config or AlreschaConfig())
+        return backend
+
+    def _bind(self, images: Sequence[ProgrammedImage],
+              config: AlreschaConfig) -> None:
+        spmv, symgs, *reverse = images
+        self.n = spmv.n
+        self.config = config
+        self.symmetric_smoother = bool(reverse)
+        self._spmv_acc = Alrescha.bind(spmv, config)
+        self._symgs_acc = Alrescha.bind(symgs, config)
+        self._symgs_rev_acc: Optional[Alrescha] = (
+            Alrescha.bind(reverse[0], config) if reverse else None)
+        if config.use_plan:
             # Compile the pass plans eagerly so the one-off lowering cost
             # is paid at backend construction, not inside the solver loop.
             self._spmv_acc.compile_plans()

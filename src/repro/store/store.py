@@ -32,6 +32,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.accelerator import COMPILE_FIELDS
 from repro.core.binary import decode_program, encode_program
 from repro.core.convert import ConversionResult, convert
 from repro.core.device_image import decode_image, encode_image
@@ -54,20 +55,6 @@ ARTIFACT_SUFFIX = ".alra"
 #: Sections every artifact must carry.
 _REQUIRED_SECTIONS = ("program", "image", "bcsr_indptr", "bcsr_cols",
                       "bcsr_blocks", "templates")
-
-#: ``AlreschaConfig`` fields that shape compiled artifacts.  Runtime-only
-#: knobs — fault model, tracer, plan cross-checking, checksum
-#: verification, and the store attachment itself — are deliberately
-#: excluded: templates are captured on the clean, untraced path, so all
-#: devices of a pool share one artifact regardless of their fault wiring.
-_FINGERPRINT_FIELDS = (
-    "omega", "n_alus", "frequency_hz", "bandwidth_bytes_per_s",
-    "cache_bytes", "cache_line_bytes", "cache_ways", "cache_hit_latency",
-    "cache_miss_latency", "alu_latency", "re_sum_latency",
-    "re_min_latency", "dsymgs_step_latency", "reconfig_cycles",
-    "hide_reconfig_under_drain", "element_bytes",
-    "memory_capacity_bytes", "guard_nonfinite",
-)
 
 
 # ---------------------------------------------------------------------
@@ -115,11 +102,13 @@ def matrix_crc(matrix) -> int:
 def config_fingerprint(config) -> int:
     """CRC32 of the compile-relevant ``AlreschaConfig`` surface.
 
-    Canonical JSON over :data:`_FINGERPRINT_FIELDS` plus the energy
-    model (its constants are baked into captured report templates).
+    Canonical JSON over :data:`~repro.core.accelerator.COMPILE_FIELDS`
+    plus the energy model (its constants are baked into captured report
+    templates); runtime knobs are excluded, so all devices of a pool
+    share one artifact regardless of their fault wiring.
     """
     body: Dict[str, object] = {
-        f: getattr(config, f) for f in _FINGERPRINT_FIELDS}
+        f: getattr(config, f) for f in COMPILE_FIELDS}
     body["energy_model"] = {
         "event_energy_pj": dict(
             sorted(config.energy_model.event_energy_pj.items())),

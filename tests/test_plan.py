@@ -163,11 +163,11 @@ def test_repeat_runs_share_one_template():
 def test_reprogram_invalidates_plans():
     acc = Alrescha.from_matrix(KernelType.SPMV, spd_matrix(16, seed=1))
     acc.run_spmv(np.ones(16))
-    assert acc._plans
+    assert acc.image.plans
     from repro.core import convert
     a2 = spd_matrix(24, seed=2)
     acc.program(convert(KernelType.SPMV, a2, omega=acc.config.omega))
-    assert not acc._plans
+    assert not acc.image.plans
     y, _ = acc.run_spmv(np.ones(24))
     np.testing.assert_allclose(y, a2 @ np.ones(24), atol=1e-9)
 
@@ -175,10 +175,10 @@ def test_reprogram_invalidates_plans():
 def test_compile_plans_is_eager_and_idempotent():
     acc = Alrescha.from_matrix(KernelType.SYMGS, spd_matrix(16, seed=3))
     acc.compile_plans()
-    assert "symgs" in acc._plans
-    first = acc._plans["symgs"]
+    assert "symgs" in acc.image.plans
+    first = acc.image.plans["symgs"]
     acc.compile_plans()
-    assert acc._plans["symgs"] is first
+    assert acc.image.plans["symgs"] is first
 
 
 def test_compile_pass_rejects_unknown_kind():
