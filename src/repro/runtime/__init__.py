@@ -151,8 +151,9 @@ def serve(n_requests: int, n_devices: int = 4, fault_rate: float = 0.0,
     applies — it is pool state, not scheduler policy).
 
     ``artifact_store`` (a :class:`~repro.store.ArtifactStore`) resolves
-    every device's programming phase through a content-addressed cache:
-    a primed store serves the whole run with zero compilations (its
+    the pool's programming phase — once per distinct program, shared by
+    every device — through a content-addressed cache: a primed store
+    serves the whole run with zero compilations (its
     :class:`~repro.store.StoreReport` counters prove it) while answers
     and reports stay byte-identical.  ``None`` — the default — is the
     storeless path, bit-identical to pre-store behaviour.

@@ -19,10 +19,10 @@ pool thrash.
   capacity already on order) reaches ``queue_high``, a ``DEVICE_ADD``
   is scheduled ``provision_cycles`` later.  When the pool has a shared
   :class:`~repro.store.ArtifactStore`, the added device is *primed*:
-  every workload its siblings have programmed is resolved through the
-  store before the device takes traffic, so a warm store means the
-  scale-up compiles nothing (the report's ``prime_hits`` counter and
-  the store's ``conversions_compiled == 0`` prove it).
+  it binds the pool's programmed images of every workload its siblings
+  have served before it takes traffic, so the scale-up programs and
+  compiles nothing (the report's ``prime_hits`` counts the images
+  bound).
 * **Scale-down** — when load falls to ``queue_low`` with nothing on
   order, the least-busy live device starts *draining*: it finishes its
   in-flight work, takes no new placements, and retires when its

@@ -96,9 +96,11 @@ class AutoscaleReport:
     #: Integral of live capacity over the run: device-cycles the fleet
     #: paid for, the denominator for utilisation-per-provisioned-cycle.
     device_cycles_provisioned: float
-    #: Programming phases a scale-up resolved from the shared
-    #: :class:`~repro.store.ArtifactStore` instead of compiling (0
-    #: without a store).
+    #: Programmed images the scale-ups bound to their new devices: one
+    #: per spmv or symgs workload already served, three per pcg
+    #: workload (SpMV, SymGS, reversed SymGS).  Equal to the store hits
+    #: of priming a device that programs its own copies.  0 without an
+    #: :class:`~repro.store.ArtifactStore` and in ``model`` execution.
     prime_hits: int
 
 
