@@ -304,8 +304,7 @@ def cmd_serve(args) -> int:
     fleet_mode = (args.pools > 1 or args.replicas > 1
                   or args.pool_chaos is not None)
     if fleet_mode:
-        from repro.runtime.fleet import (
-            FleetConfig, fleet_report_json, serve_fleet)
+        from repro.runtime.fleet import FleetConfig, serve_fleet
         from repro.sim.chaos import PoolChaosModel
         pool_chaos = (PoolChaosModel.parse(args.pool_chaos)
                       if args.pool_chaos else None)
@@ -347,8 +346,7 @@ def cmd_serve(args) -> int:
         print(store.report().summary())
     _write_trace(tracer, args.trace)
     if args.report_json:
-        payload = (fleet_report_json(report) if fleet_mode
-                   else report_json(report))
+        payload = report_json(report)
         with open(args.report_json, "w") as fh:
             fh.write(payload)
         print(f"report written: {args.report_json} "

@@ -39,6 +39,7 @@ from repro.runtime.metrics import (
     PoolReport,
     build_report,
     percentile,
+    report_json,
 )
 from repro.runtime.pool import (
     Attempt,
@@ -53,11 +54,15 @@ from repro.runtime.fleet import (
     FleetConfig,
     FleetReport,
     PoolStats,
-    fleet_report_json,
     serve_fleet,
 )
 from repro.runtime.jobs import TRACE_SCHEMA_VERSION
-from repro.runtime.scheduler import Eviction, Scheduler, SchedulerConfig
+from repro.runtime.scheduler import (
+    Eviction,
+    Scheduler,
+    SchedulerConfig,
+    serve_inputs,
+)
 from repro.sim.chaos import ChaosModel, Incident, PoolChaosModel
 
 __all__ = [
@@ -92,10 +97,10 @@ __all__ = [
     "TraceSpec",
     "build_report",
     "dump_trace",
-    "fleet_report_json",
     "load_trace",
     "make_trace",
     "percentile",
+    "report_json",
     "serve",
     "serve_fleet",
     "value_crc",
@@ -166,17 +171,11 @@ def serve(n_requests: int, n_devices: int = 4, fault_rate: float = 0.0,
     ``None`` — the default — keeps capacity frozen and the report
     field-identical to the pre-autoscale runtime.
     """
-    if trace is None:
-        spec_kwargs = dict(n_requests=n_requests, seed=seed, scale=scale,
-                           **trace_kwargs)
-        if workloads is not None:
-            spec_kwargs["workloads"] = workloads
-        trace = make_trace(TraceSpec(**spec_kwargs))
+    trace, scheduler_config = serve_inputs(
+        n_requests, seed, scale, workloads, trace, scheduler_config,
+        max_batch, hedge_after, trace_kwargs)
     pool = DevicePool(n_devices, fault_rate=fault_rate, seed=seed,
                       tracer=tracer, execution=execution, chaos=chaos,
                       artifact_store=artifact_store)
-    if scheduler_config is None:
-        scheduler_config = SchedulerConfig(max_batch=max_batch,
-                                           hedge_after=hedge_after)
     scheduler = Scheduler(pool, scheduler_config, autoscale=autoscale)
     return scheduler.run(trace)

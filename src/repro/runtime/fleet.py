@@ -38,27 +38,33 @@ ties, mirroring "job events before lifecycle events").  Because every
 pool's clock is at or behind any event being processed, a re-routed
 job is never injected into a pool's past, and the whole run is a pure
 function of the trace and the seeds: same inputs, byte-identical
-:func:`fleet_report_json`.
+:func:`~repro.runtime.metrics.report_json`.
+
+The fleet owns routing, pool outages and failover only.  Every rule it
+shares with a solo pool — the duplicate-id check, the serve inputs,
+the reference-path answer and the result fold — is the scheduler's or
+the metrics module's, so a 1-pool fleet serves exactly as
+:func:`repro.runtime.serve` does.
 """
 
 from __future__ import annotations
 
-import json
 import zlib
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ConfigError
 from repro.runtime.autoscale import AutoscaleConfig
 from repro.runtime.events import EventKind, EventQueue
-from repro.runtime.jobs import Job, JobResult, JobStatus, TraceSpec, make_trace
-from repro.runtime.metrics import AutoscaleReport, PoolReport, percentile
-from repro.runtime.pool import DevicePool, value_crc
+from repro.runtime.jobs import Job, JobResult, JobStatus
+from repro.runtime.metrics import AutoscaleReport, PoolReport, fold_results
+from repro.runtime.pool import DevicePool
 from repro.runtime.scheduler import (
     Eviction,
     Scheduler,
     SchedulerConfig,
-    deadline_verdict,
+    serve_inputs,
+    unique_job_ids,
 )
 from repro.sim.chaos import ChaosModel, PoolChaosModel
 
@@ -238,15 +244,6 @@ class FleetReport:
         return "\n".join(lines)
 
 
-def fleet_report_json(report: FleetReport) -> str:
-    """Canonical JSON encoding of a fleet report (sorted keys, fixed
-    separators): byte-equality of two encodings is field-equality of
-    the reports, nested per-pool reports included — the contract the
-    CI fleet chaos-smoke diffs on."""
-    return json.dumps(asdict(report), sort_keys=True,
-                      separators=(",", ":")) + "\n"
-
-
 class _JobRecord:
     """Fleet-side routing state for one job."""
 
@@ -272,12 +269,13 @@ class _JobRecord:
 class Fleet:
     """Serves one trace over N independently-seeded scheduler sessions.
 
-    Construction mirrors :func:`repro.runtime.serve`'s pool/scheduler
-    wiring, replicated per pool: pool ``i`` gets fault seed
-    ``seed + i * 1_000_003`` (pool 0 identical to a solo pool), its own
-    device-chaos sibling, and the trace-track prefix ``p<i>.`` so all
-    pools share one tracer without collisions.  All pools bind one
-    image table, so a workload is programmed once per fleet.
+    Each pool is the pool and scheduler :func:`repro.runtime.serve`
+    builds, replicated: pool ``i`` gets fault seed
+    ``seed + i * 1_000_003`` and the device-chaos model ``chaos`` with
+    only its seed moved (pool 0 identical to a solo pool), and the
+    trace-track prefix ``p<i>.`` so all pools share one tracer without
+    collisions.  All pools bind one image table, so a workload is
+    programmed once per fleet.
     """
 
     def __init__(self, n_devices: int, config: FleetConfig,
@@ -302,13 +300,9 @@ class Fleet:
             if chaos is None or i == 0:
                 pool_chaos_model = chaos
             else:
-                pool_chaos_model = ChaosModel(
-                    rate=chaos.rate,
-                    seed=chaos.seed + _POOL_CHAOS_STRIDE * i,
-                    kinds=chaos.kinds,
-                    mean_gap_cycles=chaos.mean_gap_cycles,
-                    mean_crash_cycles=chaos.mean_crash_cycles,
-                    mean_hang_cycles=chaos.mean_hang_cycles)
+                pool_chaos_model = replace(
+                    chaos, seed=chaos.seed + _POOL_CHAOS_STRIDE * i,
+                    log=[])
             pool = DevicePool(
                 n_devices, fault_rate=fault_rate,
                 seed=seed + _POOL_SEED_STRIDE * i,
@@ -359,14 +353,7 @@ class Fleet:
         pools (mod N) when the key is hot, and the primary is the
         least-loaded member so far (replica-list order on ties).
         """
-        seen: Set[int] = set()
-        for j in jobs:
-            if j.job_id in seen:
-                raise ConfigError(
-                    f"duplicate job_id {j.job_id} in trace: results "
-                    f"are keyed by job id, so one of the duplicates "
-                    f"would silently overwrite the other")
-            seen.add(j.job_id)
+        unique_job_ids(jobs)
         n = self.config.n_pools
         ordered = sorted(jobs, key=lambda j: (j.arrival_cycle, j.job_id))
         counts: Dict[ContentKey, int] = {}
@@ -579,7 +566,13 @@ class Fleet:
             return
         target = self._pick_target(rec)
         if target is None:
-            self._degrade_fleet(rec, from_pool, new_arrival)
+            # Every pool tried and lost: answer on the reference path,
+            # priced by the pool the job left, with the span on the
+            # unprefixed ``reference`` track.
+            self._fleet_results[origin.job_id] = \
+                self.scheds[from_pool].reference_answer(
+                    origin, new_arrival, rec.prior_attempts, "reference",
+                    pool_id=from_pool, reroutes=rec.reroutes)
             return
         rec.reroutes += 1
         self.reroutes += 1
@@ -598,38 +591,6 @@ class Fleet:
                 f"reroute#{origin.job_id}", "reroute", ev.cycle,
                 "fleet", args={"from": float(from_pool),
                                "to": float(target)})
-
-    def _degrade_fleet(self, rec: _JobRecord, from_pool: int,
-                       start: float) -> None:
-        """Every pool tried and lost: answer on the reference path."""
-        origin = rec.origin
-        pool = self.pools[from_pool]
-        try:
-            values = pool.reference_values(origin)
-        except Exception as exc:  # genuinely unserviceable work
-            self._fleet_results[origin.job_id] = JobResult(
-                job_id=origin.job_id, status=JobStatus.FAILED,
-                attempts=rec.prior_attempts, finish_cycle=start,
-                error=f"{type(exc).__name__}: {exc}",
-                pool_id=from_pool, reroutes=rec.reroutes)
-            return
-        cycles = (pool.nominal_cycles(origin)
-                  * self.scheduler_config.reference_slowdown)
-        finish = start + cycles
-        latency = finish - origin.arrival_cycle
-        status, error = deadline_verdict(origin, latency,
-                                         JobStatus.DEGRADED)
-        self._fleet_results[origin.job_id] = JobResult(
-            job_id=origin.job_id, status=status,
-            attempts=rec.prior_attempts, latency_cycles=latency,
-            finish_cycle=finish, value_crc=value_crc(values),
-            error=error, pool_id=from_pool, reroutes=rec.reroutes)
-        if self.tracer is not None:
-            self.tracer.add(
-                f"{origin.kernel}#{origin.job_id}", "degraded", start,
-                finish, "reference",
-                args={"slowdown":
-                      self.scheduler_config.reference_slowdown})
 
     # ------------------------------------------------------------------
     # Report assembly
@@ -658,16 +619,9 @@ class Fleet:
 
         ordered = [merged[j.job_id]
                    for j in sorted(jobs, key=lambda j: j.job_id)]
-        by_status = {s: 0 for s in JobStatus}
-        latencies: List[float] = []
-        attempts = 0
-        makespan = 0.0
-        for r in ordered:
-            by_status[r.status] += 1
-            attempts += r.attempts
-            makespan = max(makespan, r.finish_cycle)
-            if r.answered:
-                latencies.append(r.latency_cycles)
+        fold = fold_results(ordered)
+        del fold["retries"]  # a fleet report counts attempts only
+        makespan = fold["makespan_cycles"]
 
         # Close still-open outages against the makespan: downtime and
         # the trace span both end where the run does.
@@ -720,31 +674,18 @@ class Fleet:
                     a.device_cycles_provisioned for a in scaled),
                 prime_hits=sum(a.prime_hits for a in scaled),
             )
-        answered = len(latencies)
-        throughput = (answered / (makespan / 1e6)) if makespan > 0 \
-            else 0.0
         report = FleetReport(
             pools=self.config.n_pools,
             replicas=self.config.replicas,
-            requests=len(ordered),
-            ok=by_status[JobStatus.OK],
-            timeout=by_status[JobStatus.TIMEOUT],
-            degraded=by_status[JobStatus.DEGRADED],
-            rejected=by_status[JobStatus.REJECTED],
-            failed=by_status[JobStatus.FAILED],
-            attempts=attempts,
             reroutes=self.reroutes,
             reroute_cycles_charged=self.reroute_cycles_charged,
             outages=sum(s.outages for s in pool_stats),
             downtime_cycles=downtime,
             probes=self.probes,
             probes_failed=self.probes_failed,
-            makespan_cycles=makespan,
-            throughput_per_mcycle=throughput,
-            latency_p50_cycles=percentile(latencies, 50.0),
-            latency_p99_cycles=percentile(latencies, 99.0),
             autoscale=autoscale_agg,
             pool_stats=pool_stats,
+            **fold,
         )
         return ordered, report
 
@@ -766,24 +707,20 @@ def serve_fleet(n_requests: int, n_devices: int = 4,
                 **trace_kwargs) -> Tuple[List[JobResult], FleetReport]:
     """Serve a seeded workload trace over a replicated pool fleet.
 
-    The fleet analogue of :func:`repro.runtime.serve`, sharing its
-    trace/pool/scheduler parameters; ``fleet_config`` adds the pool
-    count, replication and failover knobs, ``pool_chaos`` attaches
-    seeded whole-pool outages, and ``autoscale`` (an
+    The fleet analogue of :func:`repro.runtime.serve`: the same
+    trace and policy inputs (one
+    :func:`~repro.runtime.scheduler.serve_inputs` builds both) and the
+    same pool parameters; ``fleet_config`` adds the pool count,
+    replication and failover knobs, ``pool_chaos`` attaches seeded
+    whole-pool outages, and ``autoscale`` (an
     :class:`~repro.runtime.autoscale.AutoscaleConfig`) makes every
     pool's device count elastic within the shared bounds.  Two calls
     with identical arguments produce a byte-identical
-    :func:`fleet_report_json`.
+    :func:`~repro.runtime.metrics.report_json`.
     """
-    if trace is None:
-        spec_kwargs = dict(n_requests=n_requests, seed=seed,
-                           scale=scale, **trace_kwargs)
-        if workloads is not None:
-            spec_kwargs["workloads"] = workloads
-        trace = make_trace(TraceSpec(**spec_kwargs))
-    if scheduler_config is None:
-        scheduler_config = SchedulerConfig(max_batch=max_batch,
-                                           hedge_after=hedge_after)
+    trace, scheduler_config = serve_inputs(
+        n_requests, seed, scale, workloads, trace, scheduler_config,
+        max_batch, hedge_after, trace_kwargs)
     fleet = Fleet(n_devices, fleet_config or FleetConfig(),
                   fault_rate=fault_rate, seed=seed,
                   scheduler_config=scheduler_config, tracer=tracer,

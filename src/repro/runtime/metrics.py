@@ -230,13 +230,50 @@ class PoolReport:
         return "\n".join(lines)
 
 
-def report_json(report: PoolReport) -> str:
-    """Canonical JSON encoding of a report (sorted keys, fixed
-    separators), so byte-equality of two encodings is field-equality
-    of the reports — the ``repro serve --report-json`` contract the
-    CI determinism smoke diffs on."""
+def report_json(report) -> str:
+    """Canonical JSON encoding of a serving report — a
+    :class:`PoolReport` or a :class:`~repro.runtime.fleet.FleetReport`
+    (sorted keys, fixed separators), so byte-equality of two encodings
+    is field-equality of the reports, nested per-pool reports included
+    — the ``repro serve --report-json`` contract the CI determinism
+    smokes diff on."""
     return json.dumps(asdict(report), sort_keys=True,
                       separators=(",", ":")) + "\n"
+
+
+def fold_results(results: Sequence[JobResult]) -> Dict[str, float]:
+    """The report fields a serving report derives from its job results
+    alone, keyed by field name: request and terminal-status counts,
+    attempts and retries beyond each job's first, makespan, and the
+    throughput and latency percentiles of the answered jobs."""
+    by_status: Dict[JobStatus, int] = {s: 0 for s in JobStatus}
+    latencies: List[float] = []
+    attempts = 0
+    retries = 0
+    makespan = 0.0
+    for r in results:
+        by_status[r.status] += 1
+        attempts += r.attempts
+        retries += max(0, r.attempts - 1)
+        makespan = max(makespan, r.finish_cycle)
+        if r.answered:
+            latencies.append(r.latency_cycles)
+    answered = len(latencies)
+    throughput = (answered / (makespan / 1e6)) if makespan > 0 else 0.0
+    return dict(
+        requests=len(results),
+        ok=by_status[JobStatus.OK],
+        timeout=by_status[JobStatus.TIMEOUT],
+        degraded=by_status[JobStatus.DEGRADED],
+        rejected=by_status[JobStatus.REJECTED],
+        failed=by_status[JobStatus.FAILED],
+        attempts=attempts,
+        retries=retries,
+        makespan_cycles=makespan,
+        throughput_per_mcycle=throughput,
+        latency_p50_cycles=percentile(latencies, 50.0),
+        latency_p99_cycles=percentile(latencies, 99.0),
+    )
 
 
 def build_report(results: Sequence[JobResult], pool,
@@ -253,20 +290,7 @@ def build_report(results: Sequence[JobResult], pool,
                  autoscale: "AutoscaleReport | None" = None
                  ) -> PoolReport:
     """Fold job results + pool state into one :class:`PoolReport`."""
-    by_status: Dict[JobStatus, int] = {s: 0 for s in JobStatus}
-    latencies: List[float] = []
-    attempts = 0
-    retries = 0
-    makespan = 0.0
-    for r in results:
-        by_status[r.status] += 1
-        attempts += r.attempts
-        retries += max(0, r.attempts - 1)
-        makespan = max(makespan, r.finish_cycle)
-        if r.answered:
-            latencies.append(r.latency_cycles)
-    answered = len(latencies)
-    throughput = (answered / (makespan / 1e6)) if makespan > 0 else 0.0
+    fold = fold_results(results)
     device_stats = tuple(
         DeviceStats(
             device_id=d.device_id,
@@ -285,20 +309,8 @@ def build_report(results: Sequence[JobResult], pool,
         for d in pool.devices
     )
     return PoolReport(
-        requests=len(results),
-        admitted=len(results) - by_status[JobStatus.REJECTED],
-        ok=by_status[JobStatus.OK],
-        timeout=by_status[JobStatus.TIMEOUT],
-        degraded=by_status[JobStatus.DEGRADED],
-        rejected=by_status[JobStatus.REJECTED],
-        failed=by_status[JobStatus.FAILED],
-        attempts=attempts,
-        retries=retries,
+        admitted=fold["requests"] - fold["rejected"],
         breaker_trips=pool.breaker_trips,
-        makespan_cycles=makespan,
-        throughput_per_mcycle=throughput,
-        latency_p50_cycles=percentile(latencies, 50.0),
-        latency_p99_cycles=percentile(latencies, 99.0),
         queue_peak=queue_peak,
         batches=batches,
         batched_jobs=batched_jobs,
@@ -312,4 +324,5 @@ def build_report(results: Sequence[JobResult], pool,
         recoveries=recoveries,
         autoscale=autoscale,
         devices=device_stats,
+        **fold,
     )

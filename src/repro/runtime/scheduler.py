@@ -103,7 +103,13 @@ from repro.errors import (
 )
 from repro.runtime.autoscale import AutoscaleConfig, Autoscaler
 from repro.runtime.events import Event, EventKind, EventQueue
-from repro.runtime.jobs import Job, JobResult, JobStatus
+from repro.runtime.jobs import (
+    Job,
+    JobResult,
+    JobStatus,
+    TraceSpec,
+    make_trace,
+)
 from repro.runtime.metrics import PoolReport, build_report
 from repro.runtime.pool import (
     BATCHABLE_KERNELS,
@@ -182,6 +188,43 @@ def deadline_verdict(job: Job, latency: float,
     if note:
         error += f" (after {note})"
     return JobStatus.TIMEOUT, error
+
+
+def unique_job_ids(jobs: Sequence[Job]) -> Set[int]:
+    """The trace's job ids, raising :class:`ConfigError` on the first
+    duplicate: results are keyed by job id."""
+    seen: Set[int] = set()
+    for j in jobs:
+        if j.job_id in seen:
+            raise ConfigError(
+                f"duplicate job_id {j.job_id} in trace: results are "
+                f"keyed by job id, so one of the duplicates would "
+                f"silently overwrite the other")
+        seen.add(j.job_id)
+    return seen
+
+
+def serve_inputs(n_requests: int, seed: int, scale: float,
+                 workloads: Optional[Tuple[Tuple[str, str], ...]],
+                 trace: Optional[List[Job]],
+                 scheduler_config: Optional[SchedulerConfig],
+                 max_batch: int, hedge_after: Optional[float],
+                 trace_kwargs: Dict[str, object]
+                 ) -> Tuple[List[Job], SchedulerConfig]:
+    """The trace and policy a serve call runs: ``trace``, or one built
+    from a :class:`~repro.runtime.jobs.TraceSpec` of the other trace
+    arguments; ``scheduler_config``, or the default policy with the
+    ``max_batch`` and ``hedge_after`` shortcuts."""
+    if trace is None:
+        spec_kwargs = dict(n_requests=n_requests, seed=seed, scale=scale,
+                           **trace_kwargs)
+        if workloads is not None:
+            spec_kwargs["workloads"] = workloads
+        trace = make_trace(TraceSpec(**spec_kwargs))
+    if scheduler_config is None:
+        scheduler_config = SchedulerConfig(max_batch=max_batch,
+                                           hedge_after=hedge_after)
+    return trace, scheduler_config
 
 
 class _JobState:
@@ -382,16 +425,7 @@ class Scheduler:
         globally earliest — so an injected job is never in this
         session's past.
         """
-        seen: Set[int] = set()
-        for j in jobs:
-            if j.job_id in seen:
-                raise ConfigError(
-                    f"duplicate job_id {j.job_id} in trace: results are "
-                    f"keyed by job id, so one of the duplicates would "
-                    f"silently overwrite the other")
-            seen.add(j.job_id)
-
-        self._seen = seen
+        self._seen = unique_job_ids(jobs)
         ordered = sorted(jobs, key=lambda j: (j.arrival_cycle, j.job_id))
         self._arrivals = deque(ordered)
         self._waiting = []
@@ -1462,35 +1496,47 @@ class Scheduler:
 
     def _degrade(self, state: _JobState, start: float,
                  last_error: str = "", device_id: int = -1) -> None:
-        """Answer on the reference path, explicitly marked DEGRADED —
-        or ``TIMEOUT`` under the same :func:`deadline_verdict` every
-        completion path applies, the reference answer still attached."""
-        job = state.job
+        """Resolve a job on the reference path (see
+        :meth:`reference_answer`); its span lands on this pool's
+        ``reference`` track."""
+        self._resolve(self.reference_answer(
+            state.job, start, state.attempts,
+            self.pool.track("reference"), last_error, device_id))
+
+    def reference_answer(self, job: Job, start: float, attempts: int,
+                         track: str, last_error: str = "",
+                         device_id: int = -1, **placement) -> JobResult:
+        """Answer ``job`` on the reference path from ``start``.
+
+        The answer is priced at ``reference_slowdown`` × the workload's
+        nominal cycles and explicitly marked ``DEGRADED`` — or
+        ``TIMEOUT`` under the same :func:`deadline_verdict` every
+        completion path applies, the reference answer still attached.
+        A job no path can answer is ``FAILED``, naming ``device_id`` and
+        ``last_error``.  The ``degraded`` span lands on ``track``;
+        ``placement`` (a fleet's ``pool_id`` and ``reroutes``) is copied
+        onto the result.
+        """
         try:
             values = self.pool.reference_values(job)
         except Exception as exc:  # no path can answer this job
             detail = f"{type(exc).__name__}: {exc}"
             if last_error:
                 detail += f" (after {last_error})"
-            self._resolve(JobResult(
+            return JobResult(
                 job_id=job.job_id, status=JobStatus.FAILED,
-                device_id=device_id, attempts=state.attempts,
-                finish_cycle=start, error=detail))
-            return
-        cycles = (self.pool.nominal_cycles(job)
-                  * self.config.reference_slowdown)
-        finish = start + cycles
+                device_id=device_id, attempts=attempts,
+                finish_cycle=start, error=detail, **placement)
+        slowdown = self.config.reference_slowdown
+        finish = start + self.pool.nominal_cycles(job) * slowdown
         latency = finish - job.arrival_cycle
         status, error = deadline_verdict(job, latency, JobStatus.DEGRADED,
                                          last_error)
-        self._resolve(JobResult(
-            job_id=job.job_id, status=status,
-            device_id=-1, attempts=state.attempts,
-            latency_cycles=latency,
-            finish_cycle=finish, value_crc=value_crc(values),
-            error=error))
         if self.pool.tracer is not None:
             self.pool.tracer.add(
                 f"{job.kernel}#{job.job_id}", "degraded", start, finish,
-                self.pool.track("reference"),
-                args={"slowdown": self.config.reference_slowdown})
+                track, args={"slowdown": slowdown})
+        return JobResult(
+            job_id=job.job_id, status=status, attempts=attempts,
+            latency_cycles=latency, finish_cycle=finish,
+            value_crc=value_crc(values), error=error, **placement)

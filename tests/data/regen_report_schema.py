@@ -8,8 +8,8 @@ Writes ``tests/data/report_schema_golden.json``:
 
 * the canonical-JSON key order of :class:`PoolReport`,
   :class:`DeviceStats`, :class:`FleetReport` and :class:`PoolStats`
-  (sorted dataclass field names — exactly what ``report_json`` /
-  ``fleet_report_json`` emit), and
+  (sorted dataclass field names — exactly what ``report_json``
+  emits), and
 * one full model-execution :class:`FleetReport` snapshot.
 
 Schema drift — a field added, removed or renamed — fails the golden

@@ -21,8 +21,8 @@ A case serves its trace once per *start*:
 
 Each start pins, under ``<start>.``:
 
-* ``report_sha256`` — the sha256 of the canonical ``report_json`` (or
-  ``fleet_report_json``) bytes;
+* ``report_sha256`` — the sha256 of the canonical ``report_json``
+  bytes;
 * ``results_sha256`` — the per-job digest of the storm golden
   (status, timing, placement, batching, hedging and ``value_crc``);
 * ``conversions_compiled`` and ``templates_captured`` — the store's
@@ -44,7 +44,6 @@ from repro.runtime import (
     FleetConfig,
     PoolChaosModel,
     TraceSpec,
-    fleet_report_json,
     make_trace,
     serve,
     serve_fleet,
@@ -136,8 +135,7 @@ def run_case(starts, pools=1, **kwargs):
             store = None if start == "storeless" else ArtifactStore(root)
             results, report = serve_case(pools=pools, store=store,
                                          **kwargs)
-            body = (report_json(report) if pools == 1
-                    else fleet_report_json(report))
+            body = report_json(report)
             entry[f"{start}.report_sha256"] = hashlib.sha256(
                 body.encode()).hexdigest()
             entry[f"{start}.results_sha256"] = results_digest(results)

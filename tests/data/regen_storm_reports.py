@@ -8,8 +8,8 @@ Writes ``tests/data/storm_report_golden.json``: one entry per serving
 case on the scheduler's *lifecycle* path and under autoscaling — the
 runs the chaos-free fingerprint corpus never reaches.  Each entry pins
 
-* ``report_sha256`` — the sha256 of the canonical ``report_json`` (or
-  ``fleet_report_json``) bytes;
+* ``report_sha256`` — the sha256 of the canonical ``report_json``
+  bytes;
 * ``events_processed`` and ``events_stale`` — the event-engine counters
   (summed over the pools of a fleet);
 * ``results_sha256`` — the sha256 over every job's ``(job_id, status,
@@ -45,7 +45,6 @@ from repro.runtime import (
     PoolChaosModel,
     SchedulerConfig,
     TraceSpec,
-    fleet_report_json,
     make_trace,
     serve,
     serve_fleet,
@@ -135,11 +134,10 @@ def serve_case(policy, seed, n_jobs, pools=1, execution="model",
 
 def run_case(policy, seed, n_jobs, pools=1, execution="model"):
     results, report = serve_case(policy, seed, n_jobs, pools, execution)
+    body = report_json(report)
     if pools == 1:
-        body = report_json(report)
         reports = [report]
     else:
-        body = fleet_report_json(report)
         reports = [p.report for p in report.pool_stats]
     return {
         "report_sha256": hashlib.sha256(body.encode()).hexdigest(),

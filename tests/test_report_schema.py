@@ -19,7 +19,7 @@ import pathlib
 import pytest
 
 from repro.runtime import serve, serve_fleet
-from repro.runtime.fleet import FleetConfig, fleet_report_json
+from repro.runtime.fleet import FleetConfig
 from repro.runtime.metrics import report_json
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / \
@@ -61,11 +61,11 @@ class TestKeyOrder:
             assert list(device) == golden["devicestats_keys"]
 
     def test_fleetreport_keys_pinned(self, golden, fleet_report):
-        payload = json.loads(fleet_report_json(fleet_report))
+        payload = json.loads(report_json(fleet_report))
         assert list(payload) == golden["fleetreport_keys"]
 
     def test_poolstats_keys_pinned(self, golden, fleet_report):
-        payload = json.loads(fleet_report_json(fleet_report))
+        payload = json.loads(report_json(fleet_report))
         for stats in payload["pool_stats"]:
             assert list(stats) == golden["poolstats_keys"]
         # Nested per-pool reports carry the full PoolReport schema.
@@ -81,7 +81,7 @@ class TestCanonicalEncoding:
             separators=(",", ":")) + "\n"
 
     def test_fleet_report_json_is_canonical(self, fleet_report):
-        payload = fleet_report_json(fleet_report)
+        payload = report_json(fleet_report)
         assert payload == json.dumps(
             json.loads(payload), sort_keys=True,
             separators=(",", ":")) + "\n"
@@ -92,5 +92,5 @@ class TestSnapshot:
         """Full value-level golden: the pinned model-execution fleet
         run must reproduce every field exactly (the same contract the
         PoolReport fingerprint corpus pins for solo pools)."""
-        assert (json.loads(fleet_report_json(fleet_report))
+        assert (json.loads(report_json(fleet_report))
                 == golden["fleet_snapshot"])

@@ -31,7 +31,7 @@ from repro.runtime import (
     serve,
     serve_fleet,
 )
-from repro.runtime.fleet import FleetConfig, fleet_report_json
+from repro.runtime.fleet import FleetConfig
 from repro.runtime.metrics import report_json
 
 
@@ -280,7 +280,7 @@ class TestFleetAutoscale:
                 trace=bursty_trace(n=120), execution="model",
                 fleet_config=FleetConfig(n_pools=2, replicas=1),
                 autoscale=cfg)
-            payloads.append(fleet_report_json(report))
+            payloads.append(report_json(report))
         assert payloads[0] == payloads[1]
 
 
