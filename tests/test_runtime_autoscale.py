@@ -18,6 +18,7 @@ The contracts under test:
   ``check_no_service_on_draining_device`` trace invariant.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -27,6 +28,7 @@ from repro.observe import Tracer, check_trace
 from repro.runtime import (
     AutoscaleConfig,
     TraceSpec,
+    dump_trace,
     make_trace,
     serve,
     serve_fleet,
@@ -341,8 +343,25 @@ class TestTraceShapes:
                                      burst_factor=10.0))
         assert cv(burst) > cv(plain)
 
-    def test_exponential_shape_is_the_verbatim_legacy_draw(self):
-        legacy = make_trace(TraceSpec(n_requests=60, seed=7))
-        explicit = make_trace(TraceSpec(n_requests=60, seed=7,
-                                        shape="exponential"))
-        assert legacy == explicit
+    def test_exponential_shape_is_the_verbatim_legacy_draw(self,
+                                                           tmp_path):
+        """Trace bytes recorded while the plain shape still had its own
+        draw loop: the shaped generator with every shape off must keep
+        reproducing them, and the fully shaped draw must not move."""
+        pinned = {
+            (60, 7, "exponential"): "2970f9ec71c9f10a2e6bdb43b56c9bdd"
+                                    "ae53e4cd37cb262ab042263ef1ed0dd1",
+            (500, 1, "exponential"): "385de34c0fd65cf3c4abe1cf655ccdf7"
+                                     "08cd80e138f130e94a92932e916500cd",
+            (2000, 301, "exponential"): "e3af0ca912c8f58e82be072a155e2253"
+                                        "ad4149ff713150fdad41661fc1e237d5",
+            (400, 3, "bursty+diurnal+zipf"): (
+                "2508ce9d9fc3602e97e0ffec4ac85ead"
+                "59ae832565ef2afaf81592cc9994bcc7"),
+        }
+        path = tmp_path / "trace.json"
+        for (n, seed, shape), digest in pinned.items():
+            dump_trace(make_trace(TraceSpec(n_requests=n, seed=seed,
+                                            shape=shape)), str(path))
+            got = hashlib.sha256(path.read_bytes()).hexdigest()
+            assert got == digest, (n, seed, shape)

@@ -14,6 +14,7 @@ from repro.solvers import (
     make_backend,
     pcg,
 )
+from tests.test_failure_injection import _FlakyBackend
 
 
 @pytest.fixture
@@ -125,6 +126,60 @@ class TestCG:
         plain = cg(ReferenceBackend(a), b, tol=1e-10, max_iter=200)
         precond = pcg(ReferenceBackend(a), b, tol=1e-10, max_iter=200)
         assert precond.iterations < plain.iterations
+
+
+class _IdentityPreconditioned:
+    """``backend`` with the identity preconditioner: PCG on it is CG."""
+
+    def __init__(self, backend):
+        self._backend = backend
+
+    def precondition(self, r):
+        return r
+
+    def __getattr__(self, name):
+        return getattr(self._backend, name)
+
+
+class TestCGIsIdentityPCG:
+    """``cg`` and ``pcg`` with the identity preconditioner take the same
+    steps.  The two paths are compared in one process, bit for bit, not
+    against recorded floats: answer bits depend on the host's BLAS."""
+
+    @staticmethod
+    def assert_same_solve(plain, precond):
+        assert plain.x.tobytes() == precond.x.tobytes()
+        assert plain.residual_norms == precond.residual_norms
+        assert plain.iterations == precond.iterations
+        assert plain.restarts == precond.restarts
+
+    def test_reference_backend(self, system, spd_medium, rng):
+        a, b, _ = system
+        for matrix, rhs in ((a, b), (spd_medium, rng.normal(size=70))):
+            self.assert_same_solve(
+                cg(ReferenceBackend(matrix), rhs, tol=1e-10,
+                   max_iter=200),
+                pcg(_IdentityPreconditioned(ReferenceBackend(matrix)),
+                    rhs, tol=1e-10, max_iter=200))
+
+    @pytest.mark.parametrize("fault", [dict(fail_on=(4,)),
+                                       dict(poison_on=(3,))],
+                             ids=["rollback", "poisoned-residual"])
+    def test_flaky_backend_recovers_identically(self, spd_small, fault):
+        b = np.ones(17)
+        kwargs = dict(tol=1e-10, max_iter=200, checkpoint_interval=1)
+        plain = cg(_FlakyBackend(spd_small, **fault), b, **kwargs)
+        precond = pcg(_IdentityPreconditioned(
+            _FlakyBackend(spd_small, **fault)), b, **kwargs)
+        assert plain.converged and plain.restarts == 1
+        self.assert_same_solve(plain, precond)
+
+    def test_accelerator_backend_answers(self, system):
+        a, b, _ = system
+        self.assert_same_solve(
+            cg(AcceleratorBackend(a), b, tol=1e-9, max_iter=200),
+            pcg(_IdentityPreconditioned(AcceleratorBackend(a)), b,
+                tol=1e-9, max_iter=200))
 
 
 class TestJacobi:
