@@ -3,7 +3,8 @@
 Used to demonstrate *why* PCG carries the SymGS smoother: on
 ill-conditioned PDE systems plain CG needs far more iterations, each of
 which is pure SpMV — so the kernel mix (and hence the right accelerator)
-depends on the solver variant.
+depends on the solver variant.  CG is PCG with the identity
+preconditioner, so the two share one loop and one recovery path.
 """
 
 from __future__ import annotations
@@ -12,20 +13,21 @@ from typing import Optional
 
 import numpy as np
 
-from repro.errors import (
-    ConvergenceError,
-    CorruptionError,
-    FaultError,
-    ShapeError,
-)
-from repro.kernels import dot, norm2, waxpby
-from repro.solvers.pcg import (
-    SolveResult,
-    _charge_vector_ops,
-    _iteration_begin,
-    _iteration_end,
-    _solver_instant,
-)
+from repro.solvers.pcg import SolveResult, pcg
+
+
+class _Unpreconditioned:
+    """``backend`` with the identity preconditioner (``z = r``); every
+    other attribute is the wrapped backend's."""
+
+    def __init__(self, backend) -> None:
+        self._backend = backend
+
+    def precondition(self, r: np.ndarray) -> np.ndarray:
+        return r
+
+    def __getattr__(self, name: str):
+        return getattr(self._backend, name)
 
 
 def cg(backend, b: np.ndarray, tol: float = 1e-8, max_iter: int = 500,
@@ -36,95 +38,15 @@ def cg(backend, b: np.ndarray, tol: float = 1e-8, max_iter: int = 500,
        tracer=None) -> SolveResult:
     """Plain CG on the backend's SpMV (no preconditioner).
 
-    Fault recovery mirrors :func:`~repro.solvers.pcg.pcg`:
+    Runs :func:`~repro.solvers.pcg.pcg` with the identity
+    preconditioner, so every knob means what it does there:
     ``checkpoint_interval > 0`` snapshots the iterate and rolls back on
-    detected corruption, up to ``max_restarts`` times; the default
-    keeps the historical behaviour except that a non-finite residual
-    raises :class:`~repro.errors.ConvergenceError` naming the
-    iteration.  ``tracer`` records iteration spans on the ``solver``
-    track exactly as :func:`~repro.solvers.pcg.pcg` does.
+    detected corruption, up to ``max_restarts`` times; a non-finite
+    residual raises :class:`~repro.errors.ConvergenceError` naming the
+    iteration; ``tracer`` records ``pcg_iteration`` spans on the
+    ``solver`` track; a timed backend is charged PCG's vector ops.
     """
-    b = np.asarray(b, dtype=np.float64)
-    n = backend.n
-    if b.shape != (n,):
-        raise ShapeError(f"rhs must have shape ({n},), got {b.shape}")
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
-
-    norm_b = norm2(b)
-    if norm_b == 0.0:
-        return SolveResult(x=np.zeros(n), iterations=0, converged=True,
-                           residual_norms=[0.0], report=backend.report())
-    r = waxpby(1.0, b, -1.0, backend.spmv(x))
-    p = r.copy()
-    rr = dot(r, r)
-    residuals = [norm2(r) / norm_b]
-    converged = residuals[-1] < tol
-    iterations = 0
-    checkpointing = checkpoint_interval > 0
-    restarts = 0
-    checkpoint = x.copy()
-    while not converged and iterations < max_iter:
-        sid = _iteration_begin(tracer, backend, "cg_iteration", iterations)
-        try:
-            iterations += 1
-            ap = backend.spmv(p)
-            pap = dot(p, ap)
-            _charge_vector_ops(backend, 2)
-            if pap <= 0.0:
-                raise ConvergenceError(
-                    "p^T A p <= 0: matrix is not positive definite"
-                )
-            alpha = rr / pap
-            x = waxpby(1.0, x, alpha, p)
-            r = waxpby(1.0, r, -alpha, ap)
-            _charge_vector_ops(backend, 2)
-            res = norm2(r) / norm_b
-            if not np.isfinite(res):
-                raise ConvergenceError(
-                    f"non-finite residual at iteration {iterations}"
-                )
-            if checkpointing and res > divergence_factor * residuals[-1]:
-                raise CorruptionError(
-                    f"residual diverged at iteration {iterations}: "
-                    f"{res:.3e} from {residuals[-1]:.3e}"
-                )
-            residuals.append(res)
-            if res < tol:
-                converged = True
-                break
-            rr_new = dot(r, r)
-            beta = rr_new / rr
-            rr = rr_new
-            p = waxpby(1.0, r, beta, p)
-            _charge_vector_ops(backend, 2)
-            if checkpointing and iterations % checkpoint_interval == 0:
-                checkpoint = x.copy()
-                _solver_instant(tracer, backend, "checkpoint", "checkpoint",
-                                iterations)
-        except (FaultError, CorruptionError, ConvergenceError):
-            recovered = False
-            while checkpointing and restarts < max_restarts:
-                restarts += 1
-                _solver_instant(tracer, backend, "solver_restart", "retry",
-                                iterations)
-                x = checkpoint.copy()
-                try:
-                    r = waxpby(1.0, b, -1.0, backend.spmv(x))
-                    p = r.copy()
-                    rr = dot(r, r)
-                    _charge_vector_ops(backend, 2)
-                except (FaultError, CorruptionError):
-                    continue  # the rebuild itself faulted; spend a retry
-                res = norm2(r) / norm_b
-                if not (np.isfinite(res) and np.isfinite(rr)):
-                    continue  # rebuilt from corrupted data; try again
-                residuals.append(res)
-                recovered = True
-                break
-            if not recovered:
-                raise
-        finally:
-            _iteration_end(tracer, backend, sid, iterations)
-    return SolveResult(x=x, iterations=iterations, converged=converged,
-                       residual_norms=residuals, report=backend.report(),
-                       restarts=restarts)
+    return pcg(_Unpreconditioned(backend), b, tol=tol, max_iter=max_iter,
+               x0=x0, checkpoint_interval=checkpoint_interval,
+               max_restarts=max_restarts,
+               divergence_factor=divergence_factor, tracer=tracer)
