@@ -202,40 +202,15 @@ def make_trace(spec: TraceSpec) -> List[Job]:
     """Generate a seeded workload trace.
 
     Deterministic: one ``random.Random(spec.seed)`` stream drives every
-    draw, so a fixed spec reproduces the identical trace.  The default
-    ``shape="exponential"`` runs the exact historical draw sequence —
-    pre-shape specs reproduce byte-identical traces; the shaped
-    generator (``bursty``/``diurnal``/``zipf``, composable with ``+``)
-    layers rate modulation and popularity skew on the same single-RNG
-    discipline.
+    draw, so a fixed spec reproduces the identical trace.  The shapes
+    (``bursty``/``diurnal``/``zipf``, composable with ``+``) layer rate
+    modulation and popularity skew on a plain Poisson draw; with every
+    shape off (the default ``shape="exponential"``) no extra draw is
+    made, so pre-shape specs reproduce byte-identical traces.
     """
     rng = random.Random(spec.seed)
     jobs: List[Job] = []
     cycle = 0.0
-    if spec.shape == "exponential":
-        for i in range(spec.n_requests):
-            cycle += rng.expovariate(
-                1.0 / spec.mean_interarrival_cycles)
-            dataset, kernel = spec.workloads[
-                rng.randrange(len(spec.workloads))]
-            if rng.random() < spec.zero_deadline_prob:
-                deadline = 0.0
-            else:
-                deadline = rng.uniform(*spec.deadline_range)
-            priority = rng.choices(spec.priorities,
-                                   weights=spec.priority_weights)[0]
-            jobs.append(Job(
-                job_id=i,
-                kernel=kernel,
-                dataset=dataset,
-                scale=spec.scale,
-                arrival_cycle=cycle,
-                deadline_cycles=deadline,
-                priority=priority,
-                seed=spec.seed * 100_003 + i,
-            ))
-        return jobs
-
     parts = set(spec.shape.split("+"))
     bursty = "bursty" in parts
     diurnal = "diurnal" in parts
