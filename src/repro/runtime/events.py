@@ -171,18 +171,6 @@ class EventQueue:
         """The earliest event without removing it (None when empty)."""
         return self._heap[0] if self._heap else None
 
-    def requeue(self, event: Event) -> None:
-        """Put a popped-but-unconsumed event back on the heap.
-
-        The fleet layer peeks each pool's earliest wake to pick the
-        globally-next one; a peeked event that loses the race must go
-        back *unchanged* (same seq, so its total-order position is
-        identical) and must not count as processed — the pop counter
-        is rolled back.
-        """
-        heapq.heappush(self._heap, event)
-        self.popped -= 1
-
     def mark_stale(self) -> None:
         """Record that the consumer discarded a popped event as stale."""
         self.stale += 1
