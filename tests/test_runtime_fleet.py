@@ -231,9 +231,11 @@ class TestOutageStorm:
         assert rep.reroutes > 0
         assert rep.reroute_cycles_charged == rep.reroutes * 750.0
         assert rep.reroutes == sum(r.reroutes for r in res)
-        assert rep.reroutes == sum(
-            p.reroutes_out for p in rep.pool_stats) + sum(
-            1 for r in res if r.reroutes and r.pool_id == -1)
+        # Both ends of every hop: the pool it left and the pool it
+        # reached.
+        assert (rep.reroutes
+                == sum(p.reroutes_out for p in rep.pool_stats)
+                == sum(p.reroutes_in for p in rep.pool_stats))
 
     def test_rerouted_jobs_name_both_pools(self):
         res, rep = serve_fleet(400, n_devices=3, fault_rate=0.1,
