@@ -2,12 +2,15 @@
 
 A :class:`SimReport` captures one kernel execution (or one pass of an
 iterative kernel); :func:`combine` folds the per-pass reports of an
-iterative algorithm into a whole-run report.
+iterative algorithm into a whole-run report.  :func:`report_json` is
+the one canonical encoding of a report dataclass, shared by the
+serving runtime and the artifact store.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import json
+from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, Iterable, Optional
 
 from repro.sim.stats import CounterSet
@@ -151,3 +154,13 @@ def combine(reports: Iterable[SimReport],
         for k, v in r.datapath_cycles.items():
             total.datapath_cycles[k] = total.datapath_cycles.get(k, 0.0) + v
     return total
+
+
+def report_json(report) -> str:
+    """Canonical JSON of a report dataclass: sorted keys, fixed
+    separators, a trailing newline.  Byte-equality of two encodings is
+    field-equality of the reports, nested reports included — the
+    ``repro serve --report-json`` contract the CI determinism smokes
+    diff on."""
+    return json.dumps(asdict(report), sort_keys=True,
+                      separators=(",", ":")) + "\n"

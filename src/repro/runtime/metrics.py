@@ -11,12 +11,15 @@ two runs of the same seeded trace compare equal field-for-field.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence
 
+# The canonical encoder of a PoolReport or FleetReport, looked up here
+# at call time (``metrics.report_json``) by the CLI and the host-time
+# benchmark.
+from repro.core.report import report_json  # noqa: F401
 from repro.errors import ConfigError
 from repro.runtime.jobs import JobResult, JobStatus
 
@@ -228,17 +231,6 @@ class PoolReport:
                          f"({d.crashes} crashes, {d.hangs} hangs)")
             lines.append(line)
         return "\n".join(lines)
-
-
-def report_json(report) -> str:
-    """Canonical JSON encoding of a serving report — a
-    :class:`PoolReport` or a :class:`~repro.runtime.fleet.FleetReport`
-    (sorted keys, fixed separators), so byte-equality of two encodings
-    is field-equality of the reports, nested per-pool reports included
-    — the ``repro serve --report-json`` contract the CI determinism
-    smokes diff on."""
-    return json.dumps(asdict(report), sort_keys=True,
-                      separators=(",", ":")) + "\n"
 
 
 def fold_results(results: Sequence[JobResult]) -> Dict[str, float]:

@@ -17,7 +17,6 @@ from repro.store.store import (
     config_fingerprint,
     content_key,
     matrix_crc,
-    store_report_json,
 )
 
 __all__ = [
@@ -29,6 +28,5 @@ __all__ = [
     "content_key",
     "matrix_crc",
     "pack_envelope",
-    "store_report_json",
     "unpack_envelope",
 ]

@@ -26,7 +26,7 @@ import json
 import os
 import zlib
 from collections import OrderedDict
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -176,12 +176,6 @@ class StoreReport:
                 f"corrupt={self.corrupt_fallbacks} "
                 f"version={self.version_fallbacks} "
                 f"evicted={self.evictions}")
-
-
-def store_report_json(report: StoreReport) -> str:
-    """Canonical JSON (sorted keys, no spaces, trailing newline)."""
-    return json.dumps(asdict(report), sort_keys=True,
-                      separators=(",", ":")) + "\n"
 
 
 class _Entry:

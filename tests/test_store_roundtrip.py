@@ -21,16 +21,15 @@ from repro.core.accelerator import Alrescha, AlreschaConfig
 from repro.core.config import KernelType
 from repro.core.convert import convert
 from repro.core.device_image import encode_image
+from repro.core.report import report_json
 from repro.host.compile import encode_program
 from repro.observe import Tracer, dumps_chrome_trace
 from repro.runtime import serve
-from repro.runtime.metrics import report_json
 from repro.store import (
     ArtifactStore,
     config_fingerprint,
     content_key,
     matrix_crc,
-    store_report_json,
 )
 
 from .conftest import make_spd_dense
@@ -204,7 +203,7 @@ class TestWarmStartServing:
         import json
         store = ArtifactStore(tmp_path)
         self._serve(store)
-        payload = store_report_json(store.report())
+        payload = report_json(store.report())
         assert payload == json.dumps(
             json.loads(payload), sort_keys=True,
             separators=(",", ":")) + "\n"
