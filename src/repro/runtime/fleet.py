@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, fields, replace
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ConfigError
 from repro.runtime.autoscale import AutoscaleConfig
@@ -176,7 +176,8 @@ class FleetReport:
     #: of re-routed jobs included).
     attempts: int
     #: Re-route hops the fleet performed, and the transfer cycles they
-    #: were charged (``reroutes * reroute_cycles``).
+    #: were charged (``reroutes * reroute_cycles``).  ``reroutes`` and
+    #: the outage and probe totals below are sums over ``pool_stats``.
     reroutes: int
     reroute_cycles_charged: float
     outages: int
@@ -246,15 +247,43 @@ class FleetReport:
         return "\n".join(lines)
 
 
+@dataclass
+class _PoolState:
+    """What the fleet alone knows about one pool.
+
+    Whether the pool is down, when its outage began and how many
+    outages it has had are its session's (``Scheduler.pool_down``,
+    ``outage_began`` and ``outages``); this record keeps the rest.
+    """
+
+    #: Jobs routed here, primaries and re-routes in: placement load.
+    routed: int = 0
+    #: The pool's outage stream and its pending incident (``None``
+    #: without pool chaos).
+    chaos: Optional[PoolChaosModel] = None
+    incident: object = None
+    #: Content key readmission probes run; ``None`` while no job was
+    #: ever routed here.
+    probe_key: Optional[ContentKey] = None
+    #: Outcome of the probe in flight (``None`` when none is), and the
+    #: probes spent on the current outage.
+    probe_ok: Optional[bool] = None
+    outage_probes: int = 0
+    evictions: int = 0
+    reroutes_in: int = 0
+    reroutes_out: int = 0
+    probes: int = 0
+    probes_failed: int = 0
+
+
 class _JobRecord:
-    """Fleet-side routing state for one job."""
+    """Fleet-side routing state of one evicted job, built at its first
+    eviction: a job its primary pool answers needs none."""
 
-    __slots__ = ("origin", "replicas", "tried", "reroutes",
-                 "prior_attempts")
+    __slots__ = ("origin", "tried", "reroutes", "prior_attempts")
 
-    def __init__(self, origin: Job, replicas: FrozenSet[int]) -> None:
+    def __init__(self, origin: Job) -> None:
         self.origin = origin
-        self.replicas = replicas
         #: Pools the job has left (outage-evicted or transited during
         #: an outage).  Monotone — a job never returns to a tried pool
         #: — which is what bounds the failover chain.
@@ -277,7 +306,8 @@ class Fleet:
     only its seed moved (pool 0 identical to a solo pool), and the
     trace-track prefix ``p<i>.`` so all pools share one tracer without
     collisions.  All pools bind one image table, so a workload is
-    programmed once per fleet.
+    programmed once per fleet.  Like its schedulers, a fleet serves
+    one run.
     """
 
     def __init__(self, n_devices: int, config: FleetConfig,
@@ -296,8 +326,8 @@ class Fleet:
         self.pool_chaos = (pool_chaos if pool_chaos is not None
                            and pool_chaos.rate > 0.0 else None)
         lifecycle = self.pool_chaos is not None
-        self.pools: List[DevicePool] = []
         self.scheds: List[Scheduler] = []
+        self._pool_state: List[_PoolState] = []
         for i in range(config.n_pools):
             if chaos is None or i == 0:
                 pool_chaos_model = chaos
@@ -311,38 +341,30 @@ class Fleet:
                 tracer=tracer, execution=execution,
                 chaos=pool_chaos_model, track_prefix=f"p{i}.",
                 artifact_store=artifact_store)
-            if self.pools:
+            if self.scheds:
                 # The pools share one compile configuration, so they
                 # share pool 0's image table: each workload is
                 # programmed once per fleet.
-                pool.images = self.pools[0].images
-            self.pools.append(pool)
+                pool.images = self.scheds[0].pool.images
             self.scheds.append(Scheduler(pool, self.scheduler_config,
                                          lifecycle=lifecycle,
                                          autoscale=autoscale))
+            self._pool_state.append(_PoolState(
+                chaos=None if self.pool_chaos is None
+                else self.pool_chaos.spawn(i)))
+        #: Each content key's replica set, home pool first (filled by
+        #: :meth:`_route`).
+        self._replica_sets: Dict[ContentKey, Tuple[int, ...]] = {}
         # ---- run state
         self._events = EventQueue()
+        #: Routing records of the jobs an outage evicted, by job id.
         self._records: Dict[int, _JobRecord] = {}
         self._fleet_results: Dict[int, JobResult] = {}
-        self._routed_jobs = [0] * config.n_pools
-        self._pool_up = [True] * config.n_pools
-        self._outage_start = [0.0] * config.n_pools
-        self._outage_seq = [0] * config.n_pools
-        self._pool_incidents: Dict[int, object] = {}
-        self._pool_chaos_models: Dict[int, PoolChaosModel] = {}
-        self._probe_pending: Dict[int, Tuple[bool, float]] = {}
-        self._probe_count = [0] * config.n_pools
-        self._probes = [0] * config.n_pools
-        self._probes_failed = [0] * config.n_pools
-        self._probe_key: Dict[int, ContentKey] = {}
-        self._probe_seq = 0
-        self._evictions = [0] * config.n_pools
-        self._reroutes_in = [0] * config.n_pools
-        self._reroutes_out = [0] * config.n_pools
-        self.reroutes = 0
-        self.reroute_cycles_charged = 0.0
-        self.probes = 0
-        self.probes_failed = 0
+
+    @property
+    def pools(self) -> List[DevicePool]:
+        """The device pools, in pool order (each session's pool)."""
+        return [sched.pool for sched in self.scheds]
 
     # ------------------------------------------------------------------
     # Routing
@@ -367,27 +389,25 @@ class Fleet:
         # "hot", since all counts are >= 0), and ``1.0`` replicates
         # only a key carrying the entire trace.
         hot_floor = self.config.hot_fraction * len(ordered)
-        replica_sets: Dict[ContentKey, Tuple[int, ...]] = {}
+        replica_sets = self._replica_sets
         for key, count in counts.items():
             hot = hot_floor > 0.0 and count >= hot_floor
             width = min(self.config.replicas, n) if hot else 1
             home = home_pool(key, n)
             replica_sets[key] = tuple((home + k) % n
                                       for k in range(width))
+        pool_state = self._pool_state
         assignments: List[List[Job]] = [[] for _ in range(n)]
         for j in ordered:
             reps = replica_sets[content_key(j)]
-            primary = min(
-                reps,
-                key=lambda p: (self._routed_jobs[p], reps.index(p)))
-            self._routed_jobs[primary] += 1
+            primary = min(reps, key=lambda p: (pool_state[p].routed,
+                                               reps.index(p)))
+            pool_state[primary].routed += 1
             assignments[primary].append(j)
-            self._records[j.job_id] = _JobRecord(
-                j, replicas=frozenset(reps))
         for key in sorted(replica_sets):
             for p in replica_sets[key]:
-                if p not in self._probe_key:
-                    self._probe_key[p] = key
+                if pool_state[p].probe_key is None:
+                    pool_state[p].probe_key = key
         return assignments
 
     # ------------------------------------------------------------------
@@ -395,7 +415,11 @@ class Fleet:
     # ------------------------------------------------------------------
     def run(self, jobs: Sequence[Job]) -> Tuple[List[JobResult],
                                                 FleetReport]:
-        """Serve every job; returns results (job-id order) + report."""
+        """Serve every job; returns results (job-id order) + report.
+
+        A second call raises :class:`~repro.errors.SimulationError`:
+        each pool's session serves one run.
+        """
         assignments = self._route(jobs)
         for i, sched in enumerate(self.scheds):
             sched.start(assignments[i])
@@ -403,12 +427,7 @@ class Fleet:
             # One pending outage per pool, strictly sequential: the
             # next is drawn only at readmission.
             for i in range(self.config.n_pools):
-                model = self.pool_chaos.spawn(i)
-                self._pool_chaos_models[i] = model
-                inc = model.next_incident(0.0)
-                if inc is not None:
-                    self._pool_incidents[i] = inc
-                    self._events.push(inc.at, EventKind.POOL_OUTAGE, i)
+                self._draw_outage(i, 0.0)
 
         while True:
             best: Optional[Tuple[float, int]] = None
@@ -440,17 +459,21 @@ class Fleet:
     # ------------------------------------------------------------------
     # Fleet events
     # ------------------------------------------------------------------
+    def _draw_outage(self, i: int, now: float) -> None:
+        """Draw pool ``i``'s next outage and push its onset."""
+        state = self._pool_state[i]
+        state.incident = state.chaos.next_incident(now)
+        if state.incident is not None:
+            self._events.push(state.incident.at, EventKind.POOL_OUTAGE, i)
+
     def _apply_outage(self, i: int, now: float) -> None:
-        self._pool_up[i] = False
-        self._outage_start[i] = now
-        self._outage_seq[i] += 1
-        self._probe_count[i] = 0
+        state = self._pool_state[i]
+        state.outage_probes = 0
         self.scheds[i].begin_outage(now)
         self._drain_evictions(i)
-        inc = self._pool_incidents[i]
         # The drawn ``until`` is the *earliest* readmission attempt;
         # actual readmission waits for a successful probe.
-        self._events.push(inc.until, EventKind.POOL_RECOVER, i)
+        self._events.push(state.incident.until, EventKind.POOL_RECOVER, i)
 
     def _apply_recover(self, i: int, now: float) -> None:
         """Probe-gated readmission state machine for pool ``i``.
@@ -463,10 +486,9 @@ class Fleet:
         until the per-outage budget runs out, after which the pool
         stays down and traffic keeps routing around it.
         """
-        sched = self.scheds[i]
-        pending = self._probe_pending.pop(i, None)
-        if pending is not None:
-            ok, _finish = pending
+        state = self._pool_state[i]
+        if state.probe_ok is not None:
+            ok, state.probe_ok = state.probe_ok, None
             if ok:
                 self._readmit(i, now)
             else:
@@ -474,50 +496,46 @@ class Fleet:
                     now + self.config.probe_retry_cycles,
                     EventKind.POOL_RECOVER, i)
             return
-        key = self._probe_key.get(i)
+        key = state.probe_key
         if key is None:
             # No content key was ever routed here: nothing to probe
             # with, and nothing the pool could serve wrongly — readmit
             # directly.
             self._readmit(i, now)
             return
-        if self._probe_count[i] >= self.config.max_probes_per_outage:
+        if state.outage_probes >= self.config.max_probes_per_outage:
             return  # permanently down for this run
-        self._probe_count[i] += 1
-        self._probe_seq += 1
-        self.probes += 1
-        self._probes[i] += 1
+        state.outage_probes += 1
+        state.probes += 1
+        # Probe jobs are numbered fleet-wide, in the order they run.
+        seq = sum(p.probes for p in self._pool_state)
         probe_job = Job(
-            job_id=-self._probe_seq, kernel=key[2], dataset=key[0],
+            job_id=-seq, kernel=key[2], dataset=key[0],
             scale=key[1], arrival_cycle=now, deadline_cycles=1.0,
-            seed=self.seed + 104_729 * self._probe_seq)
-        ok, finish = sched.run_probe(probe_job, now)
+            seed=self.seed + 104_729 * seq)
+        ok, finish = self.scheds[i].run_probe(probe_job, now)
         if not ok:
-            self.probes_failed += 1
-            self._probes_failed[i] += 1
-        self._probe_pending[i] = (ok, finish)
+            state.probes_failed += 1
+        state.probe_ok = ok
         self._events.push(finish, EventKind.POOL_RECOVER, i)
 
     def _readmit(self, i: int, now: float) -> None:
-        self.scheds[i].readmit(now)
-        self._pool_up[i] = True
-        if self.tracer is not None and now > self._outage_start[i]:
+        sched = self.scheds[i]
+        sched.readmit(now)
+        if self.tracer is not None and now > sched.outage_began:
             self.tracer.add(
-                f"outage#{i}.{self._outage_seq[i]}", "outage",
-                self._outage_start[i], now, "fleet",
+                f"outage#{i}.{sched.outages}", "outage",
+                sched.outage_began, now, "fleet",
                 args={"pool": float(i)})
         if self.pool_chaos is not None:
-            inc = self._pool_chaos_models[i].next_incident(now)
-            if inc is not None:
-                self._pool_incidents[i] = inc
-                self._events.push(inc.at, EventKind.POOL_OUTAGE, i)
+            self._draw_outage(i, now)
 
     # ------------------------------------------------------------------
     # Failover
     # ------------------------------------------------------------------
     def _drain_evictions(self, i: int) -> None:
         for ev in self.scheds[i].take_evicted():
-            self._evictions[i] += 1
+            self._pool_state[i].evictions += 1
             self._reroute(ev, i)
 
     def _pick_target(self, rec: _JobRecord) -> Optional[int]:
@@ -527,12 +545,13 @@ class Fleet:
                    if p not in rec.tried]
         if not untried:
             return None
+        replicas = self._replica_sets[content_key(rec.origin)]
 
         def rank(p: int) -> Tuple[int, int, int]:
-            up = self._pool_up[p]
-            rep = p in rec.replicas
+            up = not self.scheds[p].pool_down
+            rep = p in replicas
             cls = 0 if (up and rep) else 1 if up else 2 if rep else 3
-            return (cls, self._routed_jobs[p], p)
+            return (cls, self._pool_state[p].routed, p)
 
         return min(untried, key=rank)
 
@@ -546,7 +565,11 @@ class Fleet:
         DEGRADED or TIMEOUT, never FAILED, mirroring the scheduler's
         own degradation contract.
         """
-        rec = self._records[ev.job.job_id]
+        rec = self._records.get(ev.job.job_id)
+        if rec is None:
+            # First eviction: the job left the pool it was routed to
+            # as the trace gave it.
+            rec = self._records[ev.job.job_id] = _JobRecord(ev.job)
         rec.prior_attempts += ev.attempts
         rec.tried.add(from_pool)
         origin = rec.origin
@@ -577,14 +600,15 @@ class Fleet:
                     pool_id=from_pool, reroutes=rec.reroutes)
             return
         rec.reroutes += 1
-        self.reroutes += 1
-        self.reroute_cycles_charged += self.config.reroute_cycles
-        self._reroutes_out[from_pool] += 1
-        self._reroutes_in[target] += 1
-        self._routed_jobs[target] += 1
-        # The target now holds traffic even if no key was originally
-        # routed to it: future readmissions must be probe-verified.
-        self._probe_key.setdefault(target, content_key(origin))
+        self._pool_state[from_pool].reroutes_out += 1
+        dest = self._pool_state[target]
+        dest.reroutes_in += 1
+        dest.routed += 1
+        if dest.probe_key is None:
+            # The target now holds traffic even if no key was
+            # originally routed to it: future readmissions must be
+            # probe-verified.
+            dest.probe_key = content_key(origin)
         self.scheds[target].add_job(replace(
             origin, arrival_cycle=new_arrival,
             deadline_cycles=rec.deadline_at - new_arrival))
@@ -605,19 +629,20 @@ class Fleet:
             pool_results, report = sched.finish()
             pool_reports.append(report)
             for r in pool_results:
-                rec = self._records[r.job_id]
                 r.pool_id = i
-                r.reroutes = rec.reroutes
-                if rec.reroutes or rec.prior_attempts:
-                    r.attempts += rec.prior_attempts
-                    if r.status not in (JobStatus.REJECTED,
-                                        JobStatus.FAILED):
-                        # Latency measures from the *original* arrival,
-                        # so the re-route transfers the job paid stay
-                        # visible in the percentiles.
-                        r.latency_cycles = (r.finish_cycle
-                                            - rec.origin.arrival_cycle)
                 merged[r.job_id] = r
+        for job_id, rec in self._records.items():
+            if job_id in self._fleet_results:
+                continue  # finalised by the fleet itself
+            # A re-routed job a pool answered: count the attempts it
+            # spent in the pools it left, and measure latency from its
+            # *original* arrival, so the re-route transfers it paid stay
+            # visible in the percentiles.
+            r = merged[job_id]
+            r.reroutes = rec.reroutes
+            r.attempts += rec.prior_attempts
+            if r.status not in (JobStatus.REJECTED, JobStatus.FAILED):
+                r.latency_cycles = r.finish_cycle - rec.origin.arrival_cycle
 
         ordered = [merged[j.job_id]
                    for j in sorted(jobs, key=lambda j: j.job_id)]
@@ -625,35 +650,27 @@ class Fleet:
         del fold["retries"]  # a fleet report counts attempts only
         makespan = fold["makespan_cycles"]
 
-        # Close still-open outages against the makespan: downtime and
-        # the trace span both end where the run does.
-        downtime = 0.0
-        for i, sched in enumerate(self.scheds):
-            pool_down = sched.pool_downtime_cycles
-            if not self._pool_up[i]:
-                open_down = max(0.0, makespan - self._outage_start[i])
-                pool_down += open_down
-                sched.pool_downtime_cycles = pool_down
+        pool_stats = []
+        for i, (sched, state, pool_report) in enumerate(
+                zip(self.scheds, self._pool_state, pool_reports)):
+            downtime = sched.pool_downtime_cycles
+            if sched.pool_down:
+                # Close a still-open outage against the makespan:
+                # downtime and the trace span both end where the run
+                # does.
+                open_down = max(0.0, makespan - sched.outage_began)
+                downtime += open_down
                 if self.tracer is not None and open_down > 0.0:
                     self.tracer.add(
-                        f"outage#{i}.{self._outage_seq[i]}", "outage",
-                        self._outage_start[i], makespan, "fleet",
+                        f"outage#{i}.{sched.outages}", "outage",
+                        sched.outage_began, makespan, "fleet",
                         args={"pool": float(i)})
-            downtime += pool_down
-
-        pool_stats = tuple(
-            PoolStats(
-                pool_id=i,
-                outages=self.scheds[i].outages,
-                downtime_cycles=self.scheds[i].pool_downtime_cycles,
-                evictions=self._evictions[i],
-                reroutes_in=self._reroutes_in[i],
-                reroutes_out=self._reroutes_out[i],
-                probes=self._probes[i],
-                probes_failed=self._probes_failed[i],
-                report=pool_reports[i],
-            )
-            for i in range(self.config.n_pools))
+            pool_stats.append(PoolStats(
+                pool_id=i, outages=sched.outages,
+                downtime_cycles=downtime, evictions=state.evictions,
+                reroutes_in=state.reroutes_in,
+                reroutes_out=state.reroutes_out, probes=state.probes,
+                probes_failed=state.probes_failed, report=pool_report))
         autoscale_agg = None
         scaled = [r.autoscale for r in pool_reports
                   if r.autoscale is not None]
@@ -666,17 +683,19 @@ class Fleet:
                          if f.name in ("min_devices", "max_devices")
                          else sum(getattr(a, f.name) for a in scaled))
                 for f in fields(AutoscaleReport)})
+        # The fleet totals are sums over the pools; every hop leaves
+        # one pool and reaches another.
+        reroutes = sum(p.reroutes_out for p in pool_stats)
         report = FleetReport(
             pools=self.config.n_pools,
             replicas=self.config.replicas,
-            reroutes=self.reroutes,
-            reroute_cycles_charged=self.reroute_cycles_charged,
-            outages=sum(s.outages for s in pool_stats),
-            downtime_cycles=downtime,
-            probes=self.probes,
-            probes_failed=self.probes_failed,
+            reroutes=reroutes,
+            reroute_cycles_charged=reroutes * self.config.reroute_cycles,
             autoscale=autoscale_agg,
-            pool_stats=pool_stats,
+            pool_stats=tuple(pool_stats),
+            **{name: sum(getattr(p, name) for p in pool_stats)
+               for name in ("outages", "downtime_cycles", "probes",
+                            "probes_failed")},
             **fold,
         )
         return ordered, report

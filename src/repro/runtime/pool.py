@@ -386,13 +386,10 @@ class Device:
         self.up = True
         #: Cycle a current hang clears (0.0 when not hanging).
         self.hang_until = 0.0
-        #: Cycle the current crash began (meaningful while ``not up``).
-        self.down_since = 0.0
         #: Total cycles spent crashed or hung, for :class:`DeviceStats`.
         self.downtime_cycles = 0.0
         self.crashes = 0
         self.hangs = 0
-        self.recoveries = 0
         #: Per-device :class:`~repro.sim.chaos.ChaosModel` sibling
         #: (None when the pool has no chaos configured).
         self.chaos = None
@@ -408,9 +405,6 @@ class Device:
         #: Cycle the drain decision landed (the begin of the trace's
         #: ``drain`` span; meaningful while draining/retired).
         self.drain_began = 0.0
-        #: Cycle the autoscaler provisioned this device (0.0 for
-        #: devices present since construction).
-        self.added_at = 0.0
         #: The live DEVICE_DRAIN event for this device, so a re-armed
         #: drain invalidates the superseded one (lazy deletion).
         self.drain_event = None
@@ -714,17 +708,17 @@ class DevicePool:
             self.images[key] = image
         return image
 
-    def add_device(self, now: float) -> Device:
+    def add_device(self) -> Device:
         """Provision one more device, constructed as at pool build time.
 
         The new device gets the next sequential id, a fault model
         spawned from the same base as its siblings and, when chaos is
         configured, its own independently-seeded chaos sibling — so a
-        device autoscaled in at cycle ``now`` draws the same fault and
-        incident streams a construction-time device with that id would
-        have.  Devices are never physically removed (heap event keys
-        index ``pool.devices``); a drained device is retired in place
-        by :meth:`retire` instead.
+        device autoscaled in mid-run draws the same fault and incident
+        streams a construction-time device with that id would have.
+        Devices are never physically removed (heap event keys index
+        ``pool.devices``); a drained device is retired in place by
+        :meth:`retire` instead.
         """
         device_id = len(self.devices)
         device = Device(
@@ -732,7 +726,6 @@ class DevicePool:
             (self._fault_base.spawn(device_id)
              if self._fault_base is not None else None),
             **self._device_kwargs)
-        device.added_at = now
         if self.chaos is not None:
             device.chaos = self.chaos.spawn(device_id)
         self.devices.append(device)

@@ -309,7 +309,26 @@ def _service_order(states: List["_JobState"]) -> None:
 
 
 class Scheduler:
-    """Runs a trace of jobs over a :class:`DevicePool` to completion."""
+    """Runs a trace of jobs over a :class:`DevicePool` to completion.
+
+    A scheduler serves one session: :meth:`run`, or :meth:`start`,
+    :meth:`advance` and :meth:`finish`.
+    """
+
+    # ---- what the trace determines, set by :meth:`start` (the class
+    # defaults mark a session not yet started)
+    #: Ids of every job given to the session, by the trace or by
+    #: :meth:`add_job`.
+    _seen: Set[int]
+    #: Jobs not yet admitted, in ``(arrival_cycle, job_id)`` order.
+    _arrivals: deque
+    #: The trace's jobs in arrival order whose ARRIVAL event is not
+    #: pushed yet, and the one armed ARRIVAL on the heap (see
+    #: :meth:`_arm_arrival`).
+    _unarmed: Optional[Iterator[Job]] = None
+    _armed: Optional[Event] = None
+    #: The live :class:`Autoscaler` when autoscaling is configured.
+    autoscaler: Optional[Autoscaler] = None
 
     def __init__(self, pool: DevicePool,
                  config: Optional[SchedulerConfig] = None,
@@ -321,23 +340,20 @@ class Scheduler:
         #: pool at its construction-time size and the whole run
         #: field-identical to the pre-autoscale scheduler.
         self.autoscale_config = autoscale
-        #: The live :class:`Autoscaler` (built per :meth:`start`).
-        self.autoscaler: Optional[Autoscaler] = None
         self.queue_peak = 0
         #: Fused dispatches that produced answers, jobs served inside
         #: them, and DRAM bytes they avoided vs solo service.
         self.batches = 0
         self.batched_jobs = 0
         self.stream_bytes_saved = 0.0
-        #: Hedged-dispatch and chaos counters for the report (reset
-        #: per :meth:`run`).
+        #: Hedged-dispatch and chaos counters for the report.
         self.hedges_launched = 0
         self.hedges_won = 0
         self.crashes = 0
         self.hangs = 0
         self.recoveries = 0
-        #: The run's event heap (rebuilt per :meth:`run`); kept on the
-        #: instance so tests and load benchmarks can read its counters.
+        #: The session's event heap, kept on the instance so tests and
+        #: load benchmarks can read its counters.
         self.events = EventQueue()
         #: The settle timing: True defers each attempt's settle to its
         #: DISPATCH_COMPLETE, False settles it at dispatch (the eager
@@ -356,28 +372,23 @@ class Scheduler:
         #: Live deferred flights — the run loop must not exit while
         #: any remain, even with the queues drained.
         self._inflight = 0
-        # ---- resumable-session state (populated by :meth:`start`)
-        self._arrivals: deque = deque()
-        #: The trace's jobs in arrival order whose ARRIVAL event is not
-        #: pushed yet, and the one armed ARRIVAL on the heap (see
-        #: :meth:`_arm_arrival`).
-        self._unarmed: Iterator[Job] = iter(())
-        self._armed: Optional[Event] = None
         self._waiting: List[_JobState] = []
         self._results: Dict[int, JobResult] = {}
         self._now = 0.0
-        self._seen: Set[int] = set()
         # ---- fleet hooks: pool-outage state and eviction hand-off
-        self._pool_down = False
-        self._outage_began = 0.0
+        #: Whether a pool outage holds the pool dark, the cycle the
+        #: latest outage began, the outages so far and the downtime of
+        #: the closed ones: the fleet reads its pools' outage state here.
+        self.pool_down = False
+        self.outage_began = 0.0
+        self.outages = 0
+        self.pool_downtime_cycles = 0.0
         #: Devices the current outage forced down (readmission restores
         #: exactly these; a device that crashed on its own during the
         #: outage is removed and left to its own DEVICE_RECOVER).
         self._outage_held: Set[int] = set()
         self._evicted: List[Eviction] = []
         self._evicted_ids: Set[int] = set()
-        self.outages = 0
-        self.pool_downtime_cycles = 0.0
 
     # ------------------------------------------------------------------
     # Admission control
@@ -412,8 +423,8 @@ class Scheduler:
         return self.finish()
 
     def start(self, jobs: Sequence[Job]) -> None:
-        """Open a serving session: arrival events, chaos bootstrap, and
-        the cycle-0 admit/dispatch pass.
+        """Open the serving session: arrival events, chaos bootstrap,
+        and the cycle-0 admit/dispatch pass.
 
         ``start``/``advance``/``finish`` decompose the run loop so a
         fleet layer can interleave N schedulers on one global clock:
@@ -422,26 +433,19 @@ class Scheduler:
         advances whichever source (session wake or fleet event) is
         globally earliest — so an injected job is never in this
         session's past.
+
+        A scheduler serves one session: its counters, heap and pool
+        carry that session from construction on, so a second ``start``
+        (or :meth:`run`) raises :class:`SimulationError` rather than
+        report a mix of two runs.
         """
+        if self._unarmed is not None:
+            raise SimulationError(
+                "this Scheduler already served a session; build a new "
+                "one over a fresh DevicePool for another run")
         self._seen = unique_job_ids(jobs)
         ordered = sorted(jobs, key=lambda j: (j.arrival_cycle, j.job_id))
         self._arrivals = deque(ordered)
-        self._waiting = []
-        self._results = {}
-        self.events = events = EventQueue()
-        self._states = {}
-        self._incidents = {}
-        self._inflight = 0
-        self._now = 0.0
-        self._pool_down = False
-        self._outage_began = 0.0
-        self._outage_held = set()
-        self._evicted = []
-        self._evicted_ids = set()
-        self.outages = 0
-        self.pool_downtime_cycles = 0.0
-        self.hedges_launched = self.hedges_won = 0
-        self.crashes = self.hangs = self.recoveries = 0
         self._unarmed = iter(ordered)
         self._arm_arrival()
         if self.pool.chaos is not None:
@@ -450,7 +454,6 @@ class Scheduler:
             # each device's incident history is strictly sequential.
             for device in self.pool.devices:
                 self._schedule_incident(device, 0.0)
-        self.autoscaler = None
         if self.autoscale_config is not None:
             cfg = self.autoscale_config
             if len(self.pool) > cfg.max_devices:
@@ -464,8 +467,8 @@ class Scheduler:
             # as provisioned devices but not as scale-up decisions.
             while len(self.pool) < cfg.min_devices:
                 self._provision_device(0.0)
-            events.push(cfg.eval_interval_cycles, EventKind.SCALE_EVAL,
-                        0)
+            self.events.push(cfg.eval_interval_cycles,
+                             EventKind.SCALE_EVAL, 0)
 
         # Mirror of the scan-based loop's first iteration: admit and
         # dispatch anything actionable at cycle 0 before the first
@@ -599,12 +602,12 @@ class Scheduler:
         exactly the devices this outage took (one that crashes on its
         own mid-outage is left to its own recovery chain).
         """
-        if self._pool_down:
+        if self.pool_down:
             raise ConfigError(
                 "pool outage drawn while the pool is already down: "
                 "pool incidents must be strictly sequential")
-        self._pool_down = True
-        self._outage_began = now
+        self.pool_down = True
+        self.outage_began = now
         self.outages += 1
         for device in self.pool.devices:
             if device.inflight is not None:
@@ -613,7 +616,6 @@ class Scheduler:
                     self._eject(s, now)
             if device.up:
                 device.up = False
-                device.down_since = now
                 device.breaker.force_open(now)
                 self._outage_held.add(device.device_id)
         for state in list(self._waiting):
@@ -649,8 +651,8 @@ class Scheduler:
         device's first real dispatch is its own half-open probe —
         recovery stays verified at both levels.
         """
-        self._pool_down = False
-        self.pool_downtime_cycles += now - self._outage_began
+        self.pool_down = False
+        self.pool_downtime_cycles += now - self.outage_began
         for device_id in sorted(self._outage_held):
             device = self.pool.devices[device_id]
             device.up = True
@@ -853,7 +855,7 @@ class Scheduler:
 
     # ------------------------------------------------------------------
     def _admit_at(self, job: Job) -> None:
-        if self._pool_down and job.deadline_cycles > 0:
+        if self.pool_down and job.deadline_cycles > 0:
             # Arrived mid-outage: infrastructure loss alone is never a
             # terminal verdict — hand the job to the fleet to re-route.
             # (Zero-deadline jobs fall through to the normal rejection:
@@ -1246,14 +1248,13 @@ class Scheduler:
         lifecycle fact, not an inferred health verdict.
         """
         inc = self._incidents[device.device_id]
-        if self._pool_down:
+        if self.pool_down:
             # The pool is already dark, so there is nothing to void —
             # but the device now has its own crash to recover from:
             # readmission must no longer restore it (its DEVICE_RECOVER
             # will, through the normal quarantine-release path).
             self._outage_held.discard(device.device_id)
         device.up = False
-        device.down_since = now
         device.crashes += 1
         self.crashes += 1
         device.downtime_cycles += inc.until - now
@@ -1314,9 +1315,8 @@ class Scheduler:
         draws no next incident: hardware that has left service no
         longer crashes or hangs.
         """
-        device.recoveries += 1
         self.recoveries += 1
-        if self._pool_down:
+        if self.pool_down:
             # The pool is dark: whatever this incident was, the device
             # stays held by the outage — recorded so readmission
             # restores it along with the rest of the pool.
@@ -1334,7 +1334,7 @@ class Scheduler:
         """One autoscaler sample: decide, apply, re-arm the cadence."""
         scaler = self.autoscaler
         cfg = scaler.config
-        if not self._pool_down:
+        if not self.pool_down:
             action = scaler.decide(now, len(self._waiting), self.pool)
             if action == "up":
                 scaler.scale_ups += 1
@@ -1367,11 +1367,10 @@ class Scheduler:
         scaler = self.autoscaler
         scaler.pending_adds -= 1
         device = self._provision_device(now)
-        if self._pool_down:
+        if self.pool_down:
             # Provisioned into a pool-wide outage: the newcomer is held
             # dark with its siblings and readmission restores it.
             device.up = False
-            device.down_since = now
             device.breaker.force_open(now)
             self._outage_held.add(device.device_id)
         if self.pool.tracer is not None:
@@ -1381,7 +1380,7 @@ class Scheduler:
 
     def _provision_device(self, now: float) -> Device:
         """Add one device to the pool (bootstrap grow or scale-up)."""
-        device = self.pool.add_device(now)
+        device = self.pool.add_device()
         self.autoscaler.devices_added += 1
         self.autoscaler.note_capacity(now, +1)
         self._prime_device(device, now)

@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
 from repro.observe import Tracer, check_trace, dumps_chrome_trace
 from repro.runtime import (
     AutoscaleConfig,
@@ -144,12 +144,13 @@ class TestRouting:
         trace = make_trace(TraceSpec(n_requests=60, seed=1))
         fleet = Fleet(2, FleetConfig(n_pools=3, replicas=2), seed=1)
         fleet.run(trace)
-        for rec in fleet._records.values():
-            key = content_key(rec.origin)
+        assert set(fleet._replica_sets) == {content_key(j) for j in trace}
+        widths = set()
+        for key, reps in fleet._replica_sets.items():
             home = home_pool(key, 3)
-            assert home in rec.replicas
-            if len(rec.replicas) == 2:
-                assert (home + 1) % 3 in rec.replicas
+            assert reps == tuple((home + k) % 3 for k in range(len(reps)))
+            widths.add(len(reps))
+        assert widths == {2}, "every key of a 4-key trace is hot"
 
     def test_cold_keys_are_not_replicated(self):
         # One dominant key plus a single cold job: the cold key stays
@@ -164,8 +165,8 @@ class TestRouting:
         fleet = Fleet(2, FleetConfig(n_pools=3, replicas=3,
                                      hot_fraction=0.5), seed=0)
         fleet.run(jobs)
-        assert len(fleet._records[0].replicas) == 3
-        assert len(fleet._records[99].replicas) == 1
+        assert len(fleet._replica_sets[content_key(jobs[0])]) == 3
+        assert len(fleet._replica_sets[content_key(jobs[-1])]) == 1
 
     def test_hot_fraction_zero_replicates_nothing(self):
         # Regression: a zero hot floor used to make *every* key "hot"
@@ -178,8 +179,7 @@ class TestRouting:
         fleet = Fleet(2, FleetConfig(n_pools=3, replicas=3,
                                      hot_fraction=0.0), seed=0)
         fleet.run(jobs)
-        assert all(len(rec.replicas) == 1
-                   for rec in fleet._records.values())
+        assert [len(reps) for reps in fleet._replica_sets.values()] == [1]
 
     def test_hot_fraction_one_needs_the_whole_trace(self):
         # At the other end, 1.0 replicates only a key carrying every
@@ -194,13 +194,12 @@ class TestRouting:
         mixed = Fleet(2, FleetConfig(n_pools=3, replicas=3,
                                      hot_fraction=1.0), seed=0)
         mixed.run(jobs)
-        assert all(len(rec.replicas) == 1
-                   for rec in mixed._records.values())
+        assert [len(reps) for reps in mixed._replica_sets.values()] \
+            == [1, 1]
         pure = Fleet(2, FleetConfig(n_pools=3, replicas=3,
                                     hot_fraction=1.0), seed=0)
         pure.run(jobs[:19])  # one key carries 100% of the trace
-        assert all(len(rec.replicas) == 3
-                   for rec in pure._records.values())
+        assert [len(reps) for reps in pure._replica_sets.values()] == [3]
 
     def test_duplicate_job_ids_rejected(self):
         from repro.runtime import Job
@@ -236,6 +235,12 @@ class TestOutageStorm:
         assert (rep.reroutes
                 == sum(p.reroutes_out for p in rep.pool_stats)
                 == sum(p.reroutes_in for p in rep.pool_stats))
+        # Every other fleet total is its per-pool sum.
+        assert rep.probes > rep.probes_failed > 0
+        for name in ("probes", "probes_failed", "outages",
+                     "downtime_cycles"):
+            assert getattr(rep, name) == sum(
+                getattr(p, name) for p in rep.pool_stats), name
 
     def test_rerouted_jobs_name_both_pools(self):
         res, rep = serve_fleet(400, n_devices=3, fault_rate=0.1,
@@ -333,6 +338,14 @@ class TestDeterminism:
                 fleet_config=FleetConfig(n_pools=n_pools,
                                          replicas=replicas))[1]
         assert report_json(run()) == report_json(run())
+
+    def test_second_run_raises(self):
+        trace = make_trace(TraceSpec(n_requests=40, seed=0))
+        fleet = Fleet(2, FleetConfig(n_pools=2), seed=0)
+        fleet.run(trace)
+        with pytest.raises(SimulationError,
+                           match="already served a session"):
+            fleet.run(trace)
 
     def test_report_json_is_canonical(self):
         _, rep = serve_fleet(50, n_devices=2, seed=0)

@@ -454,6 +454,29 @@ class TestLostJobs:
             sched.finish()
 
 
+class TestOneSession:
+    def test_second_session_raises(self):
+        """A scheduler serves one session: a second ``run`` or
+        ``start`` raises instead of reporting a mix of two runs."""
+        trace = make_trace(TraceSpec(n_requests=300, seed=3,
+                                     scale=SCALE))
+        pool = DevicePool(3, fault_rate=0.05, seed=3, execution="model")
+        sched = Scheduler(pool, SchedulerConfig(max_batch=4))
+        _, report = sched.run(trace)
+        assert (report.ok, report.batches) == (295, 51)
+        for second in (sched.run, sched.start):
+            with pytest.raises(SimulationError,
+                               match="already served a session"):
+                second(trace)
+
+    def test_start_alone_opens_the_session(self):
+        sched = Scheduler(DevicePool(2, seed=0), SchedulerConfig())
+        sched.start([job(0)])
+        with pytest.raises(SimulationError,
+                           match="already served a session"):
+            sched.start([job(1)])
+
+
 class TestEventEngine:
     def test_event_counters_populate_report(self):
         results, report = run([job(i, arrival=i * 2000.0)
