@@ -127,6 +127,21 @@ def _write_trace(tracer, path) -> None:
     print(f"trace written: {path} ({len(tracer)} spans, {nbytes} bytes)")
 
 
+def _check_invariants(tracer) -> int:
+    """Run the trace invariant suite: print the first violations and
+    return exit code 1, or print ``ok`` and return 0."""
+    from repro.observe import check_trace
+    violations = check_trace(tracer)
+    if violations:
+        for v in violations[:10]:
+            print(f"violation: {v}", file=sys.stderr)
+        print(f"trace invariants: {len(violations)} violation(s)",
+              file=sys.stderr)
+        return 1
+    print("trace invariants: ok")
+    return 0
+
+
 def _print_fault_counters(report) -> None:
     injected = report.counters.get("faults_injected")
     if not injected:
@@ -273,21 +288,15 @@ def cmd_serve(args) -> int:
     if args.trace or args.check:
         from repro.observe import Tracer
         tracer = Tracer()
-    workload = None
-    n_requests = args.requests
     if args.trace_file:
         workload = load_trace(args.trace_file)
-        n_requests = len(workload)
-    elif args.shape != "exponential" or args.record:
-        # Build the trace explicitly (same spec serve() would build)
-        # so shaped arrivals apply and --record can capture exactly
-        # what is served.  The plain default path stays inside serve()
-        # untouched — the fingerprint corpus pins it.
-        workload = make_trace(TraceSpec(n_requests=n_requests,
+    else:
+        workload = make_trace(TraceSpec(n_requests=args.requests,
                                         seed=args.seed,
                                         scale=args.scale,
                                         shape=args.shape))
-    if args.record and workload is not None:
+    n_requests = len(workload)
+    if args.record:
         nbytes = dump_trace(workload, args.record)
         print(f"trace recorded: {args.record} ({len(workload)} jobs, "
               f"{nbytes} bytes)")
@@ -356,17 +365,7 @@ def cmd_serve(args) -> int:
         for r in failures[:5]:
             print(f"job {r.job_id} FAILED: {r.error}", file=sys.stderr)
         return 4
-    if args.check:
-        from repro.observe import check_trace
-        violations = check_trace(tracer)
-        if violations:
-            for v in violations[:10]:
-                print(f"violation: {v}", file=sys.stderr)
-            print(f"trace invariants: {len(violations)} violation(s)",
-                  file=sys.stderr)
-            return 1
-        print("trace invariants: ok")
-    return 0
+    return _check_invariants(tracer) if args.check else 0
 
 
 def cmd_cache(args) -> int:
@@ -430,12 +429,7 @@ def cmd_trace(args) -> int:
     check visibly).
     """
     from repro.core import Alrescha, AlreschaConfig, KernelType
-    from repro.observe import (
-        Tracer,
-        attribution_table,
-        check_trace,
-        write_chrome_trace,
-    )
+    from repro.observe import Tracer, attribution_table, write_chrome_trace
     from repro.solvers import AcceleratorBackend, pcg
 
     tracer = Tracer()
@@ -464,16 +458,7 @@ def cmd_trace(args) -> int:
     if args.out:
         nbytes = write_chrome_trace(tracer, args.out)
         print(f"trace written: {args.out} ({nbytes} bytes)")
-    if args.check:
-        violations = check_trace(tracer)
-        if violations:
-            for v in violations[:10]:
-                print(f"violation: {v}", file=sys.stderr)
-            print(f"trace invariants: {len(violations)} violation(s)",
-                  file=sys.stderr)
-            return 1
-        print("trace invariants: ok")
-    return 0
+    return _check_invariants(tracer) if args.check else 0
 
 
 def cmd_experiment(args) -> int:
