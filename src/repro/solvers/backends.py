@@ -59,6 +59,15 @@ def _as_csr(matrix) -> sp.csr_matrix:
         np.asarray(matrix, dtype=np.float64))
 
 
+def reverse_order(matrix) -> sp.csr_matrix:
+    """``P A P`` as a float64 CSR matrix, ``P`` reversing the row order:
+    what the ``symgs-reversed`` program runs on, and what a stored
+    artifact's ``"transform": "reverse"`` source names."""
+    csr = _as_csr(matrix)
+    perm = np.arange(csr.shape[0])[::-1]
+    return csr[perm][:, perm].tocsr()
+
+
 #: The programs a PCG solve runs on, in binding order: SpMV, the
 #: forward SymGS sweep, and SymGS on the order-reversed matrix (the
 #: backward sweep of the symmetric smoother).
@@ -74,9 +83,7 @@ def program_image(program: str, matrix, config: AlreschaConfig,
     """
     kernel = KernelType.SPMV if program == "spmv" else KernelType.SYMGS
     if program == "symgs-reversed":
-        csr = _as_csr(matrix)
-        perm = np.arange(csr.shape[0])[::-1]
-        matrix = csr[perm][:, perm].tocsr()
+        matrix = reverse_order(matrix)
         source = None if source is None else {**source,
                                               "transform": "reverse"}
     return Alrescha.from_matrix(kernel, matrix, config=config,

@@ -594,9 +594,6 @@ def _load_source(source: Dict[str, object]):
     matrix = load_dataset(str(source["dataset"]),
                           scale=float(source["scale"])).matrix
     if source.get("transform") == "reverse":
-        import scipy.sparse as sp
-        csr = (matrix.tocsr() if sp.issparse(matrix)
-               else sp.csr_matrix(np.asarray(matrix, dtype=np.float64)))
-        perm = np.arange(csr.shape[0])[::-1]
-        matrix = csr[perm][:, perm].tocsr()
+        from repro.solvers.backends import reverse_order
+        matrix = reverse_order(matrix)
     return matrix

@@ -199,6 +199,46 @@ class TestVerify:
         assert [k for k, _ in problems] == [key]
         assert "differ" in problems[0][1]
 
+    def test_reversed_artifact_recompiles_through_its_transform(
+            self, tmp_path):
+        """A PCG backend programs its backward sweep on the
+        order-reversed matrix and records ``transform: reverse`` in
+        that artifact's source; verify recompiles it through the same
+        reversal.  af_shell changes under reversal (three distinct
+        artifacts, where stencil27 stores two), so a verify that
+        skipped the transform would flag the clean artifact."""
+        from repro.datasets import load_dataset
+        from repro.solvers import AcceleratorBackend
+
+        source = {"dataset": "af_shell", "scale": 0.05}
+        store = ArtifactStore(tmp_path)
+        AcceleratorBackend(load_dataset("af_shell", scale=0.05).matrix,
+                           config=AlreschaConfig(artifact_store=store),
+                           source=source)
+        sources = {key: store.entry_info(key)["source"]
+                   for key in store.keys()}
+        assert len(sources) == 3
+        reversed_keys = [key for key, src in sources.items()
+                         if src.get("transform") == "reverse"]
+        assert len(reversed_keys) == 1
+        assert sources[reversed_keys[0]] == {**source,
+                                             "transform": "reverse"}
+        assert store.verify() == []
+
+        # Forge the reversed artifact with valid checksums throughout.
+        path = tmp_path / f"{reversed_keys[0]}.alra"
+        manifest, sections = unpack_envelope(path.read_bytes())
+        blocks = np.frombuffer(sections["bcsr_blocks"],
+                               dtype="<f8").copy()
+        blocks[np.flatnonzero(blocks)[0]] *= 2.0
+        sections["bcsr_blocks"] = blocks.tobytes()
+        manifest.pop("sections", None)
+        path.write_bytes(pack_envelope(manifest, sections))
+
+        problems = ArtifactStore(tmp_path).verify()
+        assert [k for k, _ in problems] == reversed_keys
+        assert "differ" in problems[0][1]
+
 
 class TestCacheVerifyCLI:
     def test_clean_store_exits_zero(self, primed, capsys):
