@@ -86,13 +86,11 @@ class PassArtifacts:
     """Lowered per-block vectors and segment boundaries of one pass.
 
     These are the honest compile outputs (beyond the stacked blocks and
-    the report template): per-block stream and compute cycle vectors in
-    execution order, the block-row segmentation, and the one-shot
-    payload accounting for the whole stream.
+    the report template): the per-block compute cycle vector in
+    execution order, which the template check sums, and the block-row
+    segmentation.
     """
 
-    #: Memory-side cycles per streamed block, execution order.
-    stream_cycles_per_block: np.ndarray
     #: Engine-side cycles per block, execution order.
     compute_cycles_per_block: np.ndarray
     #: Offset of each block row's first block in the stacked tensors.
@@ -101,9 +99,6 @@ class PassArtifacts:
     seg_len: np.ndarray
     #: Block-row index of each segment (scatter target).
     out_rows: np.ndarray
-    #: Cycles to stream the whole payload as one contiguous block run
-    #: (:meth:`~repro.sim.memory.StreamingMemory.stream_block_run`).
-    payload_stream_cycles: float
 
 
 def _padded_length(n: int, omega: int) -> Tuple[int, int]:
@@ -740,7 +735,6 @@ def _capture_template(acc, kind: str, k: Optional[int] = None
 def _compile_streaming(acc, kind: str) -> CompiledStreamingPass:
     n, w = acc.n, acc.config.omega
     timing = acc.config.timing()
-    spb = timing.stream_cycles_per_block()
     lanes = np.arange(w)
     blocks, gather, src_base, checksums = [], [], [], []
     seg_len, out_rows = [], []
@@ -757,11 +751,10 @@ def _compile_streaming(acc, kind: str) -> CompiledStreamingPass:
             src_base.append(op.inx_in)
             checksums.append(op.checksum)
             compute.append(timing.compute_cycles_per_block(op.dp))
-    m = len(blocks)
     return CompiledStreamingPass(
         kind, n, w, src_base=np.asarray(src_base, dtype=np.int64),
         **_lowered(acc, kind, blocks, gather, checksums, seg_len, out_rows,
-                   [spb] * m, compute, n_requests=m))
+                   compute, n_requests=len(blocks)))
 
 
 def _compile_symgs(acc) -> CompiledSymgsPass:
@@ -770,13 +763,12 @@ def _compile_symgs(acc) -> CompiledSymgsPass:
     if diag is None:
         raise SimulationError("programmed matrix lacks SymGS layout")
     timing = acc.config.timing()
-    spb = timing.stream_cycles_per_block()
     _nbr, npad = _padded_length(n, w)
     lanes = np.arange(w)
     blocks, gather, checksums = [], [], []
     rows: List[_SymgsRow] = []
     seg_len, out_rows = [], []
-    stream_vec, compute_vec = [], []
+    compute_vec = []
     n_requests = 0
     for group in acc.image.rows:
         seg_start = len(blocks)
@@ -786,7 +778,6 @@ def _compile_symgs(acc) -> CompiledSymgsPass:
             idx = op.inx_in + (lanes[::-1] if op.reversed_cols else lanes)
             gather.append(plane * npad + idx)
             checksums.append(op.checksum)
-            stream_vec.append(spb)
             compute_vec.append(timing.compute_cycles_per_block(op.dp))
             n_requests += 1
         body = None
@@ -797,7 +788,6 @@ def _compile_symgs(acc) -> CompiledSymgsPass:
             body = group.diagonal.values
             body_checksum = group.diagonal.checksum
             refetch = (not acc.conversion.reordered) and group.streaming
-            stream_vec.append(2.0 * spb if refetch else spb)
             n_requests += 2 if refetch else 1
             compute_vec.append(
                 timing.compute_cycles_per_block(DataPathType.D_SYMGS))
@@ -810,11 +800,11 @@ def _compile_symgs(acc) -> CompiledSymgsPass:
     return CompiledSymgsPass(
         n, w, rows=rows, diag=diag,
         **_lowered(acc, "symgs", blocks, gather, checksums, seg_len,
-                   out_rows, stream_vec, compute_vec, n_requests))
+                   out_rows, compute_vec, n_requests))
 
 
 def _lowered(acc, kind: str, blocks, gather, checksums, seg_len, out_rows,
-             stream_vec, compute_vec, n_requests: int) -> dict:
+             compute_vec, n_requests: int) -> dict:
     """Stack a lowered pass, capture and verify its report template,
     and return the constructor keywords every compiled pass shares."""
     w = acc.config.omega
@@ -826,12 +816,10 @@ def _lowered(acc, kind: str, blocks, gather, checksums, seg_len, out_rows,
     mem = acc.config.make_memory()
     padded_block_bytes = mem._padded_bytes(block_bytes)
     artifacts = PassArtifacts(
-        stream_cycles_per_block=np.asarray(stream_vec, dtype=np.float64),
         compute_cycles_per_block=np.asarray(compute_vec, dtype=np.float64),
         seg_start=seg_start,
         seg_len=seg_len_arr,
         out_rows=np.asarray(out_rows, dtype=np.int64),
-        payload_stream_cycles=mem.stream_block_run(n_requests, block_bytes),
     )
     template, span_template = _capture_template(acc, kind)
     _verify_against_template(kind, artifacts, template, n_requests)

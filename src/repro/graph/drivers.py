@@ -71,34 +71,12 @@ def run_bfs(adj: sp.spmatrix, src: int,
     dist = np.full(n, np.inf)
     dist[src] = 0.0
     if not return_parents:
-        return _relax_to_fixpoint(acc.run_bfs_pass, dist, max_passes or n,
-                                  kernel="bfs")
+        return _relax_to_fixpoint(acc.run_bfs_pass, (dist,),
+                                  max_passes or n, kernel="bfs")
     parent = np.full(n, -1, dtype=np.int64)
     parent[src] = src
-    reports = []
-    converged = False
-    passes = 0
-    for _ in range(max_passes or n):
-        passes += 1
-        new_dist, new_parent, report = acc.run_bfs_pass_parents(
-            dist, parent)
-        reports.append(report)
-        if np.array_equal(
-            np.nan_to_num(new_dist, posinf=-1.0),
-            np.nan_to_num(dist, posinf=-1.0),
-        ):
-            converged = True
-            dist, parent = new_dist, new_parent
-            break
-        dist, parent = new_dist, new_parent
-    result = GraphResult(
-        values=dist,
-        iterations=passes,
-        converged=converged,
-        report=combine(reports, kernel="bfs"),
-    )
-    result.parents = parent
-    return result
+    return _relax_to_fixpoint(acc.run_bfs_pass_parents, (dist, parent),
+                              max_passes or n, kernel="bfs")
 
 
 def run_sssp(adj: sp.spmatrix, src: int,
@@ -113,32 +91,39 @@ def run_sssp(adj: sp.spmatrix, src: int,
         raise DatasetError(f"source {src} out of range for n={n}")
     dist = np.full(n, np.inf)
     dist[src] = 0.0
-    return _relax_to_fixpoint(acc.run_sssp_pass, dist, max_passes or n,
+    return _relax_to_fixpoint(acc.run_sssp_pass, (dist,), max_passes or n,
                               kernel="sssp")
 
 
-def _relax_to_fixpoint(pass_fn, dist: np.ndarray, max_passes: int,
+def _relax_to_fixpoint(pass_fn, state, max_passes: int,
                        kernel: str) -> GraphResult:
+    """Run relaxation passes until the distances stop changing.
+
+    ``state`` is ``(dist,)``, or ``(dist, parent)`` when the passes
+    carry BFS-tree tags; ``pass_fn(*state)`` returns the next state
+    followed by the pass's report.
+    """
     reports = []
     converged = False
     passes = 0
     for _ in range(max_passes):
         passes += 1
-        new, report = pass_fn(dist)
+        *new, report = pass_fn(*state)
         reports.append(report)
-        if np.array_equal(
-            np.nan_to_num(new, posinf=-1.0),
-            np.nan_to_num(dist, posinf=-1.0),
-        ):
+        unchanged = np.array_equal(
+            np.nan_to_num(new[0], posinf=-1.0),
+            np.nan_to_num(state[0], posinf=-1.0),
+        )
+        state = new
+        if unchanged:
             converged = True
-            dist = new
             break
-        dist = new
     return GraphResult(
-        values=dist,
+        values=state[0],
         iterations=passes,
         converged=converged,
         report=combine(reports, kernel=kernel),
+        parents=state[1] if len(state) > 1 else None,
     )
 
 

@@ -277,7 +277,6 @@ class PassTraceBuilder:
         self._row_id: Optional[int] = None
         # Current data-path segment (streaming-pass mode).
         self._seg_dp: Optional[str] = None
-        self._seg_begin = self.t0
         self._seg_compute = 0.0
         self._seg_stream = 0.0
         self._seg_blocks = 0
@@ -346,7 +345,6 @@ class PassTraceBuilder:
             self.reconfigure(dp, prev, drain, reconfig, exposed, hidden)
         self.fill(dp, fill)
         self._seg_dp = dp
-        self._seg_begin = self.t
 
     def block(self, compute: float, stream: float) -> None:
         """Accumulate one streamed block into the running segment."""

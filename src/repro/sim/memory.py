@@ -118,8 +118,6 @@ class StreamingMemory:
 
         Counter-for-counter equivalent to ``n_blocks`` sequential
         :meth:`stream_cycles` calls of ``block_bytes`` each, in O(1).
-        The compiled plan layer (:mod:`repro.core.plan`) accounts a whole
-        pass's payload stream with one call to this method.
         """
         if n_blocks < 0:
             raise SimulationError(f"cannot stream {n_blocks} blocks")
