@@ -92,7 +92,16 @@ from __future__ import annotations
 import bisect
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    AbstractSet,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.errors import (
     ConfigError,
@@ -316,12 +325,12 @@ class Scheduler:
     """
 
     # ---- what the trace determines, set by :meth:`start` (the class
-    # defaults mark a session not yet started)
+    # defaults, empty and immutable, read as a session not yet started)
     #: Ids of every job given to the session, by the trace or by
     #: :meth:`add_job`.
-    _seen: Set[int]
+    _seen: AbstractSet[int] = frozenset()
     #: Jobs not yet admitted, in ``(arrival_cycle, job_id)`` order.
-    _arrivals: deque
+    _arrivals: Sequence[Job] = ()
     #: The trace's jobs in arrival order whose ARRIVAL event is not
     #: pushed yet, and the one armed ARRIVAL on the heap (see
     #: :meth:`_arm_arrival`).
