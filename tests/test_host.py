@@ -37,6 +37,15 @@ class TestCompile:
         with pytest.raises(ConfigError):
             load_kernel(str(tmp_path / "nope"))
 
+    def test_reordered_program_header_holds_bare_kernel_code(
+            self, spd_medium):
+        """Only the §4.1-order ablation marks the program header, so a
+        reordered program's kernel byte is the plain kernel code."""
+        compiled = compile_kernel(KernelType.SYMGS, spd_medium)
+        assert compiled.reordered is True
+        assert compiled.program[4] == list(KernelType).index(
+            KernelType.SYMGS)
+
 
 class TestProgramAccelerator:
     def test_spmv_bit_identical(self, spd_medium, rng):
@@ -66,6 +75,28 @@ class TestProgramAccelerator:
         y, report = acc.run_spmv(x)
         np.testing.assert_allclose(y, spd_medium @ x, atol=1e-9)
         assert report.cycles > 0
+
+    def test_loaded_ablation_keeps_natural_order(self, tmp_path):
+        """A reorder-ablation SymGS kernel saved and reloaded costs what
+        the same kernel programmed directly costs: the program bytes
+        carry the order flag."""
+        from repro.datasets import load_dataset
+
+        matrix = load_dataset("stencil27", scale=0.1).matrix
+        n = matrix.shape[0]
+        compile_kernel(KernelType.SYMGS, matrix, reorder=False).save(
+            str(tmp_path / "natural"))
+        loaded = load_kernel(str(tmp_path / "natural"))
+        assert loaded.reordered is False
+        b, x0 = np.ones(n), np.zeros(n)
+        direct = Alrescha.from_matrix(KernelType.SYMGS, matrix,
+                                      reorder=False)
+        x1, want = direct.run_symgs_sweep(b, x0)
+        x2, got = program_accelerator(loaded).run_symgs_sweep(b, x0)
+        np.testing.assert_array_equal(x1, x2)
+        assert got == want
+        assert got.cycles == pytest.approx(3835.3, abs=0.05)
+        assert got.counters.get("dram_requests") == 262
 
     def test_metadata_mismatch_detected(self, spd_medium):
         good = compile_kernel(KernelType.SPMV, spd_medium)
