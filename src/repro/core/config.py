@@ -115,12 +115,19 @@ class ConfigTable:
     """An ordered sequence of :class:`ConfigEntry` rows plus bit budget."""
 
     def __init__(self, n: int, omega: int,
-                 entries: Sequence[ConfigEntry] = ()) -> None:
+                 entries: Sequence[ConfigEntry] = (),
+                 reordered: bool = True) -> None:
         if n <= 0 or omega <= 0:
             raise ConfigError(f"invalid table dimensions n={n}, omega={omega}")
         self.n = int(n)
         self.omega = int(omega)
         self._entries: List[ConfigEntry] = list(entries)
+        #: Whether the rows follow the data-path reordering of §4.1
+        #: (False only for the SymGS ablation).  Without it, a SymGS
+        #: row's diagonal block streams past before the row's trailing
+        #: GEMV partials exist and must be re-fetched, with two extra
+        #: data-path toggles.  The program binary records it.
+        self.reordered = bool(reordered)
 
     # ------------------------------------------------------------------
     # Mutation (used by the conversion algorithm)

@@ -145,7 +145,7 @@ class _Engine:
             kernel=name,
             cycles=total_cycles,
             frequency_hz=cfg.frequency_hz,
-            useful_bytes=float(acc.conversion.bcsr.nnz * cfg.element_bytes),
+            useful_bytes=float(acc.conversion.nnz * cfg.element_bytes),
             streamed_bytes=mem.total_bytes + extra_stream_bytes,
             sequential_cycles=seq_cycles,
             cache_busy_cycles=rcu.cache_busy_cycles,

@@ -20,7 +20,6 @@ from repro.core.config import KernelType
 from repro.core.convert import ConversionResult, convert
 from repro.core.device_image import decode_image, encode_image
 from repro.errors import ConfigError
-from repro.formats import BCSRMatrix
 
 
 @dataclass(frozen=True)
@@ -56,7 +55,7 @@ def compile_kernel(kernel: KernelType, matrix, omega: int = 8,
         kernel=kernel,
         n=conv.table.n,
         omega=omega,
-        nnz=conv.bcsr.nnz,
+        nnz=conv.nnz,
         reordered=conv.reordered,
         program=encode_program(kernel, conv.table),
         image=encode_image(conv.matrix),
@@ -80,7 +79,7 @@ def load_kernel(prefix: str) -> CompiledKernel:
         n=table.n,
         omega=matrix.omega,
         nnz=matrix.nnz,
-        reordered=True,
+        reordered=table.reordered,
         program=program,
         image=image,
     )
@@ -97,17 +96,8 @@ def program_accelerator(compiled: CompiledKernel,
             f"artefact metadata ({compiled.kernel}) disagrees with the "
             f"program binary ({kernel})"
         )
-    # Rebuild the BCSR view (used for useful-byte accounting and
-    # preprocessing-cost estimates) from the reconstructed matrix.
-    bcsr = BCSRMatrix.from_dense(matrix.to_dense(), matrix.omega)
-    conv = ConversionResult(
-        kernel=kernel,
-        omega=matrix.omega,
-        table=table,
-        matrix=matrix,
-        bcsr=bcsr,
-        reordered=compiled.reordered,
-    )
+    conv = ConversionResult(kernel=kernel, omega=matrix.omega,
+                            table=table, matrix=matrix)
     acc = Alrescha(config or AlreschaConfig(omega=matrix.omega))
     acc.program(conv)
     return acc

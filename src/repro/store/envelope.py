@@ -2,10 +2,10 @@
 
 One artifact file holds everything a warm process needs to skip the
 programming phase for one ``(matrix, config, kernel)`` content key: the
-program binary, the device image, the raw BCSR arrays and the captured
-report/span templates.  Sections are opaque byte strings; this module
-only frames them — a fixed header, a canonical-JSON *manifest* (key,
-identity metadata, section directory) and the concatenated payloads.
+program binary, the device image and the captured report/span
+templates.  Sections are opaque byte strings; this module only frames
+them — a fixed header, a canonical-JSON *manifest* (key, identity
+metadata, section directory) and the concatenated payloads.
 
 Layout::
 
@@ -35,7 +35,7 @@ MAGIC = b"ALRA"
 
 #: Schema version of the artifact container.  Bump on any layout or
 #: manifest-shape change; loaders refuse every other version.
-STORE_SCHEMA_VERSION = 1
+STORE_SCHEMA_VERSION = 2
 
 _FIXED = ">4sHHII"  # magic, version, reserved, manifest_len, manifest_crc
 _FIXED_SIZE = struct.calcsize(_FIXED)

@@ -52,9 +52,9 @@ from repro.store.templates import decode_templates, encode_templates
 #: Stored-file suffix; one file per content key.
 ARTIFACT_SUFFIX = ".alra"
 
-#: Sections every artifact must carry.
-_REQUIRED_SECTIONS = ("program", "image", "bcsr_indptr", "bcsr_cols",
-                      "bcsr_blocks", "templates")
+#: Sections every artifact must carry: the two binaries a device runs
+#: (Figure 7) and the captured report/span templates.
+_REQUIRED_SECTIONS = ("program", "image", "templates")
 
 
 # ---------------------------------------------------------------------
@@ -359,13 +359,17 @@ class ArtifactStore:
 
     def _store_artifact(self, key: str, conv: ConversionResult,
                         source: Optional[Dict[str, object]]) -> None:
-        program = encode_program(conv.kernel, conv.table)
-        image = encode_image(conv.matrix)
+        sections = _device_sections(conv)
         self._bump("images_encoded")
-        manifest, sections = _serialize_conversion(key, conv, source)
-        sections["program"] = program
-        sections["image"] = image
         sections["templates"] = encode_templates({})
+        manifest = {
+            "key": key,
+            "kernel": conv.kernel.value,
+            "omega": conv.omega,
+            "n": conv.table.n,
+            "nnz": conv.nnz,
+            "source": source,
+        }
         self._atomic_write(self.path_for(key),
                            pack_envelope(manifest, sections))
         self._bump("artifacts_stored")
@@ -382,7 +386,9 @@ class ArtifactStore:
             return None
         self._bump("bytes_read", len(data))
         try:
-            conv, templates = _deserialize_artifact(data, key)
+            manifest, sections = unpack_envelope(data, context=key)
+            conv, templates = _deserialize_artifact(manifest, sections,
+                                                    key)
         except StoreError as exc:
             if self.on_error == "raise":
                 raise
@@ -408,7 +414,6 @@ class ArtifactStore:
             "n": manifest.get("n"),
             "nnz": manifest.get("nnz"),
             "omega": manifest.get("omega"),
-            "reordered": manifest.get("reordered"),
             "source": manifest.get("source"),
             "templates": sorted(templates),
         }
@@ -455,11 +460,11 @@ class ArtifactStore:
         Every artifact is envelope- and checksum-verified and fully
         decoded.  Artifacts whose manifest records a ``source`` are
         additionally *recompiled* — the dataset is reloaded and run back
-        through Algorithm 1 — and the stored program, image, and BCSR
-        sections byte-diffed against the fresh compile.  Templates are
-        checksum- and schema-verified only: the capture depends on the
-        full runtime configuration, of which the key stores just a
-        fingerprint.
+        through Algorithm 1 with the stored program's ω and order flag —
+        and the stored program and image byte-diffed against the fresh
+        compile.  Templates are checksum- and schema-verified only: the
+        capture depends on the full runtime configuration, of which the
+        key stores just a fingerprint.
         """
         problems: List[Tuple[str, str]] = []
         for key in (keys if keys is not None else self.keys()):
@@ -468,9 +473,10 @@ class ArtifactStore:
                 problems.append((key, "no such artifact"))
                 continue
             try:
-                data = path.read_bytes()
-                conv, _templates = _deserialize_artifact(data, key)
-                manifest, sections = unpack_envelope(data, context=key)
+                manifest, sections = unpack_envelope(path.read_bytes(),
+                                                     context=key)
+                conv, _templates = _deserialize_artifact(
+                    manifest, sections, key)
             except (OSError, ReproError) as exc:
                 problems.append((key, str(exc)))
                 continue
@@ -479,19 +485,13 @@ class ArtifactStore:
                 continue
             try:
                 fresh = convert(conv.kernel, _load_source(source),
-                                omega=manifest["omega"],
-                                reorder=manifest["reordered"])
+                                omega=conv.omega, reorder=conv.reordered)
             except ReproError as exc:
                 problems.append(
                     (key, f"source recompile failed: {exc}"))
                 continue
-            _, fresh_sections = _serialize_conversion(key, fresh, source)
-            fresh_sections["program"] = encode_program(fresh.kernel,
-                                                       fresh.table)
-            fresh_sections["image"] = encode_image(fresh.matrix)
-            for name in ("program", "image", "bcsr_indptr", "bcsr_cols",
-                         "bcsr_blocks"):
-                if sections[name] != fresh_sections[name]:
+            for name, raw in _device_sections(fresh).items():
+                if sections[name] != raw:
                     problems.append(
                         (key, f"section {name!r} differs from a fresh "
                               f"recompile of {source!r}"))
@@ -501,37 +501,16 @@ class ArtifactStore:
 # ---------------------------------------------------------------------
 # Artifact [de]serialization
 # ---------------------------------------------------------------------
-def _serialize_conversion(key: str, conv: ConversionResult,
-                          source: Optional[Dict[str, object]]
-                          ) -> Tuple[Dict[str, object], Dict[str, bytes]]:
-    """Manifest + BCSR sections of a conversion (program/image/templates
-    are added by the caller)."""
-    bcsr = conv.bcsr
-    manifest: Dict[str, object] = {
-        "key": key,
-        "kernel": conv.kernel.value,
-        "omega": conv.omega,
-        "n": conv.matrix.shape[0],
-        "shape": [int(conv.matrix.shape[0]), int(conv.matrix.shape[1])],
-        "nnz": int(bcsr.nnz),
-        "reordered": bool(conv.reordered),
-        "source": source,
-    }
-    sections = {
-        "bcsr_indptr": np.ascontiguousarray(
-            bcsr.block_indptr, dtype="<i8").tobytes(),
-        "bcsr_cols": np.ascontiguousarray(
-            bcsr.block_cols, dtype="<i8").tobytes(),
-        "bcsr_blocks": np.ascontiguousarray(
-            bcsr.blocks, dtype="<f8").tobytes(),
-    }
-    return manifest, sections
+def _device_sections(conv: ConversionResult) -> Dict[str, bytes]:
+    """The program binary and device image of a conversion."""
+    return {"program": encode_program(conv.kernel, conv.table),
+            "image": encode_image(conv.matrix)}
 
 
-def _deserialize_artifact(data: bytes, key: str
+def _deserialize_artifact(manifest: Dict[str, object],
+                          sections: Dict[str, bytes], key: str
                           ) -> Tuple[ConversionResult, Dict[str, tuple]]:
-    """Decode and cross-verify a stored artifact's bytes."""
-    manifest, sections = unpack_envelope(data, context=key)
+    """Decode and cross-verify an unpacked artifact's sections."""
     missing = [s for s in _REQUIRED_SECTIONS if s not in sections]
     if missing:
         raise StoreCorruptionError(
@@ -543,46 +522,18 @@ def _deserialize_artifact(data: bytes, key: str
         raise StoreCorruptionError(
             f"{key}: stored binary rejected by its decoder "
             f"({exc})") from exc
-    omega = manifest.get("omega")
-    shape = manifest.get("shape")
-    if (not isinstance(omega, int) or not isinstance(shape, list)
-            or len(shape) != 2):
-        raise StoreCorruptionError(
-            f"{key}: manifest omega/shape malformed")
-    indptr = np.frombuffer(sections["bcsr_indptr"],
-                           dtype="<i8").astype(np.int64)
-    cols = np.frombuffer(sections["bcsr_cols"],
-                         dtype="<i8").astype(np.int64)
-    raw_blocks = sections["bcsr_blocks"]
-    n_blocks = len(cols)
-    if len(raw_blocks) != n_blocks * omega * omega * 8:
-        raise StoreCorruptionError(
-            f"{key}: BCSR block payload has {len(raw_blocks)} bytes, "
-            f"expected {n_blocks * omega * omega * 8}")
-    blocks = np.frombuffer(raw_blocks, dtype="<f8").astype(
-        np.float64).reshape(n_blocks, omega, omega)
-    try:
-        bcsr = BCSRMatrix((int(shape[0]), int(shape[1])), omega,
-                          indptr, cols, blocks)
-    except ReproError as exc:
-        raise StoreCorruptionError(
-            f"{key}: stored BCSR arrays are inconsistent "
-            f"({exc})") from exc
     if kernel.value != manifest.get("kernel"):
         raise StoreCorruptionError(
             f"{key}: program kernel {kernel.value!r} disagrees with "
             f"manifest {manifest.get('kernel')!r}")
-    if matrix.omega != omega or matrix.shape != (shape[0], shape[1]):
+    geometry = (table.omega, table.n)
+    if ((matrix.omega, matrix.shape[0]) != geometry
+            or (manifest.get("omega"), manifest.get("n")) != geometry):
         raise StoreCorruptionError(
-            f"{key}: device image geometry disagrees with manifest")
-    if int(bcsr.nnz) != manifest.get("nnz"):
-        raise StoreCorruptionError(
-            f"{key}: BCSR nnz {bcsr.nnz} disagrees with manifest "
-            f"{manifest.get('nnz')}")
-    conv = ConversionResult(kernel=kernel, omega=omega, table=table,
-                            matrix=matrix, bcsr=bcsr,
-                            reordered=bool(manifest.get("reordered",
-                                                        True)))
+            f"{key}: device image or manifest geometry disagrees with "
+            f"the program (omega, n) {geometry}")
+    conv = ConversionResult(kernel=kernel, omega=table.omega, table=table,
+                            matrix=matrix)
     templates = decode_templates(sections["templates"],
                                  context=f"{key} templates")
     return conv, templates

@@ -54,7 +54,8 @@ class TestSpMVExecution:
         acc = Alrescha.from_matrix(KernelType.SPMV, spd_medium)
         _y, report = acc.run_spmv(rng.normal(size=70))
         assert report.cycles > 0
-        assert report.useful_bytes == acc.conversion.bcsr.nnz * 8
+        assert report.useful_bytes == acc.conversion.nnz * 8
+        assert acc.conversion.nnz == np.count_nonzero(spd_medium)
         assert report.streamed_bytes >= report.useful_bytes
         assert 0.0 < report.bandwidth_utilization <= 1.0
         assert report.sequential_cycles == 0.0

@@ -64,12 +64,16 @@ class TestProgramRoundTrip:
             assert a == b
 
     def test_symgs_program(self, spd_medium):
-        conv = convert(KernelType.SYMGS, spd_medium, omega=8)
-        blob = encode_program(KernelType.SYMGS, conv.table)
-        kernel, table2 = decode_program(blob)
-        assert kernel is KernelType.SYMGS
-        for a, b in zip(conv.table, table2):
-            assert a == b
+        for reorder in (True, False):
+            conv = convert(KernelType.SYMGS, spd_medium, omega=8,
+                           reorder=reorder)
+            blob = encode_program(KernelType.SYMGS, conv.table)
+            kernel, table2 = decode_program(blob)
+            assert kernel is KernelType.SYMGS
+            assert table2.reordered is reorder
+            assert len(table2) == len(conv.table)
+            for a, b in zip(conv.table, table2):
+                assert a == b
 
     def test_decoded_program_runs_identically(self, spd_medium, rng):
         """A table shipped through the binary produces bit-identical
@@ -82,8 +86,9 @@ class TestProgramRoundTrip:
         _k, table2 = decode_program(blob)
         conv2 = ConversionResult(
             kernel=conv.kernel, omega=conv.omega, table=table2,
-            matrix=conv.matrix, bcsr=conv.bcsr, reordered=conv.reordered,
+            matrix=conv.matrix,
         )
+        assert conv2.reordered is conv.reordered is True
         b = rng.normal(size=70)
         x0 = rng.normal(size=70)
         acc1 = Alrescha()

@@ -112,13 +112,23 @@ class TestConversionResult:
         small = convert(KernelType.SPMV, spd_small, omega=8)
         large = convert(KernelType.SPMV, spd_medium, omega=8)
         assert small.preprocess_cycles() < large.preprocess_cycles()
+        assert small.nnz == np.count_nonzero(spd_small)
         assert small.preprocess_cycles() == pytest.approx(
-            4.0 * small.bcsr.nnz)
+            4.0 * small.nnz)
 
     def test_accepts_prebuilt_bcsr(self, spd_small):
+        """A prebuilt BCSR is taken as is: the stream holds its blocks,
+        in its order, with its values."""
         bcsr = BCSRMatrix.from_dense(spd_small, 8)
         conv = convert(KernelType.SPMV, bcsr, omega=8)
-        assert conv.bcsr is bcsr
+        want = [(i, j, blk) for i in range(bcsr.n_block_rows)
+                for j, blk in bcsr.block_row(i)]
+        got = list(conv.matrix.stream())
+        assert [(b.block_row, b.block_col) for b in got] \
+            == [(i, j) for i, j, _ in want]
+        for b, (_i, _j, blk) in zip(got, want):
+            np.testing.assert_array_equal(b.values, blk)
+        assert conv.nnz == bcsr.nnz
 
     def test_omega_mismatch_with_bcsr(self, spd_small):
         bcsr = BCSRMatrix.from_dense(spd_small, 4)
@@ -131,8 +141,9 @@ class TestConversionResult:
 
     def test_accepts_scipy(self, small_digraph):
         conv = convert(KernelType.SPMV, small_digraph, omega=4)
-        np.testing.assert_allclose(conv.bcsr.to_dense(),
+        np.testing.assert_allclose(conv.matrix.to_dense(),
                                    small_digraph.toarray())
+        assert conv.nnz == small_digraph.nnz
 
     def test_stream_matches_table_when_reordered(self, spd_medium):
         """The storage format's stream order equals the table order."""

@@ -61,8 +61,9 @@ class TestExecutionFromImage:
         matrix = decode_image(image)
         conv2 = ConversionResult(
             kernel=kernel, omega=matrix.omega, table=table,
-            matrix=matrix, bcsr=conv.bcsr, reordered=conv.reordered,
+            matrix=matrix,
         )
+        assert conv2.nnz == conv.nnz
         b = rng.normal(size=70)
         x0 = rng.normal(size=70)
         acc1 = Alrescha()

@@ -35,7 +35,7 @@ class TestCorruptedPrograms:
         ))
         bad = ConversionResult(
             kernel=conv.kernel, omega=conv.omega, table=bad_table,
-            matrix=conv.matrix, bcsr=conv.bcsr,
+            matrix=conv.matrix,
         )
         acc = Alrescha()
         present = {(b.block_row, b.block_col)

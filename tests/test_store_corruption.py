@@ -19,7 +19,7 @@ import pytest
 
 from repro.core.accelerator import AlreschaConfig
 from repro.core.config import KernelType
-from repro.core.device_image import encode_image
+from repro.core.device_image import decode_image, encode_image
 from repro.errors import StoreCorruptionError, StoreError, StoreVersionError
 from repro.host.compile import encode_program
 from repro.store import (
@@ -44,6 +44,22 @@ def primed(tmp_path, matrix):
     store = ArtifactStore(tmp_path)
     _, key = store.conversion(KernelType.SPMV, matrix, AlreschaConfig())
     return tmp_path, key
+
+
+def _forge_image_payload(path):
+    """Double one stored matrix value inside an artifact's device image,
+    re-stamping that block's CRC in the image and every envelope CRC:
+    no checksum can catch the forgery."""
+    manifest, sections = unpack_envelope(path.read_bytes())
+    image = decode_image(sections["image"])
+    block = next(b for b in image.stream() if b.values.any())
+    flat = block.values.reshape(-1)
+    flat[np.flatnonzero(flat)[0]] *= 2.0
+    forged = encode_image(image)
+    assert forged != sections["image"]
+    sections["image"] = forged
+    manifest.pop("sections", None)
+    path.write_bytes(pack_envelope(manifest, sections))
 
 
 def _bump_version(path):
@@ -184,20 +200,11 @@ class TestVerify:
             source={"dataset": "stencil27", "scale": 0.02})
         assert store.verify() == []
 
-        # Forge: perturb one block value, repack with correct
-        # checksums throughout.
-        path = tmp_path / f"{key}.alra"
-        manifest, sections = unpack_envelope(path.read_bytes())
-        blocks = np.frombuffer(sections["bcsr_blocks"],
-                               dtype="<f8").copy()
-        blocks[np.flatnonzero(blocks)[0]] *= 2.0
-        sections["bcsr_blocks"] = blocks.tobytes()
-        manifest.pop("sections", None)
-        path.write_bytes(pack_envelope(manifest, sections))
+        _forge_image_payload(tmp_path / f"{key}.alra")
 
         problems = ArtifactStore(tmp_path).verify()
         assert [k for k, _ in problems] == [key]
-        assert "differ" in problems[0][1]
+        assert "'image' differs" in problems[0][1]
 
     def test_reversed_artifact_recompiles_through_its_transform(
             self, tmp_path):
@@ -225,19 +232,11 @@ class TestVerify:
                                              "transform": "reverse"}
         assert store.verify() == []
 
-        # Forge the reversed artifact with valid checksums throughout.
-        path = tmp_path / f"{reversed_keys[0]}.alra"
-        manifest, sections = unpack_envelope(path.read_bytes())
-        blocks = np.frombuffer(sections["bcsr_blocks"],
-                               dtype="<f8").copy()
-        blocks[np.flatnonzero(blocks)[0]] *= 2.0
-        sections["bcsr_blocks"] = blocks.tobytes()
-        manifest.pop("sections", None)
-        path.write_bytes(pack_envelope(manifest, sections))
+        _forge_image_payload(tmp_path / f"{reversed_keys[0]}.alra")
 
         problems = ArtifactStore(tmp_path).verify()
         assert [k for k, _ in problems] == reversed_keys
-        assert "differ" in problems[0][1]
+        assert "'image' differs" in problems[0][1]
 
 
 class TestCacheVerifyCLI:
