@@ -118,8 +118,3 @@ KERNEL_DATAPATH_MAPPING = {
     KernelType.SSSP: DataPathType.D_SSSP,
     KernelType.PAGERANK: DataPathType.D_PR,
 }
-
-
-def implemented_datapaths_for(kernel: KernelType, conversion) -> set:
-    """Data-path names a conversion actually emitted, for Table 1 checks."""
-    return {entry.dp.value for entry in conversion.table}

@@ -34,11 +34,6 @@ class RooflinePoint:
     achieved_gflops: float
 
     @property
-    def roof_bound(self) -> str:
-        """Which roof caps this point."""
-        return "memory" if self.attainable_gflops < 0.999 * 1e30 else "compute"
-
-    @property
     def efficiency(self) -> float:
         """Achieved over attainable."""
         if self.attainable_gflops <= 0:

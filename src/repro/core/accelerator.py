@@ -154,7 +154,6 @@ class AlreschaConfig:
     #: the streaming plans (SpMV, batched SpMV, D-BFS, D-SSSP, D-PR)
     #: are checked; the SymGS and parent-tracking D-BFS plans are not.
     crosscheck_rows: float = 0.0
-    crosscheck_seed: int = 1
     #: Cross-check mismatches tolerated before the accelerator degrades
     #: plans to the interpreter with checksums forced on.
     crosscheck_threshold: int = 1

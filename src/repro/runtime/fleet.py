@@ -446,7 +446,11 @@ class Fleet:
                 # outage onset completed.
                 i = best[1]
                 self.scheds[i].advance()
-                self._drain_evictions(i)
+                if self.scheds[i].pool_down:
+                    # Only a dark pool evicts in advance (the arrivals
+                    # it cannot admit); begin_outage's evictions are
+                    # drained by _apply_outage.
+                    self._drain_evictions(i)
                 continue
             event = self._events.pop()
             if event.kind == EventKind.POOL_OUTAGE:

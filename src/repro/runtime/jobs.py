@@ -44,6 +44,10 @@ TRACE_SHAPES = ("exponential", "bursty", "diurnal", "zipf")
 #: passes; ``pcg`` is a short full solve (SpMV + SymGS inner loop).
 JOB_KERNELS = ("spmv", "symgs", "pcg")
 
+#: Priority classes :func:`make_trace` draws, and their weights.
+PRIORITIES = (0, 1, 2)
+PRIORITY_WEIGHTS = (0.7, 0.2, 0.1)
+
 
 class JobStatus(enum.Enum):
     """Terminal status of a served job."""
@@ -142,9 +146,6 @@ class TraceSpec:
     #: rejected at admission; the trace includes them so admission
     #: control is exercised under every seed).
     zero_deadline_prob: float = 0.02
-    #: Priority classes and their sampling weights.
-    priorities: Tuple[int, ...] = (0, 1, 2)
-    priority_weights: Tuple[float, ...] = (0.7, 0.2, 0.1)
     #: Arrival/popularity shape: ``"exponential"`` (the historical
     #: plain-Poisson draw sequence, byte-identical to pre-shape
     #: traces) or a ``+``-combination of ``bursty``/``diurnal``/
@@ -251,8 +252,7 @@ def make_trace(spec: TraceSpec) -> List[Job]:
             deadline = 0.0
         else:
             deadline = rng.uniform(*spec.deadline_range)
-        priority = rng.choices(spec.priorities,
-                               weights=spec.priority_weights)[0]
+        priority = rng.choices(PRIORITIES, weights=PRIORITY_WEIGHTS)[0]
         jobs.append(Job(
             job_id=i,
             kernel=kernel,

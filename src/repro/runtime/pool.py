@@ -366,17 +366,12 @@ class Device:
     images the first time it serves each workload.
     """
 
-    def __init__(self, device_id: int, fault_model: Optional[FaultModel],
-                 health_window: int = DEFAULT_HEALTH_WINDOW,
-                 failure_threshold: float = DEFAULT_FAILURE_THRESHOLD,
-                 min_samples: int = DEFAULT_MIN_SAMPLES,
-                 cooldown_cycles: float = DEFAULT_COOLDOWN_CYCLES) -> None:
+    def __init__(self, device_id: int,
+                 fault_model: Optional[FaultModel]) -> None:
         self.device_id = device_id
         self.fault_model = fault_model
-        self.health = HealthWindow(health_window)
-        self.breaker = CircuitBreaker(
-            self.health, failure_threshold=failure_threshold,
-            min_samples=min_samples, cooldown_cycles=cooldown_cycles)
+        self.health = HealthWindow()
+        self.breaker = CircuitBreaker(self.health)
         #: Simulated cycle at which the device next becomes idle.
         self.busy_until = 0.0
         self.busy_cycles = 0.0
@@ -595,12 +590,7 @@ class DevicePool:
     """N independently-seeded devices plus the shared golden side."""
 
     def __init__(self, n_devices: int, fault_rate: float = 0.0,
-                 seed: int = 0,
-                 health_window: int = DEFAULT_HEALTH_WINDOW,
-                 failure_threshold: float = DEFAULT_FAILURE_THRESHOLD,
-                 min_samples: int = DEFAULT_MIN_SAMPLES,
-                 cooldown_cycles: float = DEFAULT_COOLDOWN_CYCLES,
-                 tracer=None, execution: str = "simulate",
+                 seed: int = 0, tracer=None, execution: str = "simulate",
                  operand_cache: int = DEFAULT_OPERAND_CACHE,
                  chaos: Optional["ChaosModel"] = None,
                  track_prefix: str = "",
@@ -635,15 +625,8 @@ class DevicePool:
         # Retained so an autoscaled :meth:`add_device` constructs device
         # N exactly as a pool built with N+1 devices would have.
         self._fault_base = base
-        self._device_kwargs = dict(
-            health_window=health_window,
-            failure_threshold=failure_threshold,
-            min_samples=min_samples,
-            cooldown_cycles=cooldown_cycles)
         self.devices = [
-            Device(i,
-                   base.spawn(i) if base is not None else None,
-                   **self._device_kwargs)
+            Device(i, base.spawn(i) if base is not None else None)
             for i in range(n_devices)
         ]
         #: The base lifecycle chaos model (None when not configured);
@@ -724,8 +707,7 @@ class DevicePool:
         device = Device(
             device_id,
             (self._fault_base.spawn(device_id)
-             if self._fault_base is not None else None),
-            **self._device_kwargs)
+             if self._fault_base is not None else None))
         if self.chaos is not None:
             device.chaos = self.chaos.spawn(device_id)
         self.devices.append(device)

@@ -40,7 +40,7 @@ Policies
 * **Graceful degradation** — when attempts are exhausted (or every
   breaker is open), the job runs on the golden reference kernels and
   finishes ``DEGRADED``: numerically correct, explicitly marked, priced
-  at ``reference_slowdown`` × the workload's nominal cycles.  The
+  at ``DEFAULT_REFERENCE_SLOWDOWN`` × the workload's nominal cycles.  The
   runtime never silently returns a wrong or missing answer; ``FAILED``
   is reserved for jobs no path could answer (e.g. an unknown dataset).
 * **Chaos survival** — when the pool carries a
@@ -140,8 +140,6 @@ class SchedulerConfig:
     high_priority_reserve: int = 8
     #: Accelerator attempts per job before degrading to the reference.
     max_attempts: int = 3
-    #: Latency multiplier of the reference fallback vs nominal cycles.
-    reference_slowdown: float = DEFAULT_REFERENCE_SLOWDOWN
     #: Most jobs one device dispatch may fuse into a multi-RHS batch
     #: (same dataset/scale/kernel, enough deadline slack).  1 disables
     #: coalescing entirely — the scheduler then behaves exactly as it
@@ -1499,8 +1497,8 @@ class Scheduler:
                          device_id: int = -1, **placement) -> JobResult:
         """Answer ``job`` on the reference path from ``start``.
 
-        The answer is priced at ``reference_slowdown`` × the workload's
-        nominal cycles and explicitly marked ``DEGRADED`` — or
+        The answer is priced at ``DEFAULT_REFERENCE_SLOWDOWN`` × the
+        workload's nominal cycles and explicitly marked ``DEGRADED`` — or
         ``TIMEOUT`` under the same :func:`deadline_verdict` every
         completion path applies, the reference answer still attached.
         A job no path can answer is ``FAILED``, naming ``device_id`` and
@@ -1518,7 +1516,7 @@ class Scheduler:
                 job_id=job.job_id, status=JobStatus.FAILED,
                 device_id=device_id, attempts=attempts,
                 finish_cycle=start, error=detail, **placement)
-        slowdown = self.config.reference_slowdown
+        slowdown = DEFAULT_REFERENCE_SLOWDOWN
         finish = start + self.pool.nominal_cycles(job) * slowdown
         latency = finish - job.arrival_cycle
         status, error = deadline_verdict(job, latency, JobStatus.DEGRADED,

@@ -44,10 +44,6 @@ def _check_dims(nx: int, ny: int, nz: int, n_levels: int) -> None:
             )
 
 
-def _grid_index(ix, iy, iz, nx, ny):
-    return (iz * ny + iy) * nx + ix
-
-
 def restrict_injection(fine: np.ndarray,
                        fine_dims: Tuple[int, int, int]) -> np.ndarray:
     """Injection restriction: sample the even-indexed fine points."""
