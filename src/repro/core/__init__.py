@@ -23,11 +23,7 @@ from repro.core.detailed import (
     fifo_depth_sweep,
     simulate_pass,
 )
-from repro.core.device_image import (
-    decode_image,
-    encode_image,
-    image_size_bytes,
-)
+from repro.core.device_image import decode_image, encode_image
 from repro.core.switch import (
     CONFIGURATIONS,
     ConfigurableSwitch,
@@ -80,7 +76,6 @@ __all__ = [
     "switch_distance",
     "decode_program",
     "encode_image",
-    "image_size_bytes",
     "encode_program",
     "program_size_bytes",
 ]

@@ -198,9 +198,6 @@ class AlreschaConfig:
         return FixedComputeUnit(
             omega=self.omega,
             n_alus=self.n_alus,
-            alu_latency=self.alu_latency,
-            re_sum_latency=self.re_sum_latency,
-            re_min_latency=self.re_min_latency,
             guard_nonfinite=self.guard_nonfinite,
         )
 

@@ -200,7 +200,13 @@ def dpr_block(fcu: FixedComputeUnit, rcu: ReconfigurableComputeUnit,
 # ---------------------------------------------------------------------
 @dataclass(frozen=True)
 class DataPathTiming:
-    """Per-data-path cycle costs derived from the engine configuration."""
+    """Per-data-path cycle costs derived from the engine configuration.
+
+    The one model of engine timing: the interpreter, the compiled plans
+    and :mod:`repro.core.detailed` take every fill, drain and per-block
+    cost from here.  The RCU adds only the share of a reconfiguration
+    that the drain does not hide.
+    """
 
     omega: int
     n_alus: int

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -156,22 +156,3 @@ def decode_image(data: bytes) -> AlreschaMatrix:
                                   values3d[i].copy()))
     return AlreschaMatrix((n_rows, n_cols), omega, blocks, diagonal,
                           symgs)
-
-
-def image_size_bytes(matrix: AlreschaMatrix) -> int:
-    """Size of the encoded device image."""
-    size = struct.calcsize(_HEADER) + 4 \
-        + matrix.n_blocks * struct.calcsize(">IIBB") \
-        + matrix.n_blocks * 4 \
-        + matrix.stored_values * 8
-    if matrix.symgs_layout:
-        size += 4 + matrix.shape[0] * 8
-    return size
-
-
-def roundtrip_check(matrix: AlreschaMatrix) -> Tuple[bool, float]:
-    """Encode+decode and report (exact?, max abs difference)."""
-    decoded = decode_image(encode_image(matrix))
-    diff = float(np.abs(decoded.to_dense() - matrix.to_dense()).max()) \
-        if matrix.shape[0] else 0.0
-    return diff == 0.0, diff

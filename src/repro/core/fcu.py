@@ -8,26 +8,19 @@ is only the ALU operation (multiply for GEMV/D-SymGS, add for
 D-BFS/D-SSSP, AND/divide for D-PR) and the reduction operation (sum or
 min), both selected by the RCU's configuration.
 
-Timing parameters come from Table 5: ALU latency 3 cycles, RE latency
-3 cycles for sum and 1 cycle for min.  The tree depth is ⌈log2 ω⌉ and the
-pipeline "yields the speed of the streaming data from memory".
+The data paths (:mod:`repro.core.datapaths`) compute each block's
+values and count the unit's activity here; every FCU cycle is charged by
+:class:`~repro.core.datapaths.DataPathTiming` from Table 5's latencies.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict
 
 import numpy as np
 
 from repro.errors import CorruptionError, SimulationError
 from repro.sim.stats import CounterSet
-
-#: Table 5 latencies (cycles).
-DEFAULT_ALU_LATENCY = 3
-DEFAULT_RE_SUM_LATENCY = 3
-DEFAULT_RE_MIN_LATENCY = 1
 
 #: Number of ALUs in the row.  §5.2 sizes the design so the compute
 #: logic keeps up with the 288 GB/s stream at 2.5 GHz (115.2 B/cycle =
@@ -35,29 +28,13 @@ DEFAULT_RE_MIN_LATENCY = 1
 #: cycle; 16 also packs two ω=8 dot-product slices per cycle.
 DEFAULT_N_ALUS = 16
 
-_VECTOR_OPS: Dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
-    "mul": lambda a, b: a * b,
-    "add": lambda a, b: a + b,
-    # D-PR phase-1: select (AND with the adjacency value) then divide the
-    # rank by the out-degree; the caller passes rank/outdeg as operand b.
-    "and_div": lambda a, b: np.where(a != 0.0, b, 0.0),
-}
-
-_REDUCE_OPS: Dict[str, Callable[[np.ndarray], float]] = {
-    "sum": lambda v: float(np.sum(v)),
-    "min": lambda v: float(np.min(v)) if v.size else math.inf,
-}
-
 
 @dataclass
 class FixedComputeUnit:
-    """Functional + timing model of the ALU row and reduction tree."""
+    """The ALU row and reduction tree: geometry, activity, NaN guard."""
 
     omega: int = 8
     n_alus: int = DEFAULT_N_ALUS
-    alu_latency: int = DEFAULT_ALU_LATENCY
-    re_sum_latency: int = DEFAULT_RE_SUM_LATENCY
-    re_min_latency: int = DEFAULT_RE_MIN_LATENCY
     #: Trap NaN/Inf escaping a *sum* reduction (GEMV/D-SymGS boundaries)
     #: as :class:`~repro.errors.CorruptionError`.  Off by default —
     #: poisoned operands must stay visible in the output unless the user
@@ -77,42 +54,6 @@ class FixedComputeUnit:
                 f"slice of width omega={self.omega}"
             )
 
-    # ------------------------------------------------------------------
-    # Functional layer
-    # ------------------------------------------------------------------
-    def vector_op(self, a: np.ndarray, b: np.ndarray,
-                  op: str = "mul") -> np.ndarray:
-        """Phase-1 element-wise operation across the ALU row.
-
-        Energy activity scales with the number of *non-zero* matrix
-        operands (§5.4: "the activity of compute units, defined by the
-        density of the locally-dense block, impacts energy but not
-        performance").
-        """
-        if op not in _VECTOR_OPS:
-            raise SimulationError(f"unsupported ALU operation {op!r}")
-        a = np.asarray(a, dtype=np.float64)
-        b = np.asarray(b, dtype=np.float64)
-        if a.shape != b.shape:
-            raise SimulationError(
-                f"ALU operand shapes differ: {a.shape} vs {b.shape}"
-            )
-        self.counters.add("alu_op", float(np.count_nonzero(a)))
-        return _VECTOR_OPS[op](a, b)
-
-    def reduce(self, v: np.ndarray, op: str = "sum") -> float:
-        """Phase-2 reduction through the RE tree."""
-        if op not in _REDUCE_OPS:
-            raise SimulationError(f"unsupported reduce operation {op!r}")
-        v = np.asarray(v, dtype=np.float64)
-        # A w-wide reduction activates w-1 reduce engines.
-        self.counters.add("re_op", float(max(0, v.size - 1)))
-        return _REDUCE_OPS[op](v)
-
-    def dot(self, a: np.ndarray, b: np.ndarray) -> float:
-        """A full dot product: multiply row then sum tree."""
-        return self.reduce(self.vector_op(a, b, "mul"), "sum")
-
     def check_finite(self, values: np.ndarray, context: str) -> None:
         """NaN/Inf guard at a sum-reduction boundary.
 
@@ -130,30 +71,3 @@ class FixedComputeUnit:
                 f"non-finite value {np.asarray(values).ravel()[lane]!r} "
                 f"at {context} (lane {lane})"
             )
-
-    # ------------------------------------------------------------------
-    # Timing layer
-    # ------------------------------------------------------------------
-    @property
-    def tree_depth(self) -> int:
-        """Number of RE levels for an ω-wide reduction."""
-        return int(math.ceil(math.log2(self.omega))) if self.omega > 1 else 1
-
-    def re_latency(self, reduce_op: str) -> int:
-        if reduce_op == "min":
-            return self.re_min_latency
-        return self.re_sum_latency
-
-    def pipeline_latency(self, reduce_op: str = "sum") -> int:
-        """Fill latency: ALU stage plus every RE level once."""
-        return self.alu_latency + self.tree_depth * self.re_latency(reduce_op)
-
-    def drain_cycles(self, reduce_op: str = "sum") -> int:
-        """Cycles to drain the tree at the end of a data path — the
-        window in which the RCU switch reconfigures for free (§4.3)."""
-        return self.tree_depth * self.re_latency(reduce_op)
-
-    @property
-    def compute_bytes_per_cycle(self) -> float:
-        """Peak matrix-operand consumption of the ALU row."""
-        return self.n_alus * 8.0

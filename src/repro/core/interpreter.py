@@ -136,8 +136,6 @@ class _Engine:
         counters = fcu.counters + rcu.counters
         counters.merge(rcu.cache.counters)
         counters.merge(rcu.link.counters)
-        counters.merge(rcu.fifo_a.counters)
-        counters.merge(rcu.fifo_b.counters)
         counters.merge(mem.counters)
         counters.add("dram_bytes", extra_stream_bytes)
         seconds = total_cycles / cfg.frequency_hz

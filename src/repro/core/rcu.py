@@ -7,6 +7,12 @@ streams, a LIFO *link stack* that carries GEMV partials into the
 dependent D-SymGS, LUT-based processing elements (multiply, divide, sum,
 subtract), and a configurable switch that rewires them per data path.
 
+This model keeps the cache, the link stack and the switch.  The FIFOs
+only decouple memory from compute, which the pass-level timing folds
+into ``max(stream, compute)``; their depth is modelled in
+:mod:`repro.core.detailed`.  The data paths count PE work here, and
+:class:`~repro.core.datapaths.DataPathTiming` charges its latency.
+
 Reconfiguration cost model (§4.4): switching data paths requires the
 reduction tree to drain, "during which the switch is reconfigured to
 prepare it for the next data path.  Therefore, the latency of
@@ -17,14 +23,14 @@ ablation can disable the overlap to expose the full latency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 import numpy as np
 
 from repro.errors import ReconfigurationError, SimulationError
 from repro.core.config import DataPathType
-from repro.sim.buffers import Fifo, LinkStack
+from repro.sim.buffers import LinkStack
 from repro.sim.cache import LocalCache
 from repro.sim.stats import CounterSet
 
@@ -33,25 +39,12 @@ from repro.sim.stats import CounterSet
 #: on the order of the tree-drain it hides under.
 DEFAULT_RECONFIG_CYCLES = 8
 
-#: LUT-based PE latency (cycles) per operation class.
-DEFAULT_PE_LATENCY = {
-    "div": 6,
-    "mul": 3,
-    "add": 2,
-    "sub": 2,
-    "min": 1,
-    "cmp": 1,
-}
-
 
 @dataclass
 class RCUConfig:
     """Static parameters of the RCU."""
 
     reconfig_cycles: int = DEFAULT_RECONFIG_CYCLES
-    pe_latency: Dict[str, int] = field(
-        default_factory=lambda: dict(DEFAULT_PE_LATENCY)
-    )
     #: When False (ablation), reconfiguration no longer overlaps the
     #: reduction-tree drain and its full latency is exposed.
     hide_under_drain: bool = True
@@ -66,8 +59,6 @@ class ReconfigurableComputeUnit:
 
         self.config = config or RCUConfig()
         self.cache = cache or LocalCache()
-        self.fifo_a = Fifo("A_fifo")
-        self.fifo_b = Fifo("b_fifo")
         self.link = LinkStack("link")
         self.switch = ConfigurableSwitch()
         self.counters = CounterSet()
@@ -124,43 +115,8 @@ class ReconfigurableComputeUnit:
         return self.counters.get("cache_busy_cycles")
 
     # ------------------------------------------------------------------
-    # PEs
-    # ------------------------------------------------------------------
-    def pe(self, op: str, a: float, b: float) -> float:
-        """Execute one LUT-based PE operation; returns the value.
-
-        The cycle cost is available via :meth:`pe_latency`; the caller
-        accounts for it because PE latency sits on the sequential
-        critical path of D-SymGS but off it for other data paths.
-        """
-        if op not in self.config.pe_latency:
-            raise SimulationError(f"unsupported PE operation {op!r}")
-        self.counters.add("pe_op")
-        if op == "div":
-            if b == 0.0:
-                raise SimulationError("PE division by zero")
-            return a / b
-        if op == "mul":
-            return a * b
-        if op == "add":
-            return a + b
-        if op == "sub":
-            return a - b
-        if op == "min":
-            return min(a, b)
-        # cmp: 1.0 if a < b else 0.0
-        return 1.0 if a < b else 0.0
-
-    def pe_latency(self, op: str) -> int:
-        return self.config.pe_latency[op]
-
-    # ------------------------------------------------------------------
     # Reconfiguration
     # ------------------------------------------------------------------
-    @property
-    def active_datapath(self) -> Optional[DataPathType]:
-        return self._active
-
     def reconfigure(self, dp: DataPathType, drain_cycles: int) -> float:
         """Switch the RCU to data path ``dp``; returns *exposed* cycles.
 
@@ -190,16 +146,3 @@ class ReconfigurableComputeUnit:
             exposed = float(self.config.reconfig_cycles)
         self.counters.add("reconfig_exposed_cycles", exposed)
         return exposed
-
-    def reset(self) -> None:
-        """Clear all buffers, cache state and counters."""
-        from repro.core.switch import ConfigurableSwitch
-
-        self.fifo_a.clear()
-        self.fifo_b.clear()
-        self.link.clear()
-        self.cache.reset()
-        self.switch = ConfigurableSwitch()
-        self.counters.reset()
-        self._active = None
-        self._operands.clear()

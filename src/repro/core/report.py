@@ -75,27 +75,6 @@ class SimReport:
             return 0.0
         return min(1.0, self.cache_busy_cycles / self.cycles)
 
-    # -- resilience counters (zero on every clean run) -----------------
-    @property
-    def faults_injected(self) -> float:
-        """Stream faults injected by the configured fault model."""
-        return self.counters.get("faults_injected")
-
-    @property
-    def faults_detected(self) -> float:
-        """Injected faults the runtime noticed (checksum, sequencing)."""
-        return self.counters.get("faults_detected")
-
-    @property
-    def faults_corrected(self) -> float:
-        """Detected faults recovered by re-stream / discard."""
-        return self.counters.get("faults_corrected")
-
-    @property
-    def retry_cycles(self) -> float:
-        """Backoff + re-stream cycles charged to fault recovery."""
-        return self.counters.get("retry_cycles")
-
     def clone(self) -> "SimReport":
         """An independent copy of this report.
 

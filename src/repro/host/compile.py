@@ -10,7 +10,7 @@ that produces bit-identical results to one programmed directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Tuple
 
@@ -33,6 +33,12 @@ class CompiledKernel:
     reordered: bool
     program: bytes
     image: bytes
+    #: The conversion the two binaries decode to, kept by
+    #: :func:`load_kernel` so programming the artefact decodes nothing
+    #: again.  Not an init field, so ``dataclasses.replace`` drops it
+    #: and a copy with other bytes decodes its own.
+    _decoded: Optional[ConversionResult] = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def total_bytes(self) -> int:
@@ -72,32 +78,40 @@ def load_kernel(prefix: str) -> CompiledKernel:
         )
     program = prog_path.read_bytes()
     image = img_path.read_bytes()
-    kernel, table = decode_program(program)
-    matrix = decode_image(image)
-    return CompiledKernel(
-        kernel=kernel,
-        n=table.n,
-        omega=matrix.omega,
-        nnz=matrix.nnz,
-        reordered=table.reordered,
+    conv = _decode(program, image)
+    compiled = CompiledKernel(
+        kernel=conv.kernel,
+        n=conv.table.n,
+        omega=conv.omega,
+        nnz=conv.nnz,
+        reordered=conv.reordered,
         program=program,
         image=image,
     )
+    object.__setattr__(compiled, "_decoded", conv)
+    return compiled
+
+
+def _decode(program: bytes, image: bytes) -> ConversionResult:
+    """Rebuild the conversion a (program, image) pair encodes."""
+    kernel, table = decode_program(program)
+    matrix = decode_image(image)
+    return ConversionResult(kernel=kernel, omega=matrix.omega,
+                            table=table, matrix=matrix)
 
 
 def program_accelerator(compiled: CompiledKernel,
                         config: Optional[AlreschaConfig] = None
                         ) -> Alrescha:
     """Reconstruct the conversion from bytes and program a device."""
-    kernel, table = decode_program(compiled.program)
-    matrix = decode_image(compiled.image)
-    if kernel is not compiled.kernel:
+    conv = compiled._decoded
+    if conv is None:
+        conv = _decode(compiled.program, compiled.image)
+    if conv.kernel is not compiled.kernel:
         raise ConfigError(
             f"artefact metadata ({compiled.kernel}) disagrees with the "
-            f"program binary ({kernel})"
+            f"program binary ({conv.kernel})"
         )
-    conv = ConversionResult(kernel=kernel, omega=matrix.omega,
-                            table=table, matrix=matrix)
-    acc = Alrescha(config or AlreschaConfig(omega=matrix.omega))
+    acc = Alrescha(config or AlreschaConfig(omega=conv.omega))
     acc.program(conv)
     return acc

@@ -39,12 +39,15 @@ def _check_system(csr: CSRMatrix, b: np.ndarray,
     return b, x
 
 
-def forward_sweep(matrix, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """One forward Gauss-Seidel sweep; returns the updated vector."""
+def _sweep(matrix, b: np.ndarray, x: np.ndarray,
+           reverse: bool) -> np.ndarray:
+    """One Gauss-Seidel sweep, rows ascending or (``reverse``)
+    descending."""
     csr = to_csr(matrix)
     b, x = _check_system(csr, b, x)
     out = x.copy()
-    for j in range(csr.shape[0]):
+    n = csr.shape[0]
+    for j in (range(n - 1, -1, -1) if reverse else range(n)):
         cols, vals = csr.row(j)
         diag = 0.0
         acc = 0.0
@@ -57,26 +60,16 @@ def forward_sweep(matrix, b: np.ndarray, x: np.ndarray) -> np.ndarray:
             raise ConfigError(f"zero diagonal at row {j}")
         out[j] = (b[j] - acc) / diag
     return out
+
+
+def forward_sweep(matrix, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """One forward Gauss-Seidel sweep; returns the updated vector."""
+    return _sweep(matrix, b, x, reverse=False)
 
 
 def backward_sweep(matrix, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     """One backward Gauss-Seidel sweep (rows in descending order)."""
-    csr = to_csr(matrix)
-    b, x = _check_system(csr, b, x)
-    out = x.copy()
-    for j in range(csr.shape[0] - 1, -1, -1):
-        cols, vals = csr.row(j)
-        diag = 0.0
-        acc = 0.0
-        for c, v in zip(cols, vals):
-            if c == j:
-                diag = v
-            else:
-                acc += v * out[c]
-        if diag == 0.0:
-            raise ConfigError(f"zero diagonal at row {j}")
-        out[j] = (b[j] - acc) / diag
-    return out
+    return _sweep(matrix, b, x, reverse=True)
 
 
 def symgs(matrix, b: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -1,11 +1,11 @@
-"""Simulation substrate: clock, memory, cache, buffers, energy, counters.
+"""Simulation substrate: memory, cache, link stack, energy, faults, counters.
 
 These are the hardware-agnostic building blocks the accelerator model
 (:mod:`repro.core`) and the baseline models (:mod:`repro.baselines`) are
 assembled from.
 """
 
-from repro.sim.buffers import Fifo, LinkStack
+from repro.sim.buffers import LinkStack
 from repro.sim.faults import (
     FAULT_KINDS,
     FaultEvent,
@@ -19,7 +19,7 @@ from repro.sim.cache import (
     DEFAULT_LINE_BYTES,
     LocalCache,
 )
-from repro.sim.clock import DEFAULT_FREQUENCY_HZ, Clock
+from repro.sim.clock import DEFAULT_FREQUENCY_HZ
 from repro.sim.energy import DEFAULT_EVENT_ENERGY_PJ, EnergyModel
 from repro.sim.memory import (
     DEFAULT_BANDWIDTH_BYTES_PER_S,
@@ -29,12 +29,10 @@ from repro.sim.memory import (
 from repro.sim.stats import CounterSet
 
 __all__ = [
-    "Clock",
     "CounterSet",
     "EnergyModel",
     "FaultEvent",
     "FaultModel",
-    "Fifo",
     "LinkStack",
     "LocalCache",
     "StreamingMemory",

@@ -1,61 +1,22 @@
-"""FIFO and LIFO buffers of the RCU.
+"""The LIFO link buffer of the RCU.
 
 §4.3 of the paper: "we employ first-in-first-out (FIFO) for ``A_ij`` and
 ``b``, and use a last-in-first-out (LIFO) stack for the link buffer.  The
 link buffer establishes transmissions between the dense data paths."
 
-The buffers carry real values during functional execution (so the
-simulated dataflow is the actual dataflow, not a re-derivation) and track
-occupancy statistics for the energy model.
+The link stack carries real values during functional execution (so the
+simulated dataflow is the actual dataflow, not a re-derivation) and
+counts its accesses for the energy model.  The FIFOs only let memory run
+ahead of compute; :mod:`repro.core.detailed` models their depth.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, List, Optional
+from typing import Any, List
 
 from repro.errors import SimulationError
 from repro.sim.stats import CounterSet
-
-
-@dataclass
-class Fifo:
-    """Bounded first-in-first-out queue with access counting."""
-
-    name: str
-    capacity: Optional[int] = None
-    counters: CounterSet = field(default_factory=CounterSet)
-    _items: Deque[Any] = field(default_factory=deque, repr=False)
-    _peak: int = field(default=0, repr=False)
-
-    def push(self, item: Any) -> None:
-        if self.capacity is not None and len(self._items) >= self.capacity:
-            raise SimulationError(f"FIFO {self.name!r} overflow "
-                                  f"(capacity {self.capacity})")
-        self._items.append(item)
-        self.counters.add(f"{self.name}_pushes")
-        self._peak = max(self._peak, len(self._items))
-
-    def pop(self) -> Any:
-        if not self._items:
-            raise SimulationError(f"FIFO {self.name!r} underflow")
-        self.counters.add(f"{self.name}_pops")
-        return self._items.popleft()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    @property
-    def empty(self) -> bool:
-        return not self._items
-
-    @property
-    def peak_occupancy(self) -> int:
-        return self._peak
-
-    def clear(self) -> None:
-        self._items.clear()
 
 
 @dataclass
@@ -70,18 +31,12 @@ class LinkStack:
     """
 
     name: str = "link"
-    capacity: Optional[int] = None
     counters: CounterSet = field(default_factory=CounterSet)
     _items: List[Any] = field(default_factory=list, repr=False)
-    _peak: int = field(default=0, repr=False)
 
     def push(self, item: Any) -> None:
-        if self.capacity is not None and len(self._items) >= self.capacity:
-            raise SimulationError(f"link stack {self.name!r} overflow "
-                                  f"(capacity {self.capacity})")
         self._items.append(item)
         self.counters.add(f"{self.name}_pushes")
-        self._peak = max(self._peak, len(self._items))
 
     def pop(self) -> Any:
         if not self._items:
@@ -89,23 +44,9 @@ class LinkStack:
         self.counters.add(f"{self.name}_pops")
         return self._items.pop()
 
-    def pop_all(self) -> List[Any]:
-        """Pop every element, most recent first."""
-        out = []
-        while self._items:
-            out.append(self.pop())
-        return out
-
     def __len__(self) -> int:
         return len(self._items)
 
     @property
     def empty(self) -> bool:
         return not self._items
-
-    @property
-    def peak_occupancy(self) -> int:
-        return self._peak
-
-    def clear(self) -> None:
-        self._items.clear()

@@ -67,10 +67,6 @@ class LocalCache:
         self._n_sets = n_lines // self.ways
 
     @property
-    def n_lines(self) -> int:
-        return self.size_bytes // self.line_bytes
-
-    @property
     def elements_per_line(self) -> int:
         return self.line_bytes // self.element_bytes
 
@@ -130,17 +126,3 @@ class LocalCache:
             self.counters.add(f"cache_{kind}s")
             self.counters.add("cache_hits" if hit else "cache_misses")
         return cycles
-
-    @property
-    def hit_rate(self) -> float:
-        hits = self.counters.get("cache_hits")
-        total = hits + self.counters.get("cache_misses")
-        return hits / total if total else 0.0
-
-    def flush(self) -> None:
-        """Drop all cached lines (keeps counters)."""
-        self._sets.clear()
-
-    def reset(self) -> None:
-        self._sets.clear()
-        self.counters.reset()

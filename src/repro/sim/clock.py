@@ -1,75 +1,9 @@
-"""Cycle clock for the behavioural simulator.
+"""Clock frequency of the behavioural simulator.
 
 The ALRESCHA evaluation (Table 5 of the paper) runs the accelerator at
-2.5 GHz.  Everything in the timing model is expressed in cycles; the clock
-converts between cycles and wall-clock seconds so reports can be stated in
-either unit.
+2.5 GHz.  Everything in the timing model is expressed in cycles; a
+report divides its cycles by this frequency to state seconds.
 """
-
-from __future__ import annotations
-
-from dataclasses import dataclass, field
-
-from repro.errors import SimulationError
 
 #: Default accelerator clock frequency from Table 5 of the paper.
 DEFAULT_FREQUENCY_HZ = 2.5e9
-
-
-@dataclass
-class Clock:
-    """A monotonically advancing cycle counter.
-
-    Parameters
-    ----------
-    frequency_hz:
-        Clock frequency in hertz.  Defaults to the paper's 2.5 GHz.
-    """
-
-    frequency_hz: float = DEFAULT_FREQUENCY_HZ
-    _cycles: float = field(default=0.0, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.frequency_hz <= 0:
-            raise SimulationError(
-                f"clock frequency must be positive, got {self.frequency_hz}"
-            )
-
-    @property
-    def cycles(self) -> float:
-        """Total cycles elapsed since construction or the last reset."""
-        return self._cycles
-
-    @property
-    def seconds(self) -> float:
-        """Elapsed time in seconds at the configured frequency."""
-        return self._cycles / self.frequency_hz
-
-    def cycle_time_s(self) -> float:
-        """Duration of a single cycle in seconds."""
-        return 1.0 / self.frequency_hz
-
-    def advance(self, cycles: float) -> float:
-        """Advance the clock by ``cycles`` and return the new total.
-
-        Fractional cycles are allowed: the memory model hands out
-        fractional cycle costs for partial cache lines, and summing the
-        exact fractions then rounding once at reporting time is more
-        faithful than rounding every event up.
-        """
-        if cycles < 0:
-            raise SimulationError(f"cannot advance clock by {cycles} cycles")
-        self._cycles += cycles
-        return self._cycles
-
-    def to_seconds(self, cycles: float) -> float:
-        """Convert a cycle count to seconds at this clock's frequency."""
-        return cycles / self.frequency_hz
-
-    def to_cycles(self, seconds: float) -> float:
-        """Convert a duration in seconds to cycles at this frequency."""
-        return seconds * self.frequency_hz
-
-    def reset(self) -> None:
-        """Zero the elapsed-cycle counter."""
-        self._cycles = 0.0

@@ -92,10 +92,9 @@ class StreamingMemory:
 
         Every request is rounded up to whole bursts — the channel's
         transfer granularity.  Callers moving a long contiguous stream
-        should therefore issue it as one request (or use
-        :meth:`stream_block_run`) so the padding is paid at most once;
-        ``sequential=False`` additionally counts the request as a random
-        access.
+        should therefore issue it as one request so the padding is paid
+        at most once; ``sequential=False`` additionally counts the
+        request as a random access.
         """
         if nbytes < 0:
             raise SimulationError(f"cannot stream {nbytes} bytes")
@@ -112,34 +111,6 @@ class StreamingMemory:
                                {"dram_bytes": effective,
                                 "dram_requests": 1.0})
         return cycles
-
-    def stream_block_run(self, n_blocks: int, block_bytes: float) -> float:
-        """Charge a contiguous run of ``n_blocks`` equal-size transfers.
-
-        Counter-for-counter equivalent to ``n_blocks`` sequential
-        :meth:`stream_cycles` calls of ``block_bytes`` each, in O(1).
-        """
-        if n_blocks < 0:
-            raise SimulationError(f"cannot stream {n_blocks} blocks")
-        if block_bytes < 0:
-            raise SimulationError(f"cannot stream {block_bytes} bytes")
-        if n_blocks == 0 or block_bytes == 0:
-            return 0.0
-        effective = self._padded_bytes(block_bytes) * n_blocks
-        self.counters.add_many({
-            "dram_bytes": effective,
-            "dram_requests": float(n_blocks),
-        })
-        cycles = effective / self.bytes_per_cycle
-        if self.tracer is not None:
-            self.tracer.extend("channel", "stream", "stream", cycles,
-                               {"dram_bytes": effective,
-                                "dram_requests": float(n_blocks)})
-        return cycles
-
-    def stream_doubles(self, count: float, sequential: bool = True) -> float:
-        """Convenience wrapper: transfer ``count`` 8-byte values."""
-        return self.stream_cycles(count * 8.0, sequential=sequential)
 
     def cost_cycles(self, nbytes: float) -> float:
         """Pure cost query: cycles to move ``nbytes`` at peak bandwidth.
@@ -219,18 +190,3 @@ class StreamingMemory:
     def total_bytes(self) -> float:
         """Total bytes transferred so far (post burst padding)."""
         return self.counters.get("dram_bytes")
-
-    def utilization(self, busy_cycles: float) -> float:
-        """Fraction of peak bandwidth achieved over ``busy_cycles``.
-
-        This is the quantity plotted on the secondary axis of Figure 15:
-        payload delivered divided by what the link could have delivered in
-        the same number of cycles.
-        """
-        if busy_cycles <= 0:
-            return 0.0
-        peak = busy_cycles * self.bytes_per_cycle
-        return min(1.0, self.total_bytes / peak)
-
-    def reset(self) -> None:
-        self.counters.reset()

@@ -1,11 +1,6 @@
 """Iterative solvers: PCG (Figure 2), plain CG, Jacobi smoothing."""
 
-from repro.solvers.backends import (
-    KNOWN_BACKENDS,
-    AcceleratorBackend,
-    ReferenceBackend,
-    make_backend,
-)
+from repro.solvers.backends import AcceleratorBackend, ReferenceBackend
 from repro.solvers.cg import cg
 from repro.solvers.hpcg import HPCGResult, hpcg_flops, run_hpcg
 from repro.solvers.jacobi import JacobiBackend, jacobi, jacobi_sweep
@@ -19,7 +14,6 @@ from repro.solvers.multigrid import (
 from repro.solvers.pcg import SolveResult, pcg
 
 __all__ = [
-    "KNOWN_BACKENDS",
     "AcceleratorBackend",
     "JacobiBackend",
     "MGLevel",
@@ -35,6 +29,5 @@ __all__ = [
     "run_hpcg",
     "jacobi",
     "jacobi_sweep",
-    "make_backend",
     "pcg",
 ]

@@ -26,7 +26,6 @@ import scipy.sparse as sp
 from repro.core.accelerator import Alrescha, AlreschaConfig, ProgrammedImage
 from repro.core.config import KernelType
 from repro.core.report import SimReport, combine
-from repro.errors import ConfigError
 from repro.kernels import backward_sweep, forward_sweep_vectorized, spmv
 from repro.kernels.spmv import to_csr
 
@@ -249,25 +248,3 @@ class AcceleratorBackend:
         self._reports.clear()
         self._last_kernel = None
         self.kernel_switches = 0
-
-
-#: Backend names :func:`make_backend` accepts.
-KNOWN_BACKENDS = ("reference", "alrescha")
-
-
-def make_backend(matrix, backend: str = "reference",
-                 config: Optional[AlreschaConfig] = None,
-                 symmetric_smoother: bool = True):
-    """Factory: ``"reference"`` or ``"alrescha"``.
-
-    An unknown name raises :class:`~repro.errors.ConfigError` (the
-    shared error type for invalid configuration choices) naming the
-    known backends.
-    """
-    if backend == "reference":
-        return ReferenceBackend(matrix)
-    if backend == "alrescha":
-        return AcceleratorBackend(matrix, config=config,
-                                  symmetric_smoother=symmetric_smoother)
-    raise ConfigError(
-        f"unknown backend {backend!r}; known: {', '.join(KNOWN_BACKENDS)}")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import DataPathType, FixedComputeUnit, \
+from repro.core import AlreschaConfig, DataPathType, FixedComputeUnit, \
     ReconfigurableComputeUnit
 from repro.core.datapaths import (
     DataPathTiming,
@@ -179,3 +179,35 @@ class TestTiming:
         """The sum-tree drain (9 cycles) hides the default 8-cycle
         reconfiguration — the §4.4 design point."""
         assert timing.drain(DataPathType.GEMV) >= 8
+
+    def test_table5_tree_depth(self):
+        assert AlreschaConfig().timing().tree_depth == 3
+        assert AlreschaConfig(omega=16).timing().tree_depth == 4
+
+    def test_table5_sum_fill(self):
+        timing = AlreschaConfig().timing()
+        # ALU (3) + 3 RE levels x sum latency (3).
+        assert timing.pipeline_fill(DataPathType.GEMV) == 12.0
+
+    def test_table5_min_fill_cheaper(self):
+        """Table 5: RE latency is 3 for sum, 1 for min."""
+        timing = AlreschaConfig().timing()
+        # ALU (3) + 3 RE levels x min latency (1).
+        assert timing.pipeline_fill(DataPathType.D_BFS) == 6.0
+        assert timing.pipeline_fill(DataPathType.D_BFS) < \
+            timing.pipeline_fill(DataPathType.GEMV)
+
+    def test_table5_dsymgs_fill(self):
+        timing = AlreschaConfig().timing()
+        # The GEMV fill plus the PE subtract (2) and divide (6).
+        assert timing.pipeline_fill(DataPathType.D_SYMGS) == 20.0
+
+    def test_table5_drains_are_tree_only(self):
+        timing = AlreschaConfig().timing()
+        assert timing.drain(DataPathType.GEMV) == 9.0
+        assert timing.drain(DataPathType.D_BFS) == 3.0
+
+    def test_table5_pe_latencies(self):
+        timing = AlreschaConfig().timing()
+        assert timing.pe_div_latency == 6
+        assert timing.pe_sub_latency == 2

@@ -3,9 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import KernelType, convert, decode_image, encode_image, \
-    image_size_bytes
-from repro.core.device_image import roundtrip_check
+from repro.core import KernelType, convert, decode_image, encode_image
 from repro.errors import FormatError
 from repro.formats import AlreschaMatrix
 
@@ -33,17 +31,6 @@ class TestRoundTrip:
             assert a.is_diagonal == b.is_diagonal
             assert a.reversed_cols == b.reversed_cols
             np.testing.assert_array_equal(a.values, b.values)
-
-    def test_roundtrip_check_helper(self, spd_small):
-        alr = AlreschaMatrix.from_dense(spd_small, 8, symgs_layout=True)
-        exact, diff = roundtrip_check(alr)
-        assert exact
-        assert diff == 0.0
-
-    def test_size_accounting(self, spd_medium):
-        alr = AlreschaMatrix.from_dense(spd_medium, 8)
-        blob = encode_image(alr)
-        assert len(blob) == image_size_bytes(alr)
 
 
 class TestExecutionFromImage:

@@ -98,6 +98,45 @@ class TestProgramAccelerator:
         assert got.cycles == pytest.approx(3835.3, abs=0.05)
         assert got.counters.get("dram_requests") == 262
 
+    def test_reload_decodes_each_binary_once(self, spd_medium, tmp_path,
+                                             monkeypatch):
+        """Loading a saved kernel and programming a device from it
+        decodes the program and the image once each."""
+        import repro.host.compile as host_compile
+
+        calls = {"program": 0, "image": 0}
+
+        def counted(name, decode):
+            def wrapper(blob):
+                calls[name] += 1
+                return decode(blob)
+            return wrapper
+
+        monkeypatch.setattr(host_compile, "decode_program",
+                            counted("program", host_compile.decode_program))
+        monkeypatch.setattr(host_compile, "decode_image",
+                            counted("image", host_compile.decode_image))
+        compile_kernel(KernelType.SYMGS, spd_medium).save(
+            str(tmp_path / "k"))
+        program_accelerator(load_kernel(str(tmp_path / "k")))
+        assert calls == {"program": 1, "image": 1}
+
+    def test_replaced_artefact_programs_its_own_bytes(self, spd_medium,
+                                                      rng, tmp_path):
+        """A copy of a loaded artefact with other bytes does not reuse
+        the loader's decode."""
+        import dataclasses
+
+        compile_kernel(KernelType.SPMV, spd_medium).save(
+            str(tmp_path / "k"))
+        loaded = load_kernel(str(tmp_path / "k"))
+        other = compile_kernel(KernelType.SPMV, 2.0 * spd_medium)
+        copy = dataclasses.replace(loaded, program=other.program,
+                                   image=other.image)
+        x = rng.normal(size=70)
+        y, _ = program_accelerator(copy).run_spmv(x)
+        np.testing.assert_allclose(y, 2.0 * spd_medium @ x, atol=1e-9)
+
     def test_metadata_mismatch_detected(self, spd_medium):
         good = compile_kernel(KernelType.SPMV, spd_medium)
         tampered = CompiledKernel(

@@ -1,56 +1,9 @@
-"""Unit tests for the RCU FIFOs and the LIFO link stack."""
+"""Unit tests for the LIFO link stack."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Fifo, LinkStack
-
-
-class TestFifo:
-    def test_fifo_order(self):
-        f = Fifo("a")
-        f.push(1)
-        f.push(2)
-        f.push(3)
-        assert [f.pop(), f.pop(), f.pop()] == [1, 2, 3]
-
-    def test_underflow(self):
-        with pytest.raises(SimulationError):
-            Fifo("a").pop()
-
-    def test_capacity_overflow(self):
-        f = Fifo("a", capacity=1)
-        f.push(1)
-        with pytest.raises(SimulationError):
-            f.push(2)
-
-    def test_counters(self):
-        f = Fifo("A_fifo")
-        f.push(1)
-        f.pop()
-        assert f.counters.get("A_fifo_pushes") == 1.0
-        assert f.counters.get("A_fifo_pops") == 1.0
-
-    def test_peak_occupancy(self):
-        f = Fifo("a")
-        f.push(1)
-        f.push(2)
-        f.pop()
-        f.push(3)
-        assert f.peak_occupancy == 2
-
-    def test_len_and_empty(self):
-        f = Fifo("a")
-        assert f.empty
-        f.push(1)
-        assert len(f) == 1
-        assert not f.empty
-
-    def test_clear(self):
-        f = Fifo("a")
-        f.push(1)
-        f.clear()
-        assert f.empty
+from repro.sim import LinkStack
 
 
 class TestLinkStack:
@@ -61,23 +14,16 @@ class TestLinkStack:
         assert s.pop() == "gemv2"
         assert s.pop() == "gemv1"
 
-    def test_pop_all_most_recent_first(self):
-        s = LinkStack()
-        for i in range(4):
-            s.push(i)
-        assert s.pop_all() == [3, 2, 1, 0]
-        assert s.empty
-
     def test_underflow(self):
         with pytest.raises(SimulationError):
             LinkStack().pop()
 
-    def test_capacity(self):
-        s = LinkStack(capacity=2)
+    def test_len_and_empty(self):
+        s = LinkStack()
+        assert s.empty
         s.push(1)
-        s.push(2)
-        with pytest.raises(SimulationError):
-            s.push(3)
+        assert len(s) == 1
+        assert not s.empty
 
     def test_counters_use_name(self):
         s = LinkStack("link")
@@ -85,11 +31,3 @@ class TestLinkStack:
         s.pop()
         assert s.counters.get("link_pushes") == 1.0
         assert s.counters.get("link_pops") == 1.0
-
-    def test_peak_occupancy(self):
-        s = LinkStack()
-        s.push(1)
-        s.push(2)
-        s.push(3)
-        s.pop_all()
-        assert s.peak_occupancy == 3

@@ -12,7 +12,6 @@ class TestGeometry:
         assert c.size_bytes == 1024
         assert c.line_bytes == 64
         assert c.hit_latency == 4
-        assert c.n_lines == 16
         assert c.elements_per_line == 8
 
     def test_invalid_geometry(self):
@@ -54,13 +53,6 @@ class TestHitMiss:
         c.read("y", 0)
         assert c.counters.get("cache_misses") == 2.0
 
-    def test_hit_rate(self):
-        c = LocalCache()
-        c.read("x", 0)
-        c.read("x", 0)
-        c.read("x", 0)
-        assert c.hit_rate == pytest.approx(2.0 / 3.0)
-
 
 class TestEvictions:
     def test_capacity_eviction(self):
@@ -87,19 +79,6 @@ class TestEvictions:
 
 
 class TestFlushAndErrors:
-    def test_flush_drops_lines_keeps_counters(self):
-        c = LocalCache()
-        c.read("x", 0)
-        c.flush()
-        assert c.read("x", 0) == pytest.approx(c.miss_latency)
-        assert c.counters.get("cache_reads") == 2.0
-
-    def test_reset_clears_counters(self):
-        c = LocalCache()
-        c.read("x", 0)
-        c.reset()
-        assert c.counters.get("cache_reads") == 0.0
-
     def test_zero_count_rejected(self):
         with pytest.raises(SimulationError):
             LocalCache().read("x", 0, count=0)

@@ -1,56 +1,10 @@
-"""Unit tests for the cycle clock."""
+"""Unit tests for the simulator's clock frequency."""
 
 import pytest
 
-from repro.errors import SimulationError
-from repro.sim import Clock, DEFAULT_FREQUENCY_HZ
+from repro.sim import DEFAULT_FREQUENCY_HZ
 
 
 class TestClockBasics:
     def test_default_frequency_matches_table5(self):
-        assert Clock().frequency_hz == pytest.approx(2.5e9)
         assert DEFAULT_FREQUENCY_HZ == pytest.approx(2.5e9)
-
-    def test_starts_at_zero(self):
-        assert Clock().cycles == 0.0
-        assert Clock().seconds == 0.0
-
-    def test_advance_accumulates(self):
-        clk = Clock()
-        clk.advance(10)
-        clk.advance(5.5)
-        assert clk.cycles == pytest.approx(15.5)
-
-    def test_advance_returns_total(self):
-        clk = Clock()
-        assert clk.advance(3) == pytest.approx(3)
-        assert clk.advance(4) == pytest.approx(7)
-
-    def test_seconds_conversion(self):
-        clk = Clock(frequency_hz=1e9)
-        clk.advance(2e9)
-        assert clk.seconds == pytest.approx(2.0)
-
-    def test_cycle_time(self):
-        assert Clock(frequency_hz=2.5e9).cycle_time_s() == pytest.approx(0.4e-9)
-
-    def test_round_trip_conversions(self):
-        clk = Clock(frequency_hz=3e9)
-        assert clk.to_seconds(clk.to_cycles(1.5)) == pytest.approx(1.5)
-
-    def test_reset(self):
-        clk = Clock()
-        clk.advance(100)
-        clk.reset()
-        assert clk.cycles == 0.0
-
-
-class TestClockErrors:
-    def test_negative_advance_rejected(self):
-        with pytest.raises(SimulationError):
-            Clock().advance(-1)
-
-    @pytest.mark.parametrize("freq", [0.0, -1.0])
-    def test_invalid_frequency_rejected(self, freq):
-        with pytest.raises(SimulationError):
-            Clock(frequency_hz=freq)

@@ -17,11 +17,6 @@ class TestBandwidth:
         cycles = mem.stream_cycles(1152, sequential=True)
         assert cycles == pytest.approx(10.0)
 
-    def test_stream_doubles(self):
-        mem = StreamingMemory()
-        # 14.4 doubles = 115.2 B, padded to two 64 B bursts = 128 B.
-        assert mem.stream_doubles(14.4) == pytest.approx(128.0 / 115.2)
-
     def test_zero_bytes_free(self):
         mem = StreamingMemory()
         assert mem.stream_cycles(0) == 0.0
@@ -67,53 +62,6 @@ class TestCountersAndUtilization:
         mem.stream_cycles(100, sequential=False)
         assert mem.counters.get("dram_requests") == 2.0
         assert mem.counters.get("dram_random_requests") == 1.0
-
-    def test_full_utilization(self):
-        mem = StreamingMemory()
-        cycles = mem.stream_cycles(1152)
-        assert mem.utilization(cycles) == pytest.approx(1.0)
-
-    def test_half_utilization(self):
-        mem = StreamingMemory()
-        cycles = mem.stream_cycles(1152)
-        assert mem.utilization(2 * cycles) == pytest.approx(0.5)
-
-    def test_zero_cycles_utilization(self):
-        assert StreamingMemory().utilization(0.0) == 0.0
-
-    def test_reset(self):
-        mem = StreamingMemory()
-        mem.stream_cycles(100)
-        mem.reset()
-        assert mem.total_bytes == 0.0
-
-
-class TestBlockRun:
-    def test_matches_individual_streams(self):
-        one_by_one = StreamingMemory()
-        bulk = StreamingMemory()
-        total = sum(one_by_one.stream_cycles(512.0) for _ in range(7))
-        assert bulk.stream_block_run(7, 512.0) == pytest.approx(total)
-        assert bulk.counters.as_dict() == one_by_one.counters.as_dict()
-
-    def test_unaligned_blocks_pad_each(self):
-        one_by_one = StreamingMemory()
-        bulk = StreamingMemory()
-        total = sum(one_by_one.stream_cycles(200.0) for _ in range(3))
-        assert bulk.stream_block_run(3, 200.0) == pytest.approx(total)
-        assert bulk.counters.as_dict() == one_by_one.counters.as_dict()
-
-    def test_zero_blocks_free(self):
-        mem = StreamingMemory()
-        assert mem.stream_block_run(0, 512.0) == 0.0
-        assert mem.stream_block_run(5, 0.0) == 0.0
-        assert mem.total_bytes == 0.0
-
-    def test_negative_inputs_rejected(self):
-        with pytest.raises(SimulationError):
-            StreamingMemory().stream_block_run(-1, 512.0)
-        with pytest.raises(SimulationError):
-            StreamingMemory().stream_block_run(1, -8.0)
 
 
 class TestCostQuery:

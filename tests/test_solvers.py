@@ -11,7 +11,6 @@ from repro.solvers import (
     cg,
     jacobi,
     jacobi_sweep,
-    make_backend,
     pcg,
 )
 from tests.test_failure_injection import _FlakyBackend
@@ -101,16 +100,6 @@ class TestPCGAccelerated:
         backend.reset_reports()
         result = pcg(backend, b, tol=1e-9, max_iter=120)
         assert min(result.residual_norms) < 0.05 * result.residual_norms[0]
-
-    def test_make_backend_factory(self, banded_spd):
-        assert isinstance(make_backend(banded_spd), ReferenceBackend)
-        assert isinstance(make_backend(banded_spd, "alrescha"),
-                          AcceleratorBackend)
-
-    def test_make_backend_unknown_is_config_error(self, banded_spd):
-        from repro.errors import ConfigError
-        with pytest.raises(ConfigError, match="reference.*alrescha"):
-            make_backend(banded_spd, "tpu")
 
 
 class TestCG:
