@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import List
 
 import numpy as np
 
@@ -78,31 +78,56 @@ def gemv_block(fcu: FixedComputeUnit, block: np.ndarray,
     return result
 
 
-def dsymgs_solve(body: np.ndarray, diag: np.ndarray, b_chunk: np.ndarray,
-                 x_old_chunk: np.ndarray, acc: np.ndarray,
-                 valid_rows: int, omega: int) -> np.ndarray:
-    """The arithmetic of one D-SymGS block, without event counting.
+def dsymgs_upper_dots(bodies: np.ndarray,
+                      x_old: np.ndarray) -> np.ndarray:
+    """The x^{t-1} half of D-SymGS over a stack of diagonal blocks.
 
-    This is the exact recurrence :func:`dsymgs_block` executes — shared
-    with the compiled plan layer (:mod:`repro.core.plan`), which accounts
-    events through its captured report template instead of live counters.
-    The expressions are kept operation-for-operation identical to the
-    counted path so both produce bit-identical iterates.
+    ``bodies`` is ``[m, ω, ω]`` (main diagonals zeroed) and ``x_old``
+    the ``[m, ω]`` previous-iterate chunks.  Entry ``[i, r]`` of the
+    result is ``sum_{c>r} bodies[i, r, c] * x_old[i, c]``, summed left
+    to right from 0.0: one column-ordered vector add per ``c``, which
+    IEEE 754 rounds the same on every CPU and for every stack height.
+    The interpreter calls it with one block, the compiled plan with
+    every diagonal block of a sweep.
     """
-    x_new = np.zeros(omega, dtype=np.float64)
+    m, w = x_old.shape
+    upper = np.zeros((m, w))
+    for c in range(1, w):
+        upper[:, :c] += bodies[:, :c, c] * x_old[:, c, None]
+    return upper
+
+
+def dsymgs_recurrence(body: np.ndarray, diag: np.ndarray,
+                      b_chunk: np.ndarray, acc: np.ndarray,
+                      upper: np.ndarray, valid_rows: int) -> List[float]:
+    """The x^t half of D-SymGS over one diagonal block.
+
+    For local row ``r < valid_rows``, in plain float arithmetic,
+
+        x_r = (b_r - (acc_r + (lower_r + upper_r))) / diag_r
+
+    where ``lower_r = sum_{c<r} body[r, c] * x_c`` is summed left to
+    right from 0.0 over the values this recurrence has produced,
+    ``acc`` carries the row's GEMV partials and ``upper`` its
+    :func:`dsymgs_upper_dots` row.  No BLAS call and no numpy
+    reduction decides the order, so the result is the same on every
+    CPU.  Returns the ``valid_rows`` new values.
+    """
+    rows = body.tolist()
+    d, b, a, u = (diag.tolist(), b_chunk.tolist(), acc.tolist(),
+                  upper.tolist())
+    x: List[float] = []
     for r in range(valid_rows):
-        row = body[r]
-        lower = row[:r]
-        upper = row[r + 1:]
-        dot = float(lower @ x_new[:r]) + float(upper @ x_old_chunk[r + 1:])
-        s = float(acc[r]) + dot
-        if diag[r] == 0.0:
+        if d[r] == 0.0:
             raise SimulationError(
                 f"zero diagonal inside D-SymGS block (local row {r})"
             )
-        numer = float(b_chunk[r]) - s
-        x_new[r] = numer / float(diag[r])
-    return x_new
+        row = rows[r]
+        lower = 0.0
+        for c in range(r):
+            lower += row[c] * x[c]
+        x.append((b[r] - (a[r] + (lower + u[r]))) / d[r])
+    return x
 
 
 def dsymgs_block(fcu: FixedComputeUnit, rcu: ReconfigurableComputeUnit,
@@ -129,8 +154,10 @@ def dsymgs_block(fcu: FixedComputeUnit, rcu: ReconfigurableComputeUnit,
         fcu.counters.add("alu_op", nnz)
         fcu.counters.add("re_op", max(0.0, nnz - 1.0) + 1.0)
         rcu.counters.add("pe_op", 2.0)  # the sub and the div per row
-    x_new = dsymgs_solve(body, diag, b_chunk, x_old_chunk, acc,
-                         valid_rows, omega)
+    x_new = np.zeros(omega)
+    x_new[:valid_rows] = dsymgs_recurrence(
+        body, diag, b_chunk, acc,
+        dsymgs_upper_dots(body[None], x_old_chunk[None])[0], valid_rows)
     fcu.check_finite(x_new[:valid_rows], "D-SymGS solve output")
     return x_new
 

@@ -22,9 +22,11 @@ def _pair(x, y) -> tuple[np.ndarray, np.ndarray]:
 
 
 def dot(x, y) -> float:
-    """Inner product ``x . y``."""
+    """Inner product ``x . y``: the elementwise products, then numpy's
+    pairwise sum, whose order depends only on the length — never on
+    the CPU's BLAS kernel, as ``np.dot`` would."""
     x, y = _pair(x, y)
-    return float(np.dot(x, y))
+    return float(np.sum(x * y))
 
 
 def waxpby(alpha: float, x, beta: float, y) -> np.ndarray:
@@ -40,6 +42,6 @@ def axpy(alpha: float, x, y) -> np.ndarray:
 
 
 def norm2(x) -> float:
-    """Euclidean norm."""
+    """Euclidean norm, summed in :func:`dot`'s order."""
     x = np.asarray(x, dtype=np.float64)
-    return float(np.sqrt(np.dot(x, x)))
+    return float(np.sqrt(np.sum(x * x)))
