@@ -150,9 +150,10 @@ class AlreschaConfig:
     #: stay *visible* in the output unless the user opts into guarding.
     guard_nonfinite: bool = False
     #: Fraction of block rows whose compiled-plan output is spot-checked
-    #: against an independent recompute per pass (0 disables).  Only
-    #: the streaming plans (SpMV, batched SpMV, D-BFS, D-SSSP, D-PR)
-    #: are checked; the SymGS and parent-tracking D-BFS plans are not.
+    #: against an independent recompute per pass (0 disables).  The
+    #: streaming plans (SpMV, batched SpMV, D-BFS, D-SSSP, D-PR) and
+    #: the SymGS plan are checked; the parent-tracking D-BFS plan is
+    #: not.
     crosscheck_rows: float = 0.0
     #: Cross-check mismatches tolerated before the accelerator degrades
     #: plans to the interpreter with checksums forced on.

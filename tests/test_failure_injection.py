@@ -342,6 +342,56 @@ class TestRuntimeFaults:
         _counter_reconciliation(rep, fm)
 
 
+class TestSymgsPlanCrosscheck:
+    """The SymGS plan recomputes sampled block rows from the pristine
+    payload and the run's x^t and x^{t-1}, as the streaming plans do."""
+
+    @pytest.fixture(scope="class")
+    def stencil(self):
+        from repro.datasets import load_dataset
+        return load_dataset("stencil27", scale=0.05).matrix
+
+    @staticmethod
+    def _operands(n, k=None):
+        rng = np.random.default_rng(4)
+        shape = (n,) if k is None else (n, k)
+        return rng.normal(size=shape), rng.normal(size=shape)
+
+    def test_silent_bitflips_degrade_to_the_interpreter(self, stencil):
+        b, x_prev = self._operands(stencil.shape[0])
+        clean = Alrescha.from_matrix(KernelType.SYMGS, stencil,
+                                     config=AlreschaConfig(use_plan=False))
+        x_clean, _ = clean.run_symgs_sweep(b, x_prev)
+        acc = Alrescha.from_matrix(
+            KernelType.SYMGS, stencil,
+            config=AlreschaConfig(
+                fault_model=FaultModel.parse("0.2:5:bitflip"),
+                verify_checksums=False, crosscheck_rows=1.0))
+        x, rep = acc.run_symgs_sweep(b, x_prev)
+        assert rep.counters.get("crosscheck_mismatches") > 0
+        assert rep.counters.get("plan_fallbacks") == 1.0
+        assert rep.counters.get("crosscheck_wasted_cycles") > 0.0
+        assert acc.plan_degraded
+        assert np.array_equal(x, x_clean)
+
+    @pytest.mark.parametrize("k", [None, 3])
+    def test_clean_sweep_counts_every_row(self, stencil, k):
+        b, x_prev = self._operands(stencil.shape[0], k)
+        base = Alrescha.from_matrix(KernelType.SYMGS, stencil)
+        acc = Alrescha.from_matrix(
+            KernelType.SYMGS, stencil,
+            config=AlreschaConfig(crosscheck_rows=1.0))
+        run = ((lambda a: a.run_symgs_sweep(b, x_prev)) if k is None
+               else (lambda a: a.run_symgs_batch(b, x_prev)))
+        x_base, _ = run(base)
+        x, rep = run(acc)
+        assert np.array_equal(x, x_base)
+        assert rep.counters.get("crosscheck_rows") \
+            == len(acc.image.rows) * (k or 1)
+        assert rep.counters.get("crosscheck_mismatches") == 0.0
+        assert not acc.plan_degraded
+
+
 class TestCapacityAndImageIntegrity:
     def test_oversized_image_rejected_at_program_time(self, spd_small):
         with pytest.raises(CapacityError, match="capacity_bytes"):
