@@ -8,7 +8,10 @@ the result (who wins, by roughly what factor) against the paper within
 generous bands — our substrate is a behavioural simulator, not the
 authors' testbed.
 
-``REPRO_BENCH_SCALE`` (default 0.1) controls dataset scale.
+``REPRO_BENCH_SCALE`` (default 0.1) controls dataset scale.  The
+committed ``benchmarks/results/`` files were made at the default scale,
+so only a default-scale run rewrites them; a run at any other scale
+(CI's fast subset uses 0.05) writes its tables to a temporary directory.
 """
 
 from __future__ import annotations
@@ -20,9 +23,12 @@ import pytest
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
+#: Dataset scale the committed result files were made at.
+DEFAULT_SCALE = 0.1
+
 
 def bench_scale() -> float:
-    return float(os.environ.get("REPRO_BENCH_SCALE", "0.1"))
+    return float(os.environ.get("REPRO_BENCH_SCALE", str(DEFAULT_SCALE)))
 
 
 @pytest.fixture(scope="session")
@@ -31,7 +37,11 @@ def scale() -> float:
 
 
 @pytest.fixture(scope="session")
-def results_dir() -> Path:
+def results_dir(tmp_path_factory) -> Path:
+    """``benchmarks/results/`` at the default scale, else a temporary
+    directory, so a scaled run never rewrites the committed tables."""
+    if bench_scale() != DEFAULT_SCALE:
+        return tmp_path_factory.mktemp("results")
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     return RESULTS_DIR
 
