@@ -35,9 +35,10 @@ tree drain cannot hide (§4.4).
 Images and bindings
 -------------------
 Programming produces a :class:`ProgrammedImage`: the conversion, the
-per-block-row table entries, the store key and the pass plans compiled
-from them.  Nothing mutates an image once :meth:`Alrescha.program` has
-built it (its plan table only fills in lazily), so any number of
+table joined to the stream as columns (each entry's block and payload
+CRC), the store key and the pass plans compiled from them.  Nothing
+mutates an image once :meth:`Alrescha.program` has built it (its plan
+table and per-op rows only fill in lazily), so any number of
 accelerators can share one.  An :class:`Alrescha` is a *binding* of an
 image to a configuration: the fault model, tracer and cross-check
 knobs, plus the cross-check and degradation state its runs accumulate.
@@ -60,12 +61,15 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigError, SimulationError
 from repro.core.config import (
+    DATAPATHS,
+    OPERAND_PORTS,
     ConfigTable,
     DataPathType,
     KernelType,
@@ -86,7 +90,7 @@ from repro.observe.tracer import Tracer
 from repro.core.rcu import RCUConfig, ReconfigurableComputeUnit
 from repro.sim.cache import LocalCache
 from repro.sim.energy import EnergyModel
-from repro.sim.faults import FaultModel, payload_checksum
+from repro.sim.faults import FaultModel, payload_checksums
 from repro.sim.memory import DEFAULT_CAPACITY_BYTES, StreamingMemory
 
 
@@ -150,10 +154,9 @@ class AlreschaConfig:
     #: stay *visible* in the output unless the user opts into guarding.
     guard_nonfinite: bool = False
     #: Fraction of block rows whose compiled-plan output is spot-checked
-    #: against an independent recompute per pass (0 disables).  The
-    #: streaming plans (SpMV, batched SpMV, D-BFS, D-SSSP, D-PR) and
-    #: the SymGS plan are checked; the parent-tracking D-BFS plan is
-    #: not.
+    #: against an independent recompute per pass (0 disables).  Every
+    #: compiled plan is checked: SpMV, batched SpMV, D-BFS,
+    #: parent-tracking D-BFS, D-SSSP, D-PR and SymGS.
     crosscheck_rows: float = 0.0
     #: Cross-check mismatches tolerated before the accelerator degrades
     #: plans to the interpreter with checksums forced on.
@@ -258,15 +261,23 @@ class ProgrammedImage:
     """What :meth:`Alrescha.program` writes: one matrix's programmed state.
 
     Immutable once built, and shared by every accelerator bound to it
-    (:meth:`Alrescha.bind`).  ``plans`` is a memo, not state: the pass
-    plans compile from the fields above on the first run of each kind,
-    and a compiled plan serves every binding (each run takes the
-    calling accelerator).
+    (:meth:`Alrescha.bind`).  The table and the stream are joined as
+    table-order columns: each entry's stream block and its payload
+    CRC.  ``plans`` is a memo, not state: the pass plans compile from
+    the columns on the first run of each kind, and a compiled plan
+    serves every binding (each run takes the calling accelerator).
+    ``rows``, the per-op view the interpreter walks, is built from the
+    columns on first use, so a start whose plans lower with stored
+    templates never builds it.
     """
 
     conversion: ConversionResult
-    #: Table entries grouped by block row, in table order.
-    rows: Tuple[_RowGroup, ...]
+    #: Stream index (into ``conversion.matrix.blocks``) of each table
+    #: entry's block, in table order.
+    block_index: np.ndarray
+    #: CRC32 of each table entry's block payload, in table order; the
+    #: streamed copy is verified against it when faults are injected.
+    checksums: np.ndarray
     #: Data-path switches of the table in its programmed order.
     table_switches: int
     #: :attr:`AlreschaConfig.compile_signature` of the configuration it
@@ -283,6 +294,69 @@ class ProgrammedImage:
     def n(self) -> int:
         return self.conversion.matrix.shape[0]
 
+    @cached_property
+    def entry_groups(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(group rows, entry groups)``: the block rows of the table in
+        order of first appearance, and each entry's position in that
+        list.  A group is what a :class:`_RowGroup` of :attr:`rows`
+        holds."""
+        rows = self.conversion.table.block_row
+        uniq, first, inverse = np.unique(rows, return_index=True,
+                                         return_inverse=True)
+        order = np.argsort(first, kind="stable")
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        return uniq[order], rank[inverse.reshape(-1)]
+
+    @cached_property
+    def rows(self) -> Tuple[_RowGroup, ...]:
+        """Table entries grouped by block row, in table order, each
+        joined to its stream block (a view of the block stack)."""
+        table, matrix = self.conversion.table, self.conversion.matrix
+        groups: Dict[int, _RowGroup] = {}
+        entries = zip(table.dp.tolist(), table.block_row.tolist(),
+                      table.block_col.tolist(), table.inx_in.tolist(),
+                      table.inx_out.tolist(), table.port.tolist(),
+                      self.block_index.tolist(), self.checksums.tolist())
+        for dp, row, col, inx_in, inx_out, port, index, crc in entries:
+            op = _Op(dp=DATAPATHS[dp], block_row=row, block_col=col,
+                     inx_in=inx_in, inx_out=inx_out,
+                     port=OPERAND_PORTS[port],
+                     values=matrix.blocks[index],
+                     reversed_cols=bool(matrix.reversed_cols[index]),
+                     is_diagonal=bool(matrix.is_diagonal[index]),
+                     checksum=crc)
+            group = groups.get(row)
+            if group is None:
+                group = groups[row] = _RowGroup(row)
+            if op.dp is DataPathType.D_SYMGS:
+                group.diagonal = op
+            else:
+                group.streaming.append(op)
+        return tuple(groups.values())
+
+
+def _stream_index(table: ConfigTable, matrix) -> np.ndarray:
+    """Stream index of each table entry's block, by one sorted lookup
+    (the last of equal blocks, as a map from block to stream position
+    would hold); :class:`~repro.errors.ConfigError` names the first
+    entry whose block is absent."""
+    width = int(max(table.block_col.max(initial=0),
+                    matrix.block_col.max(initial=0))) + 1
+    stream_keys = matrix.block_row * width + matrix.block_col
+    order = np.argsort(stream_keys, kind="stable")
+    keys = stream_keys[order]
+    wanted = table.block_row * width + table.block_col
+    pos = np.searchsorted(keys, wanted, side="right") - 1
+    found = ((pos >= 0) & (table.block_row >= 0) & (table.block_col >= 0))
+    found[found] = keys[pos[found]] == wanted[found]
+    if not found.all():
+        i = int(np.argmin(found))
+        key = (int(table.block_row[i]), int(table.block_col[i]))
+        raise ConfigError(
+            f"table references block {key} absent from the stream")
+    return order[pos]
+
 
 def _validate_symgs_diagonal(image: ProgrammedImage) -> None:
     """Reject zero/non-finite pivots the D-SymGS PE would divide by.
@@ -291,26 +365,29 @@ def _validate_symgs_diagonal(image: ProgrammedImage) -> None:
     rather than mid-sweep, and only for rows an actual D-SymGS entry
     covers — rows of an entirely empty block row pass through the
     sweep untouched, so a missing pivot there is the caller's
-    business (the system is singular either way).
+    business (the system is singular either way).  The first bad row
+    of the first block row, in table order, is named.
     """
     conversion = image.conversion
     diag = conversion.matrix.diagonal
     if conversion.kernel is not KernelType.SYMGS or diag is None:
         return
     n, w = image.n, conversion.omega
-    for group in image.rows:
-        if group.diagonal is None:
-            continue
-        start = group.block_row * w
-        valid = max(0, min(w, n - start))
-        d = diag[start:start + valid]
-        bad = ~np.isfinite(d) | (d == 0.0)
-        if bad.any():
-            r = int(np.argmax(bad))
-            raise ConfigError(
-                f"SymGS needs a nonzero finite main diagonal; "
-                f"row {start + r} has {d[r]!r}"
-            )
+    nbr = -(-n // w)
+    group_rows, group = image.entry_groups
+    pivoted = np.zeros(group_rows.size, dtype=bool)
+    pivoted[group[conversion.table.dependent]] = True
+    rows = group_rows[pivoted & (group_rows >= 0) & (group_rows < nbr)]
+    bad = np.zeros(nbr * w, dtype=bool)
+    bad[:n] = ~np.isfinite(diag) | (diag == 0.0)
+    bad = bad.reshape(nbr, w)[rows]
+    if bad.any():
+        first = int(np.argmax(bad.any(axis=1)))
+        row = int(rows[first]) * w + int(np.argmax(bad[first]))
+        raise ConfigError(
+            f"SymGS needs a nonzero finite main diagonal; "
+            f"row {row} has {diag[row]!r}"
+        )
 
 
 class Alrescha:
@@ -414,46 +491,16 @@ class Alrescha:
                 f"conversion blocked at omega={conversion.omega}, "
                 f"hardware configured for {self.config.omega}"
             )
-        resident = float(conversion.matrix.payload_bytes)
-        if conversion.matrix.symgs_layout:
-            resident += conversion.matrix.shape[0] * 8.0
+        matrix = conversion.matrix
+        resident = float(matrix.payload_bytes)
+        if matrix.symgs_layout:
+            resident += matrix.shape[0] * 8.0
         self.config.make_memory().check_capacity(resident)
-        block_map = {
-            (b.block_row, b.block_col): b for b in conversion.matrix.stream()
-        }
-        rows: Dict[int, _RowGroup] = {}
-        order: List[int] = []
-        for entry in conversion.table:
-            key = (entry.block_row, entry.block_col)
-            sb = block_map.get(key)
-            if sb is None:
-                raise ConfigError(
-                    f"table references block {key} absent from the stream"
-                )
-            op = _Op(
-                dp=entry.dp,
-                block_row=entry.block_row,
-                block_col=entry.block_col,
-                inx_in=entry.inx_in,
-                inx_out=entry.inx_out,
-                port=entry.op,
-                values=sb.values,
-                reversed_cols=sb.reversed_cols,
-                is_diagonal=sb.is_diagonal,
-                checksum=payload_checksum(sb.values),
-            )
-            group = rows.get(entry.block_row)
-            if group is None:
-                group = _RowGroup(entry.block_row)
-                rows[entry.block_row] = group
-                order.append(entry.block_row)
-            if op.dp is DataPathType.D_SYMGS:
-                group.diagonal = op
-            else:
-                group.streaming.append(op)
+        index = _stream_index(conversion.table, matrix)
         image = ProgrammedImage(
             conversion=conversion,
-            rows=tuple([rows[i] for i in order]),
+            block_index=index,
+            checksums=payload_checksums(matrix.blocks)[index],
             table_switches=conversion.table.switch_count(),
             signature=self.config.compile_signature,
             store_key=store_key)

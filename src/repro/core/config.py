@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, List, Sequence
 
+import numpy as np
+
 from repro.errors import ConfigError
 
 
@@ -111,8 +113,47 @@ class ConfigEntry:
             raise ConfigError(f"invalid Inx_out {self.inx_out}")
 
 
+#: Column codes: the table's ``dp``, ``order`` and ``port`` columns hold
+#: each value's index in these tuples.
+DATAPATHS = tuple(DataPathType)
+ACCESS_ORDERS = tuple(AccessOrder)
+OPERAND_PORTS = tuple(OperandPort)
+
+_CODES = {value: code for values in (DATAPATHS, ACCESS_ORDERS, OPERAND_PORTS)
+          for code, value in enumerate(values)}
+
+#: Column names and dtypes, in the order of a table row.
+_COLUMNS = (("dp", np.int8), ("block_row", np.int64),
+            ("block_col", np.int64), ("order", np.int8),
+            ("port", np.int8))
+
+
+def column_code(value: Enum) -> int:
+    """The column code of a data path, access order or operand port."""
+    return _CODES[value]
+
+
+_GEMV = column_code(DataPathType.GEMV)
+_D_SYMGS = column_code(DataPathType.D_SYMGS)
+
+
+def _row(entry: ConfigEntry) -> tuple:
+    """``entry`` as one value per column."""
+    return (column_code(entry.dp), entry.block_row, entry.block_col,
+            column_code(entry.order), column_code(entry.op))
+
+
 class ConfigTable:
-    """An ordered sequence of :class:`ConfigEntry` rows plus bit budget."""
+    """An ordered configuration table, stored as columns, plus bit budget.
+
+    Row ``i`` is ``dp[i]``, ``block_row[i]``, ``block_col[i]``,
+    ``order[i]`` and ``port[i]``: read-only arrays, the first and last
+    two holding codes into :data:`DATAPATHS`, :data:`ACCESS_ORDERS` and
+    :data:`OPERAND_PORTS`.  ``Inx_in`` and ``Inx_out`` follow from the
+    block indices (:attr:`inx_in`, :attr:`inx_out`).  Indexing and
+    iteration build :class:`ConfigEntry` rows on demand; the
+    programming phase reads the columns.
+    """
 
     def __init__(self, n: int, omega: int,
                  entries: Sequence[ConfigEntry] = (),
@@ -121,56 +162,116 @@ class ConfigTable:
             raise ConfigError(f"invalid table dimensions n={n}, omega={omega}")
         self.n = int(n)
         self.omega = int(omega)
-        self._entries: List[ConfigEntry] = list(entries)
         #: Whether the rows follow the data-path reordering of §4.1
         #: (False only for the SymGS ablation).  Without it, a SymGS
         #: row's diagonal block streams past before the row's trailing
         #: GEMV partials exist and must be re-fetched, with two extra
         #: data-path toggles.  The program binary records it.
         self.reordered = bool(reordered)
+        self._set_columns(*(list(zip(*map(_row, entries)))
+                            or [()] * len(_COLUMNS)))
+
+    @classmethod
+    def from_columns(cls, n: int, omega: int, dp, block_row, block_col,
+                     order, port, reordered: bool = True
+                     ) -> "ConfigTable":
+        """A table holding copies of the given columns (codes as in the
+        class docstring)."""
+        table = cls(n, omega, reordered=reordered)
+        table._set_columns(dp, block_row, block_col, order, port)
+        return table
+
+    def _set_columns(self, *columns) -> None:
+        arrays = []
+        for (_name, dtype), column in zip(_COLUMNS, columns):
+            array = np.array(column, dtype=dtype)
+            array.flags.writeable = False
+            arrays.append(array)
+        if len({a.shape for a in arrays}) != 1 or arrays[0].ndim != 1:
+            raise ConfigError("table columns must be 1-D and equally long")
+        (self.dp, self.block_row, self.block_col, self.order,
+         self.port) = arrays
 
     # ------------------------------------------------------------------
-    # Mutation (used by the conversion algorithm)
+    # Mutation (tests and hand-built tables; Algorithm 1 and the
+    # program decoder build the columns at once)
     # ------------------------------------------------------------------
     def add(self, entry: ConfigEntry) -> None:
-        self._entries.append(entry)
+        self._set_columns(*(np.append(getattr(self, name), value)
+                            for (name, _dtype), value
+                            in zip(_COLUMNS, _row(entry))))
+
+    # ------------------------------------------------------------------
+    # Derived columns
+    # ------------------------------------------------------------------
+    @property
+    def dependent(self) -> np.ndarray:
+        """Per row: the data path is the dependent D-SymGS."""
+        return self.dp == _D_SYMGS
+
+    @property
+    def inx_in(self) -> np.ndarray:
+        """``Inx_in`` per row: the operand chunk's first element."""
+        return self.block_col * self.omega
+
+    @property
+    def inx_out(self) -> np.ndarray:
+        """``Inx_out`` per row: the output chunk's first element, or
+        :data:`NO_CACHE_WRITE` for the GEMV rows of a SymGS table (a
+        table with D-SymGS rows), whose partials go to the link stack."""
+        out = self.block_row * self.omega
+        if self.dependent.any():
+            out = np.where(self.dp == _GEMV, NO_CACHE_WRITE, out)
+        return out
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._entries)
+        return int(self.dp.size)
 
     def __iter__(self) -> Iterator[ConfigEntry]:
-        return iter(self._entries)
+        rows = zip(self.dp.tolist(), self.inx_in.tolist(),
+                   self.inx_out.tolist(), self.order.tolist(),
+                   self.port.tolist(), self.block_row.tolist(),
+                   self.block_col.tolist())
+        for dp, inx_in, inx_out, order, port, row, col in rows:
+            yield ConfigEntry(DATAPATHS[dp], inx_in, inx_out,
+                              ACCESS_ORDERS[order], OPERAND_PORTS[port],
+                              row, col)
 
     def __getitem__(self, i: int) -> ConfigEntry:
-        return self._entries[i]
+        return self.entries[i]
 
     @property
     def entries(self) -> List[ConfigEntry]:
-        return list(self._entries)
+        return list(self)
 
     @property
     def n_block_rows(self) -> int:
         return -(-self.n // self.omega)
 
+    def index_bits(self) -> int:
+        """Bits per block index: ``ceil(log2(n/omega))``, at least 1."""
+        m = max(1, self.n_block_rows)
+        return math.ceil(math.log2(m)) if m > 1 else 1
+
     def entry_bits(self) -> int:
         """Bits per table row: ``2*ceil(log2(n/omega)) + 3`` (§4.1)."""
-        m = max(1, self.n_block_rows)
-        index_bits = math.ceil(math.log2(m)) if m > 1 else 1
-        return 2 * index_bits + 3
+        return 2 * self.index_bits() + 3
 
     def total_bits(self) -> int:
         """Total one-time programming payload in bits."""
-        return len(self._entries) * self.entry_bits()
+        return len(self) * self.entry_bits()
 
     def datapath_counts(self) -> dict:
-        """How many entries use each data-path type."""
-        counts: dict = {}
-        for e in self._entries:
-            counts[e.dp] = counts.get(e.dp, 0) + 1
-        return counts
+        """How many entries use each data-path type, in order of first
+        use."""
+        codes, first, counts = np.unique(self.dp, return_index=True,
+                                         return_counts=True)
+        order = np.argsort(first)
+        return {DATAPATHS[c]: int(k)
+                for c, k in zip(codes[order], counts[order])}
 
     def switch_count(self) -> int:
         """Number of data-path switches between adjacent entries.
@@ -178,20 +279,20 @@ class ConfigTable:
         Every switch requires reconfiguring the RCU; Algorithm 1's
         reordering exists precisely to minimise this number.
         """
-        switches = 0
-        for prev, curr in zip(self._entries, self._entries[1:]):
-            if prev.dp is not curr.dp:
-                switches += 1
-        return switches
+        return int(np.count_nonzero(self.dp[1:] != self.dp[:-1]))
+
+    @property
+    def n_dependent(self) -> int:
+        """Entries that are data-dependent (D-SymGS)."""
+        return int(np.count_nonzero(self.dependent))
 
     def dependent_fraction(self) -> float:
         """Fraction of entries that are data-dependent (D-SymGS)."""
-        if not self._entries:
+        if not len(self):
             return 0.0
-        dep = sum(1 for e in self._entries if e.dp.is_dependent)
-        return dep / len(self._entries)
+        return self.n_dependent / len(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"ConfigTable(n={self.n}, omega={self.omega}, "
-                f"entries={len(self._entries)}, "
+                f"entries={len(self)}, "
                 f"switches={self.switch_count()})")

@@ -29,25 +29,31 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+
+import numpy as np
 
 from repro.errors import ConfigError
 from repro.formats import AlreschaMatrix, BCSRMatrix, COOMatrix
+from repro.formats.alrescha import symgs_natural_order
 from repro.formats.base import SparseFormat
 from repro.core.config import (
-    NO_CACHE_WRITE,
     AccessOrder,
-    ConfigEntry,
     ConfigTable,
     DataPathType,
     KernelType,
     OperandPort,
+    column_code,
 )
 
 #: Host-side preprocessing cost per source non-zero, in host cycles.
 #: §4: "the conversion complexity from frequently-used storage formats
 #: (e.g., CSR and BCSR) is linear in time and requires constant space."
 PREPROCESS_CYCLES_PER_NNZ = 4.0
+
+_L2R = column_code(AccessOrder.L2R)
+_R2L = column_code(AccessOrder.R2L)
+_PORT1 = column_code(OperandPort.PORT1)
+_PORT2 = column_code(OperandPort.PORT2)
 
 
 @dataclass
@@ -80,7 +86,7 @@ class ConversionResult:
 
     @property
     def n_dependent(self) -> int:
-        return sum(1 for e in self.table if e.dp.is_dependent)
+        return self.table.n_dependent
 
     @property
     def n_parallel(self) -> int:
@@ -139,79 +145,46 @@ def convert(kernel: KernelType, matrix, omega: int = 8,
 
 def _convert_straightforward(kernel: KernelType, bcsr: BCSRMatrix,
                              omega: int) -> ConversionResult:
-    """Lines 8-12: SpMV/BFS/SSSP/PR lower 1:1 to their dense data path."""
-    table = ConfigTable(bcsr.shape[0], omega)
-    dp = kernel.datapath
-    for i in range(bcsr.n_block_rows):
-        for j, _blk in bcsr.block_row(i):
-            table.add(ConfigEntry(
-                dp=dp,
-                inx_in=j * omega,
-                inx_out=i * omega,
-                order=AccessOrder.L2R,
-                op=OperandPort.PORT1,
-                block_row=i,
-                block_col=j,
-            ))
+    """Lines 8-12: SpMV/BFS/SSSP/PR lower 1:1 to their dense data path,
+    one entry per block in stream order, read left to right from
+    port 1."""
     alr = AlreschaMatrix.from_bcsr(bcsr, symgs_layout=False)
+    m = alr.n_blocks
+    table = ConfigTable.from_columns(
+        bcsr.shape[0], omega, dp=np.full(m, column_code(kernel.datapath)),
+        block_row=alr.block_row, block_col=alr.block_col,
+        order=np.full(m, _L2R), port=np.full(m, _PORT1))
     return ConversionResult(kernel, omega, table, alr)
 
 
 def _convert_symgs(kernel: KernelType, bcsr: BCSRMatrix, omega: int,
                    reorder: bool) -> ConversionResult:
-    """Lines 13-27: split SymGS into GEMV + D-SymGS entries."""
+    """Lines 13-27: split SymGS into GEMV + D-SymGS entries.
+
+    Each block row's off-diagonal blocks become GEMV entries in BCSR
+    order (ascending block column) and its diagonal block one D-SymGS
+    entry, read right to left: after all the row's GEMVs with §4.1's
+    reordering (the SymGS layout's stream order), at its natural column
+    position without.  GEMVs left of the diagonal read ``x^t`` (port 1)
+    and right of it ``x^{t-1}`` (port 2); their partials go to the link
+    stack.  A block row with off-diagonal content but an all-zero
+    diagonal block still gets its D-SymGS entry (the layout's synthetic
+    zero block), so the singular pivot surfaces when it is programmed.
+    """
     if bcsr.shape[0] != bcsr.shape[1]:
         raise ConfigError(f"SymGS requires a square matrix, got {bcsr.shape}")
-    table = ConfigTable(bcsr.shape[0], omega, reordered=reorder)
-    for i in range(bcsr.n_block_rows):
-        gemvs = []
-        diag_entry: Optional[ConfigEntry] = None
-        natural = []
-        for j, _blk in bcsr.block_row(i):
-            if i != j:
-                entry = ConfigEntry(
-                    dp=DataPathType.GEMV,
-                    inx_in=j * omega,
-                    inx_out=NO_CACHE_WRITE,  # partials go to the link stack
-                    order=AccessOrder.L2R,
-                    op=(OperandPort.PORT1 if j < i else OperandPort.PORT2),
-                    block_row=i,
-                    block_col=j,
-                )
-                gemvs.append(entry)
-                natural.append(entry)
-            else:
-                diag_entry = ConfigEntry(
-                    dp=DataPathType.D_SYMGS,
-                    inx_in=i * omega,
-                    inx_out=i * omega,
-                    order=AccessOrder.R2L,
-                    op=OperandPort.PORT2,
-                    block_row=i,
-                    block_col=i,
-                )
-                natural.append(diag_entry)
-        if diag_entry is None and (gemvs or natural):
-            # A block row with off-diagonal content but an all-zero
-            # diagonal block would make the solve singular; Algorithm 1
-            # still emits the D-SymGS so the error surfaces at execution.
-            diag_entry = ConfigEntry(
-                dp=DataPathType.D_SYMGS,
-                inx_in=i * omega,
-                inx_out=i * omega,
-                order=AccessOrder.R2L,
-                op=OperandPort.PORT2,
-                block_row=i,
-                block_col=i,
-            )
-            natural.append(diag_entry)
-        if reorder:
-            for entry in gemvs:
-                table.add(entry)
-            if diag_entry is not None:
-                table.add(diag_entry)
-        else:
-            for entry in natural:
-                table.add(entry)
     alr = AlreschaMatrix.from_bcsr(bcsr, symgs_layout=True)
+    if reorder:
+        rows, cols = alr.block_row, alr.block_col
+    else:
+        _source, rows, cols = symgs_natural_order(bcsr)
+    diag = rows == cols
+    table = ConfigTable.from_columns(
+        bcsr.shape[0], omega,
+        dp=np.where(diag, column_code(DataPathType.D_SYMGS),
+                    column_code(DataPathType.GEMV)),
+        block_row=rows, block_col=cols,
+        order=np.where(diag, _R2L, _L2R),
+        port=np.where(cols < rows, _PORT1, _PORT2),
+        reordered=reorder)
     return ConversionResult(kernel, omega, table, alr)

@@ -24,12 +24,13 @@ from __future__ import annotations
 
 import struct
 import zlib
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.errors import CorruptionError, FormatError
-from repro.formats.alrescha import AlreschaMatrix, StreamBlock
+from repro.formats.alrescha import AlreschaMatrix
+from repro.sim.faults import block_crcs
 
 #: Image magic: "ALRD".
 MAGIC = 0x414C5244
@@ -40,6 +41,12 @@ _FLAG_SYMGS = 0x1
 _FLAG_CHECKSUMS = 0x2
 
 
+#: One block-directory record: block row, block column, diagonal flag,
+#: reversed flag.
+_DIRECTORY = np.dtype([("row", ">u4"), ("col", ">u4"),
+                       ("diag", "u1"), ("rev", "u1")])
+
+
 def encode_image(matrix: AlreschaMatrix) -> bytes:
     """Serialise an Alrescha-formatted matrix to the device image."""
     n_rows, n_cols = matrix.shape
@@ -47,31 +54,28 @@ def encode_image(matrix: AlreschaMatrix) -> bytes:
     flags |= _FLAG_CHECKSUMS
     header = struct.pack(_HEADER, MAGIC, n_rows, n_cols, matrix.omega,
                          flags, 0)
-    parts = [header]
     # Block directory: count, then (row, col, diag-flag, reversed-flag)
     # per block.  The directory is *programming-time* data (it shadows
     # the configuration table) and is not streamed at runtime.
-    parts.append(struct.pack(">I", matrix.n_blocks))
-    block_bytes: List[bytes] = []
-    for b in matrix.stream():
-        parts.append(struct.pack(">IIBB", b.block_row, b.block_col,
-                                 1 if b.is_diagonal else 0,
-                                 1 if b.reversed_cols else 0))
-        block_bytes.append(
-            np.ascontiguousarray(b.values, dtype=">f8").tobytes())
+    directory = np.empty(matrix.n_blocks, dtype=_DIRECTORY)
+    directory["row"] = matrix.block_row
+    directory["col"] = matrix.block_col
+    directory["diag"] = matrix.is_diagonal
+    directory["rev"] = matrix.reversed_cols
+    payload = np.ascontiguousarray(matrix.blocks, dtype=">f8").tobytes()
     # Checksum table: one CRC32 per payload block in stream order, plus
     # one for the diagonal in SymGS layouts.  Programming-time data,
     # like the directory — the accelerator verifies streamed payload
     # against it, the decoder verifies the image at rest.
-    for raw in block_bytes:
-        parts.append(struct.pack(">I", zlib.crc32(raw)))
-    diag_bytes = b""
+    crcs = block_crcs(payload, matrix.omega * matrix.omega * 8)
+    parts = [header, struct.pack(">I", matrix.n_blocks), directory.tobytes(),
+             np.asarray(crcs, dtype=">u4").tobytes()]
     if matrix.symgs_layout:
         diag_bytes = np.ascontiguousarray(matrix.diagonal,
                                           dtype=">f8").tobytes()
         parts.append(struct.pack(">I", zlib.crc32(diag_bytes)))
         parts.append(diag_bytes)
-    parts.extend(block_bytes)
+    parts.append(payload)
     return b"".join(parts)
 
 
@@ -80,7 +84,8 @@ def decode_image(data: bytes) -> AlreschaMatrix:
 
     Raises :class:`~repro.errors.FormatError` for structural damage
     (bad magic, truncation) and :class:`~repro.errors.CorruptionError`
-    when a checksummed image's payload fails verification.
+    when a checksummed image's payload fails verification.  The
+    payload decodes into the matrix's block stack in one read.
     """
     header_size = struct.calcsize(_HEADER)
     if len(data) < header_size:
@@ -94,30 +99,20 @@ def decode_image(data: bytes) -> AlreschaMatrix:
     pos = header_size
     (n_blocks,) = struct.unpack(">I", data[pos:pos + 4])
     pos += 4
-    # The directory and checksum table are fixed-width records — parse
-    # them in two vectorized reads rather than one struct.unpack per
-    # block (this path is hot when loading stored artifacts).
-    entry_size = struct.calcsize(">IIBB")
-    need = entry_size * n_blocks
+    need = _DIRECTORY.itemsize * n_blocks
     if pos + need > len(data):
         raise FormatError("device image truncated in block directory")
-    dir_arr = np.frombuffer(
-        data, count=n_blocks, offset=pos,
-        dtype=np.dtype([("row", ">u4"), ("col", ">u4"),
-                        ("diag", "u1"), ("rev", "u1")]))
-    directory = list(zip(dir_arr["row"].tolist(),
-                         dir_arr["col"].tolist(),
-                         (dir_arr["diag"] != 0).tolist(),
-                         (dir_arr["rev"] != 0).tolist()))
+    directory = np.frombuffer(data, count=n_blocks, offset=pos,
+                              dtype=_DIRECTORY)
     pos += need
-    block_crcs: List[int] = []
+    stored_crcs: Optional[np.ndarray] = None
     diag_crc: Optional[int] = None
     if checksummed:
         need = 4 * n_blocks + (4 if symgs else 0)
         if pos + need > len(data):
             raise FormatError("device image truncated in checksum table")
-        block_crcs = np.frombuffer(data, dtype=">u4", count=n_blocks,
-                                   offset=pos).tolist()
+        stored_crcs = np.frombuffer(data, dtype=">u4", count=n_blocks,
+                                    offset=pos)
         pos += 4 * n_blocks
         if symgs:
             diag_crc = struct.unpack(">I", data[pos:pos + 4])[0]
@@ -133,26 +128,24 @@ def decode_image(data: bytes) -> AlreschaMatrix:
                 "device image diagonal fails its checksum")
         diagonal = np.frombuffer(raw, dtype=">f8").astype(np.float64)
         pos += need
-    slots = n_blocks * omega * omega
-    need = slots * 8
+    block_bytes = omega * omega * 8
+    need = n_blocks * block_bytes
     if pos + need > len(data):
         raise FormatError("device image truncated in payload")
-    payload_raw = data[pos:pos + need]
-    payload = np.frombuffer(payload_raw, dtype=">f8").astype(np.float64)
-    block_slots = omega * omega
-    values3d = payload.reshape(n_blocks, omega, omega) if n_blocks \
-        else payload.reshape(0, omega, omega)
-    raw_view = memoryview(payload_raw)
-    blocks = []
-    for i, (row, col, is_diag, reversed_cols) in enumerate(directory):
-        if checksummed:
-            raw = raw_view[i * block_slots * 8:(i + 1) * block_slots * 8]
-            if zlib.crc32(raw) != block_crcs[i]:
-                raise CorruptionError(
-                    f"device image payload block {i} (block row {row}, "
-                    f"col {col}) fails its checksum"
-                )
-        blocks.append(StreamBlock(row, col, is_diag, reversed_cols,
-                                  values3d[i].copy()))
-    return AlreschaMatrix((n_rows, n_cols), omega, blocks, diagonal,
-                          symgs)
+    payload = memoryview(data)[pos:pos + need]
+    if checksummed:
+        got = np.asarray(block_crcs(payload, block_bytes), dtype=np.int64)
+        bad = np.flatnonzero(got != stored_crcs)
+        if bad.size:
+            i = int(bad[0])
+            raise CorruptionError(
+                f"device image payload block {i} (block row "
+                f"{int(directory['row'][i])}, col "
+                f"{int(directory['col'][i])}) fails its checksum"
+            )
+    blocks = np.frombuffer(payload, dtype=">f8").astype(np.float64)
+    return AlreschaMatrix((n_rows, n_cols), omega,
+                          blocks.reshape(n_blocks, omega, omega),
+                          directory["row"], directory["col"],
+                          directory["diag"] != 0, directory["rev"] != 0,
+                          diagonal, symgs)

@@ -67,7 +67,8 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.core import interpreter
-from repro.core.config import DataPathType, KernelType, OperandPort
+from repro.core.config import (DATAPATHS, DataPathType, KernelType,
+                               OperandPort, column_code)
 from repro.core.datapaths import dsymgs_recurrence, dsymgs_upper_dots
 from repro.core.report import SimReport
 from repro.observe.tracer import Span, Tracer
@@ -333,6 +334,16 @@ class _CompiledPass:
         return report
 
 
+def _improve(best: np.ndarray, best_src: np.ndarray, cand: np.ndarray,
+             lanes: np.ndarray, src: np.ndarray
+             ) -> Tuple[np.ndarray, np.ndarray]:
+    """Fold one block's parent-tracking candidates into a row's running
+    minimum and its source vertices."""
+    improved = cand < best
+    return (np.where(improved, cand, best),
+            np.where(improved & (lanes >= 0), src, best_src))
+
+
 class CompiledStreamingPass(_CompiledPass):
     """A compiled SpMV / D-BFS / D-SSSP / D-PR pass.
 
@@ -492,23 +503,29 @@ class CompiledStreamingPass(_CompiledPass):
                 np.inf).min(axis=2))
         return out, report
 
+    def _parent_candidates(self, masks: np.ndarray, chunks: np.ndarray,
+                           src_base: np.ndarray):
+        """Per block and output lane: the unit-cost min-plus candidate,
+        its argmin lane (-1 where no edge reaches it) and that lane's
+        vertex."""
+        cand = np.where(masks, chunks[:, None, :] + 1.0, np.inf)
+        per_block = cand.min(axis=2)
+        lanes = np.where(np.isfinite(per_block), cand.argmin(axis=2), -1)
+        return per_block, lanes, src_base[:, None] + lanes
+
     def run_parents(self, acc, dist: np.ndarray, parent: np.ndarray
                     ) -> Tuple[np.ndarray, np.ndarray, SimReport]:
         templates = self._templates(acc, None)
         _blocks, masks, extra, events = self._deliver(acc)
         chunks = self._gather_chunks(dist)
-        cand = np.where(masks, chunks[:, None, :] + 1.0, np.inf)
-        per_block = cand.min(axis=2)
-        lanes = np.where(np.isfinite(per_block), cand.argmin(axis=2), -1)
-        src = self.src_base[:, None] + lanes
+        per_block, lanes, src = self._parent_candidates(masks, chunks,
+                                                        self.src_base)
         best = np.full((self._n_rows, self.omega), np.inf)
         best_src = np.full((self._n_rows, self.omega), -1, dtype=np.int64)
         for live, idx in self._tgroups:
-            cand_t = per_block[idx]
-            improved = cand_t < best[live]
-            best[live] = np.where(improved, cand_t, best[live])
-            best_src[live] = np.where(improved & (lanes[idx] >= 0),
-                                      src[idx], best_src[live])
+            best[live], best_src[live] = _improve(
+                best[live], best_src[live], per_block[idx], lanes[idx],
+                src[idx])
         dist_pad = np.zeros(self.npad)
         dist_pad[:self.n] = dist
         parent_pad = np.zeros(self.npad, dtype=np.int64)
@@ -519,8 +536,23 @@ class CompiledStreamingPass(_CompiledPass):
         take = best < dview[rows]
         dview[rows] = np.where(take, best, dview[rows])
         pview[rows] = np.where(take, best_src, pview[rows])
-        return (dist_pad[:self.n].copy(), parent_pad[:self.n].copy(),
-                self._finish_report(acc, extra, events, templates))
+        report = self._finish_report(acc, extra, events, templates)
+
+        def row_matches(r: int) -> bool:
+            lo = int(self.artifacts.seg_start[r])
+            hi = lo + int(self.artifacts.seg_len[r])
+            cands = self._parent_candidates(
+                self.masks[lo:hi], chunks[lo:hi], self.src_base[lo:hi])
+            expect = np.full(self.omega, np.inf)
+            expect_src = np.full(self.omega, -1, dtype=np.int64)
+            for cand, lane, vertex in zip(*cands):
+                expect, expect_src = _improve(expect, expect_src, cand,
+                                              lane, vertex)
+            return (np.array_equal(expect, best[r], equal_nan=True)
+                    and np.array_equal(expect_src, best_src[r]))
+
+        self._crosscheck_rows(acc.config, report, self._n_rows, row_matches)
+        return dist_pad[:self.n].copy(), parent_pad[:self.n].copy(), report
 
     def run_pagerank(self, acc, rank: np.ndarray, outdeg: np.ndarray
                      ) -> Tuple[np.ndarray, SimReport]:
@@ -800,107 +832,138 @@ def _capture_template(acc, kind: str, k: Optional[int] = None
     return report, spans
 
 
+def _compute_cycles(timing, dp: np.ndarray) -> np.ndarray:
+    """Engine cycles per block of each ``dp`` code."""
+    per_code = np.array([timing.compute_cycles_per_block(path)
+                         for path in DATAPATHS], dtype=np.float64)
+    return per_code[dp]
+
+
+def _gather(inx_in: np.ndarray, reversed_cols: np.ndarray,
+            omega: int) -> np.ndarray:
+    """Operand indices ``[m, ω]`` of each block: ``inx_in`` plus lane,
+    lanes reversed for column-reversed blocks."""
+    lanes = np.arange(omega)
+    return inx_in[:, None] + np.where(reversed_cols[:, None], lanes[::-1],
+                                      lanes)
+
+
+def _streaming_ops(image) -> Tuple[np.ndarray, np.ndarray]:
+    """Table indices of the streaming-class entries, grouped by block
+    row (groups in table order, entries in table order within one), and
+    each group's entry count."""
+    group_rows, group = image.entry_groups
+    ops = np.flatnonzero(~image.conversion.table.dependent)
+    ops = ops[np.argsort(group[ops], kind="stable")]
+    return ops, np.bincount(group[ops], minlength=group_rows.size)
+
+
 def _compile_streaming(acc, kind: str) -> CompiledStreamingPass:
+    image = acc.image
+    table, matrix = image.conversion.table, image.conversion.matrix
     n, w = acc.n, acc.config.omega
-    timing = acc.config.timing()
-    lanes = np.arange(w)
-    blocks, gather, src_base, checksums = [], [], [], []
-    seg_len, out_rows = [], []
-    compute = []
-    for group in acc.image.rows:
-        if not group.streaming:
-            continue
-        seg_len.append(len(group.streaming))
-        out_rows.append(group.block_row)
-        for op in group.streaming:
-            blocks.append(op.values)
-            gather.append(op.inx_in
-                          + (lanes[::-1] if op.reversed_cols else lanes))
-            src_base.append(op.inx_in)
-            checksums.append(op.checksum)
-            compute.append(timing.compute_cycles_per_block(op.dp))
+    ops, seg_len = _streaming_ops(image)
+    live = seg_len > 0
+    index = image.block_index[ops]
+    inx_in = table.inx_in[ops]
     return CompiledStreamingPass(
-        kind, n, w, src_base=np.asarray(src_base, dtype=np.int64),
-        **_lowered(acc, kind, blocks, gather, checksums, seg_len, out_rows,
-                   compute, n_requests=len(blocks)))
+        kind, n, w, src_base=inx_in,
+        **_lowered(acc, kind, matrix.blocks[index],
+                   _gather(inx_in, matrix.reversed_cols[index], w),
+                   image.checksums[ops].tolist(), seg_len[live],
+                   image.entry_groups[0][live],
+                   _compute_cycles(acc.config.timing(), table.dp[ops]),
+                   n_requests=int(ops.size)))
+
+
+def _check_symgs_rows(group_rows: np.ndarray, bodies: np.ndarray,
+                      row_of: np.ndarray, port1: np.ndarray,
+                      seg_start: np.ndarray) -> None:
+    """Raise for the first block row, in table order, that a sweep
+    cannot sequence: one without a D-SymGS entry (``bodies`` -1), or
+    one where a port-1 GEMV follows a port-2 one.  ``row_of`` and
+    ``port1`` describe the GEMVs grouped by row, ``seg_start`` where
+    each row's GEMVs begin."""
+    position = np.arange(row_of.size) - seg_start[row_of]
+    lower_before = np.cumsum(port1) - port1
+    lower_before -= lower_before[seg_start[row_of]]
+    misplaced = np.zeros(group_rows.size, dtype=bool)
+    misplaced[row_of[port1 & (lower_before != position)]] = True
+    broken = (bodies < 0) | misplaced
+    if broken.any():
+        i = int(np.argmax(broken))
+        problem = ("has no D-SymGS entry" if bodies[i] < 0 else
+                   "streams a port-1 GEMV after a port-2 one")
+        raise SimulationError(
+            f"SymGS block row {int(group_rows[i])} {problem}")
 
 
 def _compile_symgs(acc) -> CompiledSymgsPass:
+    image = acc.image
+    table, matrix = image.conversion.table, image.conversion.matrix
     n, w = acc.n, acc.config.omega
-    diag = acc.conversion.matrix.diagonal
+    diag = matrix.diagonal
     if diag is None:
         raise SimulationError("programmed matrix lacks SymGS layout")
+    group_rows, group = image.entry_groups
+    n_rows = group_rows.size
+    # Each block row's D-SymGS entry (its last, as a per-row walk keeps).
+    bodies = np.full(n_rows, -1, dtype=np.int64)
+    dependent = np.flatnonzero(table.dependent)
+    np.maximum.at(bodies, group[dependent], dependent)
+    gemvs, seg_len = _streaming_ops(image)
+    seg_start = np.cumsum(seg_len) - seg_len
+    row_of = group[gemvs]
+    port1 = table.port[gemvs] == column_code(OperandPort.PORT1)
+    _check_symgs_rows(group_rows, bodies, row_of, port1, seg_start)
+    n_lower = np.bincount(row_of[port1], minlength=n_rows)
+    start = group_rows * w
+    rows = [_SymgsRow(*fields) for fields in zip(
+        seg_start.tolist(), n_lower.tolist(), seg_len.tolist(),
+        start.tolist(), np.clip(n - start, 0, w).tolist())]
+    refetch = (not table.reordered) & (seg_len > 0)
+    n_requests = int(gemvs.size + np.where(refetch, 2, 1).sum())
+    # Engine cycles in execution order: each row's GEMVs, then its
+    # D-SymGS.
+    compute_vec = np.empty(gemvs.size + n_rows)
+    at_body = seg_start + np.arange(n_rows) + seg_len
+    at_gemv = np.ones(compute_vec.size, dtype=bool)
+    at_gemv[at_body] = False
     timing = acc.config.timing()
-    lanes = np.arange(w)
-    blocks, gather, checksums = [], [], []
-    bodies, body_checksums = [], []
-    rows: List[_SymgsRow] = []
-    seg_len, out_rows = [], []
-    compute_vec = []
-    n_requests = 0
-    for group in acc.image.rows:
-        if group.diagonal is None:
-            raise SimulationError(
-                f"SymGS block row {group.block_row} has no D-SymGS entry")
-        seg_start = len(blocks)
-        n_lower = 0
-        for op in group.streaming:
-            if op.port is OperandPort.PORT1:
-                if n_lower != len(blocks) - seg_start:
-                    raise SimulationError(
-                        f"SymGS block row {group.block_row} streams a "
-                        f"port-1 GEMV after a port-2 one")
-                n_lower += 1
-            blocks.append(op.values)
-            gather.append(op.inx_in
-                          + (lanes[::-1] if op.reversed_cols else lanes))
-            checksums.append(op.checksum)
-            compute_vec.append(timing.compute_cycles_per_block(op.dp))
-            n_requests += 1
-        bodies.append(group.diagonal.values)
-        body_checksums.append(group.diagonal.checksum)
-        refetch = (not acc.conversion.reordered) and group.streaming
-        n_requests += 2 if refetch else 1
-        compute_vec.append(
-            timing.compute_cycles_per_block(DataPathType.D_SYMGS))
-        start = group.block_row * w
-        rows.append(_SymgsRow(seg_start=seg_start, n_lower=n_lower,
-                              seg_len=len(blocks) - seg_start, start=start,
-                              valid=max(0, min(w, n - start))))
-        seg_len.append(len(blocks) - seg_start)
-        out_rows.append(group.block_row)
+    compute_vec[at_gemv] = _compute_cycles(timing, table.dp[gemvs])
+    compute_vec[at_body] = timing.compute_cycles_per_block(
+        DataPathType.D_SYMGS)
+    stacked = np.concatenate((gemvs, bodies))
+    index = image.block_index[gemvs]
     return CompiledSymgsPass(
         n, w, rows=rows, diag=diag,
-        **_lowered(acc, "symgs", blocks + bodies, gather,
-                   checksums + body_checksums, seg_len, out_rows,
+        **_lowered(acc, "symgs", matrix.blocks[image.block_index[stacked]],
+                   _gather(table.inx_in[gemvs], matrix.reversed_cols[index],
+                           w),
+                   image.checksums[stacked].tolist(), seg_len, group_rows,
                    compute_vec, n_requests))
 
 
-def _lowered(acc, kind: str, blocks, gather, checksums, seg_len, out_rows,
-             compute_vec, n_requests: int) -> dict:
-    """Stack a lowered pass, capture and verify its report template,
-    and return the constructor keywords every compiled pass shares."""
-    w = acc.config.omega
+def _lowered(acc, kind: str, blocks: np.ndarray, gather: np.ndarray,
+             checksums: List[int], seg_len: np.ndarray,
+             out_rows: np.ndarray, compute_vec: np.ndarray,
+             n_requests: int) -> dict:
+    """Capture and verify a lowered pass's report template, and return
+    the constructor keywords every compiled pass shares."""
     block_bytes = acc.config.timing().block_bytes
-    seg_len_arr = np.asarray(seg_len, dtype=np.int64)
-    seg_start = np.zeros(len(seg_len), dtype=np.int64)
-    if len(seg_len) > 1:
-        seg_start[1:] = np.cumsum(seg_len_arr)[:-1]
+    seg_len = np.asarray(seg_len, dtype=np.int64)
     mem = acc.config.make_memory()
     padded_block_bytes = mem._padded_bytes(block_bytes)
     artifacts = PassArtifacts(
         compute_cycles_per_block=np.asarray(compute_vec, dtype=np.float64),
-        seg_start=seg_start,
-        seg_len=seg_len_arr,
+        seg_start=np.cumsum(seg_len) - seg_len,
+        seg_len=seg_len,
         out_rows=np.asarray(out_rows, dtype=np.int64),
     )
     template, span_template = _capture_template(acc, kind)
     _verify_against_template(kind, artifacts, template, n_requests)
     return dict(
-        blocks=_read_only(np.stack(blocks) if blocks
-                          else np.zeros((0, w, w))),
-        gather=_read_only(np.stack(gather) if gather
-                          else np.zeros((0, w), dtype=np.int64)),
+        blocks=_read_only(blocks), gather=_read_only(gather),
         artifacts=artifacts, template=template,
         traced=acc.config.tracer is not None,
         checksums=checksums,

@@ -59,17 +59,66 @@ class StreamBlock:
         return self.values
 
 
+def symgs_natural_order(bcsr: BCSRMatrix
+                        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The blocks of a SymGS layout in natural column order.
+
+    Returns ``(source, block_row, block_col)``: BCSR's blocks in storage
+    order (``source`` is the BCSR block index) plus, last in its block
+    row, a synthetic diagonal block (``source`` -1) for every block row
+    that has off-diagonal blocks but no diagonal block.  SymGS needs a
+    diagonal data path per such row even though its pivots are zero
+    (the solve would be singular; programming rejects it).
+    """
+    counts = np.diff(bcsr.block_indptr)
+    rows = np.repeat(np.arange(bcsr.n_block_rows, dtype=np.int64), counts)
+    cols = bcsr.block_cols
+    has_diag = np.zeros(bcsr.n_block_rows, dtype=bool)
+    has_diag[rows[rows == cols]] = True
+    missing = np.flatnonzero((counts > 0) & ~has_diag)
+    source = np.concatenate([np.arange(rows.size, dtype=np.int64),
+                             np.full(missing.size, -1, dtype=np.int64)])
+    rows = np.concatenate([rows, missing])
+    cols = np.concatenate([cols, missing])
+    # A stable sort keeps storage order within a block row and puts the
+    # appended synthetic block after its row's blocks.
+    order = np.argsort(rows, kind="stable")
+    return source[order], rows[order], cols[order]
+
+
 class AlreschaMatrix(SparseFormat):
-    """Locally-dense Alrescha storage of a square sparse matrix."""
+    """Locally-dense Alrescha storage of a square sparse matrix.
+
+    The stream is held as columns: :attr:`blocks`, an ``[m, ω, ω]``
+    float64 stack in stream order (each block exactly as laid out in
+    memory), and per-block :attr:`block_row`, :attr:`block_col`,
+    :attr:`is_diagonal` and :attr:`reversed_cols` arrays.
+    :meth:`stream` builds :class:`StreamBlock` views of the stack on
+    demand.
+    """
 
     name = "Alrescha"
 
     def __init__(self, shape: Tuple[int, int], omega: int,
-                 stream: List[StreamBlock], diagonal: np.ndarray | None,
+                 blocks: np.ndarray, block_row, block_col, is_diagonal,
+                 reversed_cols, diagonal: np.ndarray | None,
                  symgs_layout: bool) -> None:
         self._shape = (int(shape[0]), int(shape[1]))
         self.omega = int(omega)
-        self._stream = list(stream)
+        self.blocks = np.ascontiguousarray(blocks, dtype=np.float64)
+        if self.blocks.ndim != 3 or self.blocks.shape[1:] != (omega, omega):
+            raise FormatError(
+                f"blocks must be (m, {omega}, {omega}), "
+                f"got {self.blocks.shape}")
+        self.block_row = np.asarray(block_row, dtype=np.int64)
+        self.block_col = np.asarray(block_col, dtype=np.int64)
+        self.is_diagonal = np.asarray(is_diagonal, dtype=bool)
+        self.reversed_cols = np.asarray(reversed_cols, dtype=bool)
+        m = self.blocks.shape[0]
+        if any(a.shape != (m,) for a in (self.block_row, self.block_col,
+                                         self.is_diagonal,
+                                         self.reversed_cols)):
+            raise FormatError("one block index pair and flag pair per block")
         self.diagonal = diagonal
         self.symgs_layout = bool(symgs_layout)
         if symgs_layout and diagonal is None:
@@ -92,46 +141,32 @@ class AlreschaMatrix(SparseFormat):
         n_rows, n_cols = bcsr.shape
         if symgs_layout and n_rows != n_cols:
             raise FormatError("SymGS layout requires a square matrix")
-        stream: List[StreamBlock] = []
-        diagonal = None
-        if symgs_layout:
-            diagonal = np.zeros(n_rows, dtype=np.float64)
         w = bcsr.omega
-        for i in range(bcsr.n_block_rows):
-            non_diag: List[StreamBlock] = []
-            diag_block: StreamBlock | None = None
-            for j, blk in bcsr.block_row(i):
-                if symgs_layout and j == i:
-                    body = blk.copy()
-                    d = np.diag(body).copy()
-                    lo = i * w
-                    diagonal[lo: lo + min(w, n_rows - lo)] = \
-                        d[: min(w, n_rows - lo)]
-                    np.fill_diagonal(body, 0.0)
-                    diag_block = StreamBlock(i, j, True, False, body)
-                elif symgs_layout and j > i:
-                    # Upper-triangle block: store columns reversed.
-                    non_diag.append(
-                        StreamBlock(i, j, False, True, blk[:, ::-1].copy())
-                    )
-                else:
-                    non_diag.append(
-                        StreamBlock(i, j, False, False, blk.copy())
-                    )
-            stream.extend(non_diag)
-            if diag_block is not None:
-                stream.append(diag_block)
-            elif symgs_layout:
-                # SymGS needs a diagonal data path per block row even if
-                # the source block was empty (diag values may still be
-                # implicit zeros -> the solve would be singular; callers
-                # validate).  Only create it when the block row is not
-                # entirely absent from the matrix.
-                if non_diag:
-                    stream.append(StreamBlock(
-                        i, i, True, False, np.zeros((w, w))
-                    ))
-        return cls(bcsr.shape, bcsr.omega, stream, diagonal, symgs_layout)
+        if not symgs_layout:
+            rows = np.repeat(np.arange(bcsr.n_block_rows, dtype=np.int64),
+                             np.diff(bcsr.block_indptr))
+            return cls(bcsr.shape, w, bcsr.blocks.copy(), rows,
+                       bcsr.block_cols.copy(), np.zeros(rows.size, bool),
+                       np.zeros(rows.size, bool), None, False)
+        source, rows, cols = symgs_natural_order(bcsr)
+        diag = rows == cols
+        # Each block row's off-diagonal blocks in natural order, then
+        # its diagonal block.
+        order = np.lexsort((diag, rows))
+        source, rows, cols, diag = (source[order], rows[order],
+                                    cols[order], diag[order])
+        blocks = np.zeros((source.size, w, w))
+        real = source >= 0
+        blocks[real] = bcsr.blocks[source[real]]
+        # Upper-triangle blocks store their columns reversed.
+        upper = cols > rows
+        blocks[upper] = blocks[upper][:, :, ::-1]
+        lanes = np.arange(w)
+        diagonal = np.zeros(bcsr.n_block_rows * w)
+        diagonal.reshape(-1, w)[rows[diag]] = blocks[diag][:, lanes, lanes]
+        blocks[np.flatnonzero(diag)[:, None], lanes, lanes] = 0.0
+        return cls(bcsr.shape, w, blocks, rows, cols, diag, upper,
+                   diagonal[:n_rows].copy(), True)
 
     @classmethod
     def from_coo(cls, coo: COOMatrix, omega: int,
@@ -147,14 +182,17 @@ class AlreschaMatrix(SparseFormat):
     # Stream access
     # ------------------------------------------------------------------
     def stream(self) -> Iterator[StreamBlock]:
-        """Blocks in the exact order they stream from memory."""
-        return iter(self._stream)
+        """Blocks in the exact order they stream from memory (their
+        ``values`` are views of :attr:`blocks`)."""
+        rows = zip(self.block_row.tolist(), self.block_col.tolist(),
+                   self.is_diagonal.tolist(), self.reversed_cols.tolist(),
+                   self.blocks)
+        for row, col, is_diag, reversed_cols, values in rows:
+            yield StreamBlock(row, col, is_diag, reversed_cols, values)
 
     def payload(self) -> np.ndarray:
         """The 1-D value stream as laid out in physical memory."""
-        if not self._stream:
-            return np.zeros(0, dtype=np.float64)
-        return np.concatenate([b.values.ravel() for b in self._stream])
+        return self.blocks.reshape(-1).copy()
 
     @property
     def payload_bytes(self) -> int:
@@ -163,7 +201,7 @@ class AlreschaMatrix(SparseFormat):
 
     @property
     def n_blocks(self) -> int:
-        return len(self._stream)
+        return int(self.blocks.shape[0])
 
     @property
     def n_block_rows(self) -> int:
@@ -171,7 +209,7 @@ class AlreschaMatrix(SparseFormat):
 
     @property
     def n_diagonal_blocks(self) -> int:
-        return sum(1 for b in self._stream if b.is_diagonal)
+        return int(np.count_nonzero(self.is_diagonal))
 
     # ------------------------------------------------------------------
     # SparseFormat API
@@ -182,7 +220,7 @@ class AlreschaMatrix(SparseFormat):
 
     @property
     def nnz(self) -> int:
-        in_blocks = int(sum(np.count_nonzero(b.values) for b in self._stream))
+        in_blocks = int(np.count_nonzero(self.blocks))
         if self.diagonal is not None:
             in_blocks += int(np.count_nonzero(self.diagonal))
         return in_blocks
@@ -206,11 +244,10 @@ class AlreschaMatrix(SparseFormat):
         nbr = -(-n_rows // w)
         nbc = -(-n_cols // w)
         padded = np.zeros((nbr * w, nbc * w), dtype=np.float64)
-        for b in self._stream:
-            padded[
-                b.block_row * w:(b.block_row + 1) * w,
-                b.block_col * w:(b.block_col + 1) * w,
-            ] += b.original_values
+        original = np.where(self.reversed_cols[:, None, None],
+                            self.blocks[:, :, ::-1], self.blocks)
+        tiles = padded.reshape(nbr, w, nbc, w).transpose(0, 2, 1, 3)
+        np.add.at(tiles, (self.block_row, self.block_col), original)
         dense = padded[:n_rows, :n_cols]
         if self.diagonal is not None:
             dense = dense.copy()
@@ -235,15 +272,8 @@ class AlreschaMatrix(SparseFormat):
 
     def block_rows(self) -> Iterator[Tuple[int, List[StreamBlock]]]:
         """Group the stream by block-row, preserving stream order."""
-        current: List[StreamBlock] = []
-        current_row: int | None = None
-        for b in self._stream:
-            if current_row is None or b.block_row == current_row:
-                current.append(b)
-                current_row = b.block_row
-            else:
-                yield current_row, current
-                current = [b]
-                current_row = b.block_row
-        if current_row is not None:
-            yield current_row, current
+        blocks = list(self.stream())
+        bounds = (np.flatnonzero(np.diff(self.block_row)) + 1).tolist()
+        for lo, hi in zip([0] + bounds, bounds + [len(blocks)]):
+            if hi > lo:
+                yield blocks[lo].block_row, blocks[lo:hi]

@@ -42,24 +42,34 @@ def _check_system(csr: CSRMatrix, b: np.ndarray,
 def _sweep(matrix, b: np.ndarray, x: np.ndarray,
            reverse: bool) -> np.ndarray:
     """One Gauss-Seidel sweep, rows ascending or (``reverse``)
-    descending."""
+    descending.
+
+    Walks plain Python lists of the CSR arrays and vectors: each row's
+    off-diagonal products are summed in CSR order from 0.0, in the same
+    float arithmetic a loop over numpy scalars takes, without a numpy
+    scalar per term.
+    """
     csr = to_csr(matrix)
     b, x = _check_system(csr, b, x)
-    out = x.copy()
+    indptr = csr.indptr.tolist()
+    indices = csr.indices.tolist()
+    data = csr.data.tolist()
+    rhs = b.tolist()
+    out = x.tolist()
     n = csr.shape[0]
     for j in (range(n - 1, -1, -1) if reverse else range(n)):
-        cols, vals = csr.row(j)
         diag = 0.0
         acc = 0.0
-        for c, v in zip(cols, vals):
+        for k in range(indptr[j], indptr[j + 1]):
+            c = indices[k]
             if c == j:
-                diag = v
+                diag = data[k]
             else:
-                acc += v * out[c]
+                acc += data[k] * out[c]
         if diag == 0.0:
             raise ConfigError(f"zero diagonal at row {j}")
-        out[j] = (b[j] - acc) / diag
-    return out
+        out[j] = (rhs[j] - acc) / diag
+    return np.array(out)
 
 
 def forward_sweep(matrix, b: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -79,6 +79,22 @@ def payload_checksum(values: np.ndarray) -> int:
                                            dtype=np.float64).tobytes())
 
 
+def block_crcs(buffer, block_bytes: int) -> List[int]:
+    """CRC32 of each ``block_bytes``-byte block of a contiguous buffer."""
+    view = memoryview(buffer).cast("B")
+    return [zlib.crc32(view[lo:lo + block_bytes])
+            for lo in range(0, len(view), block_bytes)]
+
+
+def payload_checksums(blocks: np.ndarray) -> np.ndarray:
+    """:func:`payload_checksum` of every block of an ``[m, ω, ω]``
+    stack, as an int64 array."""
+    blocks = np.ascontiguousarray(blocks, dtype=np.float64)
+    if not blocks.size:
+        return np.zeros(blocks.shape[0], dtype=np.int64)
+    return np.array(block_crcs(blocks, blocks[0].nbytes), dtype=np.int64)
+
+
 @dataclass(frozen=True)
 class FaultEvent:
     """One injected fault, as recorded in :attr:`FaultModel.log`."""

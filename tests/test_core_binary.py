@@ -5,48 +5,74 @@ import pytest
 
 from repro.core import KernelType, convert
 from repro.core.binary import (
-    BitReader,
-    BitWriter,
     decode_program,
     encode_program,
     program_size_bytes,
 )
+from repro.core.config import (
+    AccessOrder,
+    ConfigEntry,
+    ConfigTable,
+    DataPathType,
+    OperandPort,
+)
 from repro.errors import ConfigError
 
 
+def _table(n, omega, rows, kernel=KernelType.SYMGS):
+    """A table of ``(dp, block_row, block_col, order, port)`` rows."""
+    return ConfigTable(n, omega, [
+        ConfigEntry(dp, max(col, 0) * omega, 0, order, port, row, col)
+        for dp, row, col, order, port in rows])
+
+
 class TestBitStream:
+    """The packed row fields: each index takes exactly its field width,
+    most significant bit first, and the last byte is zero-padded."""
+
     def test_round_trip_values(self):
-        w = BitWriter()
-        w.write(5, 3)
-        w.write(0, 1)
-        w.write(1023, 10)
-        r = BitReader(w.to_bytes())
-        assert r.read(3) == 5
-        assert r.read(1) == 0
-        assert r.read(10) == 1023
+        # 1024 block rows: 10-bit index fields.
+        table = _table(8 * 1024, 8, [
+            (DataPathType.GEMV, 5, 1023, AccessOrder.L2R,
+             OperandPort.PORT2),
+            (DataPathType.D_SYMGS, 1023, 0, AccessOrder.R2L,
+             OperandPort.PORT1)])
+        assert table.index_bits() == 10
+        _kernel, decoded = decode_program(
+            encode_program(KernelType.SYMGS, table))
+        assert list(decoded) == list(table)
+        np.testing.assert_array_equal(decoded.block_row, [5, 1023])
+        np.testing.assert_array_equal(decoded.block_col, [1023, 0])
 
     def test_value_too_wide_rejected(self):
-        with pytest.raises(ConfigError):
-            BitWriter().write(8, 3)
+        # 8 block rows: 3-bit index fields cannot hold 8.
+        table = _table(64, 8, [(DataPathType.GEMV, 8, 0, AccessOrder.L2R,
+                                OperandPort.PORT1)])
+        with pytest.raises(ConfigError, match="value 8 does not fit in 3"):
+            encode_program(KernelType.SPMV, table)
 
     def test_negative_rejected(self):
-        with pytest.raises(ConfigError):
-            BitWriter().write(-1, 4)
+        table = _table(64, 8, [(DataPathType.GEMV, 1, -1, AccessOrder.L2R,
+                                OperandPort.PORT1)])
+        with pytest.raises(ConfigError, match="value -1 does not fit"):
+            encode_program(KernelType.SPMV, table)
 
     def test_truncated_read_rejected(self):
-        w = BitWriter()
-        w.write(1, 1)
-        r = BitReader(w.to_bytes())
-        r.read(1)
-        with pytest.raises(ConfigError):
-            r.read(16)
+        table = _table(64, 8, [(DataPathType.GEMV, 1, 2, AccessOrder.L2R,
+                                OperandPort.PORT1)])
+        blob = bytearray(encode_program(KernelType.SPMV, table))
+        blob[11:15] = (16).to_bytes(4, "big")  # claim 16 rows
+        with pytest.raises(ConfigError, match="truncated"):
+            decode_program(bytes(blob))
 
     def test_partial_byte_padding(self):
-        w = BitWriter()
-        w.write(0b101, 3)
-        data = w.to_bytes()
-        assert len(data) == 1
-        assert data[0] == 0b10100000
+        # One block row: 1-bit indices, 5-bit rows (dp, col, row, order,
+        # port) in one byte, low bits zero.
+        table = _table(8, 8, [(DataPathType.D_SYMGS, 0, 0, AccessOrder.R2L,
+                               OperandPort.PORT2)])
+        data = encode_program(KernelType.SYMGS, table)
+        assert len(data) == 15 + 1
+        assert data[15] == 0b10011000
 
 
 class TestProgramRoundTrip:

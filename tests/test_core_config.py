@@ -111,7 +111,7 @@ class TestTableAnalysis:
         e = entry()
         table.add(e)
         assert len(table) == 1
-        assert table[0] is e
+        assert table[0] == e
         assert list(table) == [e]
 
     def test_empty_table_fraction(self):

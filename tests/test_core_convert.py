@@ -95,7 +95,7 @@ class TestSymGSConversion:
             for e in conv.table:
                 last_in_row[e.block_row] = e
             return all(
-                last_in_row[e.block_row] is e
+                last_in_row[e.block_row] == e
                 for e in conv.table if e.dp is DataPathType.D_SYMGS
             )
 

@@ -392,6 +392,61 @@ class TestSymgsPlanCrosscheck:
         assert not acc.plan_degraded
 
 
+class TestBfsParentsPlanCrosscheck:
+    """The parent-tracking D-BFS plan recomputes sampled block rows'
+    minima and argmin-lane parents from the pristine payload, as the
+    other compiled plans do."""
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        from repro.datasets import load_dataset
+        at = load_dataset("Youtube", scale=0.1).matrix.T.tocsr().copy()
+        at.data = np.ones_like(at.data)
+        return at
+
+    @staticmethod
+    def _operands(n):
+        rng = np.random.default_rng(4)
+        dist = rng.integers(0, 6, size=n).astype(np.float64)
+        dist[rng.random(n) < 0.3] = np.inf
+        return dist, np.full(n, -1, dtype=np.int64)
+
+    def _clean(self, graph):
+        return Alrescha.from_matrix(
+            KernelType.BFS, graph,
+            config=AlreschaConfig(use_plan=False)).run_bfs_pass_parents(
+                *self._operands(graph.shape[0]))
+
+    def test_silent_bitflips_degrade_to_the_interpreter(self, graph):
+        dist_clean, parent_clean, _ = self._clean(graph)
+        acc = Alrescha.from_matrix(
+            KernelType.BFS, graph,
+            config=AlreschaConfig(
+                fault_model=FaultModel.parse("0.2:5:bitflip"),
+                verify_checksums=False, crosscheck_rows=1.0))
+        dist, parent, rep = acc.run_bfs_pass_parents(
+            *self._operands(graph.shape[0]))
+        assert rep.counters.get("crosscheck_mismatches") > 0
+        assert rep.counters.get("plan_fallbacks") == 1.0
+        assert rep.counters.get("crosscheck_wasted_cycles") > 0.0
+        assert acc.plan_degraded
+        assert np.array_equal(dist, dist_clean)
+        assert np.array_equal(parent, parent_clean)
+
+    def test_clean_pass_counts_every_row(self, graph):
+        dist_clean, parent_clean, _ = self._clean(graph)
+        acc = Alrescha.from_matrix(
+            KernelType.BFS, graph, config=AlreschaConfig(crosscheck_rows=1.0))
+        dist, parent, rep = acc.run_bfs_pass_parents(
+            *self._operands(graph.shape[0]))
+        rows = acc.image.plans["bfs-parents"].artifacts.out_rows
+        assert rep.counters.get("crosscheck_rows") == rows.size > 0
+        assert rep.counters.get("crosscheck_mismatches") == 0.0
+        assert not acc.plan_degraded
+        assert np.array_equal(dist, dist_clean)
+        assert np.array_equal(parent, parent_clean)
+
+
 class TestCapacityAndImageIntegrity:
     def test_oversized_image_rejected_at_program_time(self, spd_small):
         with pytest.raises(CapacityError, match="capacity_bytes"):

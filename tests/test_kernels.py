@@ -135,3 +135,51 @@ class TestBackwardAndSymmetric:
         np.testing.assert_allclose(fwd_on_rev[::-1],
                                    backward_sweep(spd_medium, b, x0),
                                    atol=1e-10)
+
+
+class TestSweepOverLists:
+    """The reference sweep walks Python lists; a loop over numpy scalars,
+    as it used to run, must give the same bits."""
+
+    @staticmethod
+    def _numpy_scalar_sweep(matrix, b, x, reverse):
+        csr = to_csr(matrix)
+        out = np.asarray(x, dtype=np.float64).copy()
+        n = csr.shape[0]
+        for j in (range(n - 1, -1, -1) if reverse else range(n)):
+            cols, vals = csr.row(j)
+            diag = 0.0
+            acc = 0.0
+            for c, v in zip(cols, vals):
+                if c == j:
+                    diag = v
+                else:
+                    acc += v * out[c]
+            if diag == 0.0:
+                raise ConfigError(f"zero diagonal at row {j}")
+            out[j] = (b[j] - acc) / diag
+        return out
+
+    @pytest.mark.parametrize("name", [
+        "stencil27", "parabolic_fem", "thermal2", "apache2", "af_shell",
+        "offshore", "scircuit", "memplus", "economics", "chem_master"])
+    def test_bitwise_equal_on_figure14(self, name):
+        from repro.analysis.experiments import SCIENTIFIC_SUITE
+        from repro.datasets import load_dataset
+
+        assert name in SCIENTIFIC_SUITE
+        matrix = load_dataset(name, scale=0.3).matrix
+        gen = np.random.default_rng(17)
+        b = gen.normal(size=matrix.shape[0])
+        x = gen.normal(size=matrix.shape[0])
+        for sweep, reverse in ((forward_sweep, False),
+                               (backward_sweep, True)):
+            got = sweep(matrix, b, x)
+            want = self._numpy_scalar_sweep(matrix, b, x, reverse)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    def test_zero_diagonal_names_the_row(self):
+        a = np.diag([2.0, 0.0, 3.0])
+        with pytest.raises(ConfigError, match="zero diagonal at row 1"):
+            backward_sweep(a, np.ones(3), np.zeros(3))
