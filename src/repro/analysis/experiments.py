@@ -10,7 +10,6 @@ behavioural models in :mod:`repro.baselines`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -39,14 +38,6 @@ GRAPH_SUITE = [
     "com-orkut", "hollywood-2009", "kron-g500-logn21", "roadNet-CA",
     "LiveJournal", "Youtube", "Pokec", "sx-stackoverflow",
 ]
-
-
-@dataclass
-class ExperimentRow:
-    """One dataset's worth of measurements for a figure."""
-
-    dataset: str
-    values: Dict[str, float] = field(default_factory=dict)
 
 
 def _rng(seed: int = 1234) -> np.random.Generator:

@@ -158,9 +158,6 @@ class AlreschaConfig:
     #: compiled plan is checked: SpMV, batched SpMV, D-BFS,
     #: parent-tracking D-BFS, D-SSSP, D-PR and SymGS.
     crosscheck_rows: float = 0.0
-    #: Cross-check mismatches tolerated before the accelerator degrades
-    #: plans to the interpreter with checksums forced on.
-    crosscheck_threshold: int = 1
     #: Optional :class:`~repro.observe.tracer.Tracer` recording
     #: cycle-attributed spans of every pass (engine windows, drains,
     #: reconfigs, channel streams).  None — the default — is the
@@ -225,7 +222,6 @@ class AlreschaConfig:
             frequency_hz=self.frequency_hz,
             burst_bytes=self.cache_line_bytes,
             capacity_bytes=self.memory_capacity_bytes,
-            fault_model=self.fault_model,
         )
 
 
@@ -400,28 +396,9 @@ class Alrescha:
     def __init__(self, config: Optional[AlreschaConfig] = None) -> None:
         self.config = config or AlreschaConfig()
         self._image: Optional[ProgrammedImage] = None
-        #: Set while a plan captures its report template by replaying the
-        #: interpreter: the capture must see the clean channel or
-        #: the template (and plan verification) would absorb faults.
-        self._suppress_faults: bool = False
-        #: Cross-check mismatches seen so far; at
-        #: ``crosscheck_threshold`` the accelerator degrades plans to
-        #: the interpreter with checksums forced on.
-        self._crosscheck_failures: int = 0
+        #: Set by the first cross-check mismatch: every later run takes
+        #: the interpreter, verifying checksums.
         self._plan_degraded: bool = False
-        self._force_verify: bool = False
-        #: Set while a plan captures its *span template*: the capture
-        #: tracer shadows ``config.tracer`` so template spans never leak
-        #: into the user's trace (mirrors ``_suppress_faults``).
-        self._capture_tracer: Optional[Tracer] = None
-
-    @property
-    def tracer(self) -> Optional[Tracer]:
-        """The tracer runs record into: the plan-capture tracer while a
-        template is being captured, else the configured one (if any)."""
-        if self._capture_tracer is not None:
-            return self._capture_tracer
-        return self.config.tracer
 
     # ------------------------------------------------------------------
     # Programming (host side, one-time per matrix+kernel)
@@ -510,9 +487,7 @@ class Alrescha:
     def _attach(self, image: ProgrammedImage) -> None:
         """Bind to ``image`` with fresh cross-check state."""
         self._image = image
-        self._crosscheck_failures = 0
         self._plan_degraded = False
-        self._force_verify = False
 
     # ------------------------------------------------------------------
     # Compiled pass plans
@@ -537,7 +512,7 @@ class Alrescha:
 
     @property
     def plan_degraded(self) -> bool:
-        """True once cross-check failures forced plans off for good."""
+        """True once a cross-check mismatch forced plans off for good."""
         return self._plan_degraded
 
     def _run(self, kind: str, plan_method: Callable, *operands,
@@ -548,30 +523,21 @@ class Alrescha:
         this accelerator;
         :func:`repro.core.interpreter.run` runs the same pass on the
         per-block interpreter, which serves ``config.use_plan=False``
-        and plans degraded by cross-check failures.  When a plan's
-        sampled cross-check reports a mismatch, the plan output is
-        *discarded* — never returned — and the pass reruns on the
-        interpreter with checksum verification forced on, charged for
-        the wasted plan cycles.  Mismatches accumulate; at
-        ``crosscheck_threshold`` the accelerator stops trusting plans
-        for the rest of the program.  On a clean run the plan result
-        passes through untouched.
+        and degraded plans.  When a plan's sampled cross-check reports
+        a mismatch, the plan output is *discarded* — never returned —
+        and the accelerator stops trusting plans for the rest of the
+        program: the pass reruns on the interpreter, which from then on
+        verifies checksums, charged for the wasted plan cycles.  On a
+        clean run the plan result passes through untouched.
         """
         if not self.config.use_plan or self._plan_degraded:
             return interpreter.run(self, kind, operands, k)
         result = plan_method(self._plan(kind), self, *operands)
         report = result[-1]
-        mismatches = report.counters.get("crosscheck_mismatches")
-        if not mismatches:
+        if not report.counters.get("crosscheck_mismatches"):
             return result
-        self._crosscheck_failures += int(mismatches)
-        if self._crosscheck_failures >= self.config.crosscheck_threshold:
-            self._plan_degraded = True
-        self._force_verify = True
-        try:
-            rerun = interpreter.run(self, kind, operands, k)
-        finally:
-            self._force_verify = self._plan_degraded
+        self._plan_degraded = True
+        rerun = interpreter.run(self, kind, operands, k)
         rerun_report = rerun[-1]
         rerun_report.cycles += report.cycles
         rerun_report.counters.add("plan_fallbacks", 1.0)

@@ -15,7 +15,9 @@ SpMV, D-BFS, D-SSSP, D-PR) and :func:`symgs_sweep`.  Both take a panel
 of operand columns; a solo run is the width-1 call (``k=None``) and a
 batch streams each block once for all ``k`` columns (``k=int``).
 Parent-tracking D-BFS keeps its own loop (:func:`bfs_parents_pass`)
-because it reduces to two outputs carrying argmin lanes.
+because it reduces to two outputs carrying argmin lanes.  The loops
+account a clean pass; a run's channel faults are then charged by
+:func:`charge_faults`, the one fault rule the compiled plans share.
 
 Operand names are part of the report: the RCU cache picks a set from
 ``crc32(space name) ^ line``, so the names of operand chunks and the
@@ -43,7 +45,8 @@ from repro.core.datapaths import (
     gemv_block,
 )
 from repro.core.report import SimReport
-from repro.observe.tracer import PassTraceBuilder
+from repro.observe.tracer import PassTraceBuilder, Tracer
+from repro.sim.faults import FaultEvent, charge_event
 
 #: Report (and trace pass) name of a batched run, by pass kind.
 BATCH_NAMES = {"spmv": "spmm", "symgs": "symgs-batch"}
@@ -72,7 +75,7 @@ class _Engine:
         self.rcu = cfg.make_rcu()
         self.mem = cfg.make_memory()
         self.timing = cfg.timing()
-        tracer = acc.tracer
+        tracer = cfg.tracer
         self.mem.tracer = tracer
         self.tb = (PassTraceBuilder(tracer, name)
                    if tracer is not None else None)
@@ -80,6 +83,12 @@ class _Engine:
         self.prev_dp: Optional[DataPathType] = None
         self.fills = 0.0
         self.exposed = 0.0
+        #: ``(row, event)`` per faulty transfer, for :func:`charge_faults`.
+        self.faults: List[Tuple[int, FaultEvent]] = []
+        self.fault_model = cfg.fault_model
+        if self.fault_model is not None:
+            self.verify = cfg.verify_checksums or acc._plan_degraded
+            self.restream = restream_cost(cfg)[1]
 
     def switch(self, dp: DataPathType, pending: Optional[list] = None
                ) -> None:
@@ -112,21 +121,19 @@ class _Engine:
                                 fill))
         self.prev_dp = dp
 
-    def stream(self, op) -> Tuple[np.ndarray, float]:
-        """Stream one entry's payload block, consulting the fault model.
-
-        Returns ``(delivered values, extra cycles)``.  With no fault
-        model attached — or while a plan captures its report template —
-        this is exactly the pre-resilience ``stream_cycles`` call.
-        """
-        acc, cfg = self.acc, self.acc.config
-        nbytes = cfg.omega * cfg.omega * cfg.element_bytes
-        if self.mem.fault_model is None or acc._suppress_faults:
-            self.mem.stream_cycles(nbytes)
-            return op.values, 0.0
-        checksum = op.checksum if (cfg.verify_checksums
-                                   or acc._force_verify) else None
-        return self.mem.stream_payload_block(op.values, nbytes, checksum)
+    def stream(self, op, row: int = 0) -> np.ndarray:
+        """Charge one entry's clean block transfer and return the values
+        the (possibly faulty) channel delivers; a fault is recorded
+        against block row ``row``."""
+        self.mem.stream_cycles(self.timing.block_bytes)
+        if self.fault_model is None:
+            return op.values
+        values, _extra, event = self.fault_model.deliver(
+            op.values, op.checksum if self.verify else None,
+            restream_cycles=self.restream)
+        if event is not None:
+            self.faults.append((row, event))
+        return values
 
     def report(self, name: str, total_cycles: float, seq_cycles: float,
                dp_cycles: Dict[str, float],
@@ -161,19 +168,122 @@ class _Engine:
                          writeback_bytes: float) -> SimReport:
         """Report a streaming-class pass: the FIFOs let memory run ahead
         of compute, so the pass costs ``max(stream, compute)`` plus the
-        switch terms; write-back and cache refills share the channel."""
-        cfg = self.acc.config
-        miss_bytes = self.rcu.cache.counters.get("cache_misses") \
-            * cfg.cache_line_bytes
-        stream_total = stream_cycles \
-            + (writeback_bytes + miss_bytes) / cfg.bytes_per_cycle
+        switch terms; write-back and cache refills share the channel.
+        The whole pass is one row of the fault charge."""
+        extra_bytes, stream_total = stream_term(
+            self.acc.config, stream_cycles, writeback_bytes,
+            self.rcu.cache.counters.get("cache_misses"))
         total = max(stream_total, compute_cycles) + self.fills + self.exposed
-        report = self.report(name, total, 0.0, dp_cycles,
-                             writeback_bytes + miss_bytes)
-        if self.tb is not None:
-            self.tb.finish(report, gap_name="stream_wait", args={
-                "extra_stream_bytes": writeback_bytes + miss_bytes})
+        return self.finish(
+            self.report(name, total, 0.0, dp_cycles, extra_bytes),
+            "stream_wait", extra_bytes,
+            [max(0.0, compute_cycles - stream_total)])
+
+    def finish(self, report: SimReport, gap_name: str, extra_bytes: float,
+               slack: Sequence[float]) -> SimReport:
+        """Close the clean pass's trace, then charge its faults."""
+        pass_span = None if self.tb is None else self.tb.finish(
+            report, gap_name=gap_name,
+            args={"extra_stream_bytes": extra_bytes})
+        charge_faults(self.acc, report, self.faults, slack, pass_span)
         return report
+
+
+def restream_cost(cfg) -> Tuple[float, float]:
+    """``(bytes, cycles)`` of re-streaming one payload block: the
+    burst-padded block at full bandwidth."""
+    mem = cfg.make_memory()
+    block_bytes = cfg.timing().block_bytes
+    return mem.padded_bytes(block_bytes), mem.cost_cycles(block_bytes)
+
+
+def writeback_bytes(kind: str, n: int, width: int) -> float:
+    """Output bytes a streaming pass writes back: fp64 per element and
+    column, plus a 4-byte parent tag for parent-tracking D-BFS."""
+    return float(n * 12 if kind == "bfs-parents" else n * 8 * width)
+
+
+def stream_term(cfg, stream_cycles: float, writeback_bytes: float,
+                cache_misses: float) -> Tuple[float, float]:
+    """``(bytes beyond the payload, stream term)`` of a streaming pass:
+    write-back and cache refills share the channel with the payload."""
+    extra_bytes = writeback_bytes + cache_misses * cfg.cache_line_bytes
+    return extra_bytes, stream_cycles + extra_bytes / cfg.bytes_per_cycle
+
+
+def refetches_diagonal(reordered: bool, n_gemv):
+    """The §4.1 ablation: without reordering, a SymGS row with GEMV
+    blocks (``n_gemv``, a count or an array) streams its diagonal twice."""
+    return (not reordered) & (n_gemv > 0)
+
+
+def charge_faults(acc, report: SimReport,
+                  faults: Sequence[Tuple[int, FaultEvent]],
+                  slack: Sequence[float],
+                  pass_span: Optional[int] = None) -> None:
+    """Charge a run's channel faults onto its clean ``report``: the one
+    fault rule of the interpreter and the compiled plans.
+
+    ``faults`` holds ``(row, event)`` per faulty transfer, in transfer
+    order.  Extra cycles (retries, re-streams, latency spikes) extend
+    their row's stream term — the whole pass for a streaming kind, the
+    block row for SymGS — which hides them under ``slack[row]``, the
+    row's clean compute beyond its clean stream.  The run is charged
+    ``E - sum over rows of min(E_row, slack_row)`` (floored at zero
+    against rounding): ``E`` when no row has slack.  Counters, re-stream
+    traffic and ``streamed_bytes`` follow the events, ``energy_j`` is
+    re-priced, and a traced run's ``pass_span`` is laid out by
+    :func:`_trace_faults`.
+    """
+    if not faults:
+        return
+    cfg = acc.config
+    restream_bytes = restream_cost(cfg)[0]
+    counters = report.counters
+    extra = 0.0
+    row_extra: Dict[int, float] = {}
+    for row, event in faults:
+        extra += event.extra_cycles
+        row_extra[row] = row_extra.get(row, 0.0) + event.extra_cycles
+        charge_event(counters, event)
+        if event.restreams:
+            nbytes = restream_bytes * event.restreams
+            counters.add("dram_bytes", nbytes)
+            counters.add("dram_requests", float(event.restreams))
+            report.streamed_bytes += nbytes
+    hidden = 0.0
+    for row, cycles in row_extra.items():
+        hidden += min(cycles, slack[row])
+    charged = max(0.0, extra - hidden)
+    report.cycles += charged
+    report.energy_j = cfg.energy_model.energy_j(
+        counters, report.cycles / cfg.frequency_hz)
+    if pass_span is not None:
+        _trace_faults(cfg.tracer, pass_span, report, charged, faults)
+
+
+def _trace_faults(tracer: Tracer, pass_span: int, report: SimReport,
+                  charged: float, faults) -> None:
+    """Lay a faulty pass's charge onto its clean trace: the pass span
+    stretches by the charged cycles, which a trailing ``fault_wait``
+    fills so the engine track tiles the report, and each fault appends
+    a ``retry`` span (an instant if it cost nothing) on ``channel``."""
+    span = tracer.spans[pass_span]
+    if charged > 0.0:
+        end = span.end
+        tracer.stretch(pass_span, charged)
+        tracer.add("fault_wait", "wait", end, end + charged, span.track)
+    span.args.update(cycles=report.cycles,
+                     streamed_bytes=report.streamed_bytes)
+    for _row, event in faults:
+        if event.extra_cycles > 0.0:
+            tracer.extend("channel", f"retry:{event.kind}", "retry",
+                          event.extra_cycles,
+                          {"restreams": float(event.restreams)},
+                          coalesce=False)
+        else:
+            tracer.instant_event(f"fault:{event.kind}", "fault",
+                                 tracer.cursor("channel"), "channel")
 
 
 def _row_span(acc, block_row: int) -> Tuple[int, int]:
@@ -259,14 +369,14 @@ def streaming_pass(acc, kind: str, operands: Sequence[np.ndarray],
         start, valid = _row_span(acc, group.block_row)
         for op in group.streaming:
             eng.switch(op.dp)
-            values, fault_extra = eng.stream(op)
-            stream_cycles += eng.spb + fault_extra
+            values = eng.stream(op)
+            stream_cycles += eng.spb
             block_compute = width * eng.timing.compute_cycles_per_block(op.dp)
             compute_cycles += block_compute
             dp_cycles[op.dp.value] = dp_cycles.get(op.dp.value, 0.0) \
                 + block_compute
             if tb is not None:
-                tb.block(block_compute, eng.spb + fault_extra)
+                tb.block(block_compute, eng.spb)
             for col, sfx in enumerate(suffixes):
                 chunks = [rcu.read_chunk(space + sfx, op.inx_in, w)
                           for space in spec.operands]
@@ -284,7 +394,7 @@ def streaming_pass(acc, kind: str, operands: Sequence[np.ndarray],
             rcu.counters.add("cache_busy_cycles", 1.0)
 
     report = eng.finish_streaming(name, stream_cycles, compute_cycles,
-                                  dp_cycles, float(n * 8 * width))
+                                  dp_cycles, writeback_bytes(kind, n, width))
     output = outputs[0] if k is None else np.stack(outputs, axis=1)
     return output, report
 
@@ -316,12 +426,12 @@ def bfs_parents_pass(acc, kind: str, operands: Sequence[np.ndarray],
         best_parent = np.full(w, -1, dtype=np.int64)
         for op in group.streaming:
             eng.switch(op.dp)
-            values, fault_extra = eng.stream(op)
-            stream_cycles += eng.spb + fault_extra
+            values = eng.stream(op)
+            stream_cycles += eng.spb
             cpb = eng.timing.compute_cycles_per_block(op.dp)
             compute_cycles += cpb
             if tb is not None:
-                tb.block(cpb, eng.spb + fault_extra)
+                tb.block(cpb, eng.spb)
             chunk = rcu.read_chunk("dist", op.inx_in, w)
             cand, lanes = dbfs_block(fcu, values, chunk, with_argmin=True)
             improved = cand < best
@@ -341,7 +451,7 @@ def bfs_parents_pass(acc, kind: str, operands: Sequence[np.ndarray],
 
     report = eng.finish_streaming(kind, stream_cycles, compute_cycles,
                                   {"d-bfs": compute_cycles},
-                                  float(n * 12))  # distance + parent tag
+                                  writeback_bytes(kind, n, 1))
     return new_dist, new_parent, report
 
 
@@ -385,7 +495,8 @@ def symgs_sweep(acc, kind: str, operands: Sequence[np.ndarray],
     chain_cycles = 0.0
     seq_cycles = 0.0
     dp_cycles: Dict[str, float] = {}
-    for group in acc.image.rows:
+    slack: List[float] = []
+    for row, group in enumerate(acc.image.rows):
         row_stream = 0.0
         row_gemv_compute = 0.0
         # Data-path switches of this row, recorded as they are charged
@@ -397,8 +508,8 @@ def symgs_sweep(acc, kind: str, operands: Sequence[np.ndarray],
         ablation_penalty = 0.0
         for op in group.streaming:
             eng.switch(op.dp, trans_gemv)
-            values, fault_extra = eng.stream(op)
-            row_stream += eng.spb + fault_extra
+            values = eng.stream(op, row)
+            row_stream += eng.spb
             block_compute = width * timing.compute_cycles_per_block(op.dp)
             row_gemv_compute += block_compute
             dp_cycles["gemv"] = dp_cycles.get("gemv", 0.0) + block_compute
@@ -412,16 +523,17 @@ def symgs_sweep(acc, kind: str, operands: Sequence[np.ndarray],
         if group.diagonal is not None:
             op = group.diagonal
             eng.switch(op.dp, trans_diag)
-            values, fault_extra = eng.stream(op)
-            row_stream += eng.spb + fault_extra
-            if not acc.conversion.reordered and group.streaming:
+            values = eng.stream(op, row)
+            row_stream += eng.spb
+            if refetches_diagonal(acc.conversion.reordered,
+                                  len(group.streaming)):
                 # Ablation: without §4.1's reordering the diagonal
                 # block streamed past mid-row, before this row's
                 # trailing GEMV partials existed; it is re-fetched now
                 # (once per batch, like the payload itself), and the
                 # mid-row D-SymGS visit cost two extra data-path
                 # toggles.
-                mem.stream_cycles(w * w * cfg.element_bytes)
+                mem.stream_cycles(timing.block_bytes)
                 row_stream += eng.spb
                 extra = (0.0 if rcu.config.hide_under_drain
                          else 2.0 * rcu.config.reconfig_cycles)
@@ -453,6 +565,7 @@ def symgs_sweep(acc, kind: str, operands: Sequence[np.ndarray],
             dp_cycles["d-symgs"] = dp_cycles.get("d-symgs", 0.0) \
                 + dsymgs_compute
         chain_cycles += max(row_stream, row_gemv_compute) + dsymgs_compute
+        slack.append(max(0.0, row_gemv_compute - row_stream))
         seq_cycles += dsymgs_compute
         if tb is not None:
             _trace_symgs_row(tb, rcu, group, trans_gemv, trans_diag,
@@ -466,10 +579,9 @@ def symgs_sweep(acc, kind: str, operands: Sequence[np.ndarray],
         + miss_bytes / cfg.bytes_per_cycle
     results = [rcu.operand("x_curr" + sfx) for sfx in suffixes]
     x = results[0].copy() if k is None else np.stack(results, axis=1)
-    report = eng.report(name, total, seq_cycles, dp_cycles, miss_bytes)
-    if tb is not None:
-        tb.finish(report, gap_name="cache_refill",
-                  args={"extra_stream_bytes": miss_bytes})
+    report = eng.finish(
+        eng.report(name, total, seq_cycles, dp_cycles, miss_bytes),
+        "cache_refill", miss_bytes, slack)
     return x, report
 
 

@@ -35,7 +35,10 @@ sequence-dependent LRU cache counters — and the functional results are
 computed with operation-for-operation identical numpy expressions, so
 kernel outputs are bit-identical too (property-tested against the
 interpreter).  Solo SpMV and solo SymGS are the width-1 calls of their
-batch loops.
+batch loops.  A faulty run is the clean template plus one fault charge,
+priced by the interpreter's own
+:func:`~repro.core.interpreter.charge_faults` from the same transfers
+and the same per-row slack, so it matches the interpreter too.
 
 Compilation cross-checks the lowered artifacts against the captured
 template (compute-cycle totals, memory request counts) and refuses to
@@ -60,7 +63,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -72,7 +75,6 @@ from repro.core.config import (DATAPATHS, DataPathType, KernelType,
 from repro.core.datapaths import dsymgs_recurrence, dsymgs_upper_dots
 from repro.core.report import SimReport
 from repro.observe.tracer import Span, Tracer
-from repro.sim.faults import charge_event
 
 #: Pass kinds served by :class:`CompiledStreamingPass` (independent
 #: block rows; one batched gather/compute/scatter per pass).
@@ -136,60 +138,34 @@ def _time_groups(seg_len: np.ndarray, seg_start: np.ndarray,
     return groups
 
 
-def _apply_fault_events(report: SimReport, extra_cycles: float,
-                        events, padded_block_bytes: float) -> None:
-    """Annotate a cloned report template with one run's fault outcome.
-
-    Mirrors the accounting :meth:`~repro.sim.memory.StreamingMemory.
-    stream_payload_block` performs on the interpreter path, so the
-    ``faults_*``/``retry_cycles`` counters and DRAM traffic reconcile
-    with the injection log regardless of execution path.  A clean run
-    (no events, no extra cycles) leaves the clone untouched.
-    """
-    if extra_cycles:
-        report.cycles += extra_cycles
-    for event in events:
-        charge_event(report.counters, event)
-        if event.restreams:
-            nbytes = padded_block_bytes * event.restreams
-            report.counters.add("dram_bytes", nbytes)
-            report.counters.add("dram_requests", float(event.restreams))
-            report.streamed_bytes += nbytes
-
-
-def _replay_spans(tracer: Optional[Tracer], span_template: List[Span],
-                  extra_cycles: float, events) -> None:
-    """Replay a pass's captured span template onto the user's tracer.
+def _replay_spans(tracer: Optional[Tracer],
+                  span_template: List[Span]) -> Optional[int]:
+    """Replay a pass's captured span template onto the user's tracer;
+    returns the replayed pass span's id (None when untraced).
 
     The span analogue of cloning the report template: pass timing
     depends only on block structure, so the spans captured at compile
     time are exact for every run — shifted to each track's current
-    cursor.  Per-run fault recovery, which the template cannot know,
-    is appended live: ``retry`` spans on the channel track, and the
-    replayed pass span stretched by the recovered cycles so its
-    duration still matches the (fault-adjusted) report.
+    cursor.
     """
     if tracer is None or not span_template:
-        return
-    offsets = {}
-    for span in span_template:
-        if span.track not in offsets:
-            offsets[span.track] = tracer.cursor(span.track)
+        return None
+    offsets = {span.track: tracer.cursor(span.track)
+               for span in span_template}
     base = len(tracer.spans)
     tracer.replay(span_template, offsets)
-    if extra_cycles > 0.0:
-        for span in tracer.spans[base:]:
-            if span.cat == "pass":
-                tracer.stretch(span.span_id, extra_cycles)
-    for event in events:
-        if event.extra_cycles > 0.0:
-            tracer.extend("channel", f"retry:{event.kind}", "retry",
-                          event.extra_cycles,
-                          {"restreams": float(event.restreams)},
-                          coalesce=False)
-        else:
-            tracer.instant_event(f"fault:{event.kind}", "fault",
-                                 tracer.cursor("channel"), "channel")
+    return next(span.span_id for span in tracer.spans[base:]
+                if span.cat == "pass")
+
+
+def _row_sums(values: np.ndarray, seg_len: np.ndarray) -> np.ndarray:
+    """The sum of each run of ``seg_len`` consecutive ``values``, added
+    left to right from 0.0 (``np.add.accumulate``) as the interpreter's
+    per-row ``+=`` does, so the floats are the interpreter's."""
+    lanes = np.arange(max(1, int(seg_len.max(initial=0))))
+    table = np.zeros((seg_len.size, lanes.size))
+    table[lanes < seg_len[:, None]] = values
+    return np.add.accumulate(table, axis=1)[:, -1]
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -229,8 +205,6 @@ class _CompiledPass:
                  gather: np.ndarray, artifacts: PassArtifacts,
                  template: SimReport, traced: bool = False,
                  checksums: Optional[List[int]] = None,
-                 restream_cycles: float = 0.0,
-                 padded_block_bytes: float = 0.0,
                  span_template: Optional[List[Span]] = None) -> None:
         self.kind = kind
         self.n = n
@@ -241,9 +215,6 @@ class _CompiledPass:
         self.artifacts = artifacts
         #: Per-block payload CRCs in stacked order (``program()`` data).
         self.checksums = checksums or []
-        #: Channel cost of re-fetching one block, for pricing retries.
-        self.restream_cycles = restream_cycles
-        self.padded_block_bytes = padded_block_bytes
         #: ``(report, spans, traced)`` by batch width (None = solo): the
         #: solo templates captured at compile time, each batch width's
         #: the first time it runs.  ``traced`` records whether the
@@ -251,6 +222,8 @@ class _CompiledPass:
         self._template_cache: Dict[
             Optional[int], Tuple[SimReport, List[Span], bool]] = {
                 None: (template, span_template or [], traced)}
+        #: Fault-charge slack by batch width, on its first faulty run.
+        self._slacks: Dict[Optional[int], List[float]] = {}
 
     def _templates(self, acc, k: Optional[int]
                    ) -> Tuple[SimReport, List[Span]]:
@@ -266,33 +239,33 @@ class _CompiledPass:
             self._template_cache[k] = cached
         return cached[0], cached[1]
 
-    def _deliver_blocks(self, acc, order) -> Tuple[np.ndarray, float, list]:
-        """Stream the stacked blocks through ``acc``'s fault model, in
-        ``order`` (stacked indices in transfer order).
+    def _deliver_blocks(self, acc, order) -> Tuple[np.ndarray, list]:
+        """Stream the stacked blocks through ``acc``'s fault model in
+        transfer order: ``order`` yields ``(row, stacked index)``, the
+        row being the transfer's row of the fault charge.
 
-        Returns ``(delivered, extra, events)``: ``self.blocks`` itself
-        or — once a silent bitflip strikes — a corrupted *copy* (the
-        compile-time payload stays pristine for cross-checking), the
-        transfers' recovery cycles and their fault events.
+        Returns ``(delivered, faults)``: ``self.blocks`` itself or —
+        once a silent bitflip strikes — a corrupted *copy* (the
+        compile-time payload stays pristine for cross-checking), and
+        ``(row, event)`` per faulty transfer.
         """
         cfg = acc.config
-        fm = cfg.fault_model
-        verify = cfg.verify_checksums or acc._force_verify
+        fm, verify = cfg.fault_model, cfg.verify_checksums
+        restream = interpreter.restream_cost(cfg)[1]
         delivered = self.blocks
-        extra, events = 0.0, []
-        for i in order:
+        faults = []
+        for row, i in order:
             src = self.blocks[i]
             checksum = int(self.checksums[i]) if verify else None
-            vals, cycles, event = fm.deliver(
-                src, checksum, restream_cycles=self.restream_cycles)
-            extra += cycles
+            vals, _extra, event = fm.deliver(src, checksum,
+                                             restream_cycles=restream)
             if event is not None:
-                events.append(event)
+                faults.append((row, event))
             if vals is not src:
                 if delivered is self.blocks:
                     delivered = self.blocks.copy()
                 delivered[i] = vals
-        return delivered, extra, events
+        return delivered, faults
 
     def _crosscheck_rows(self, cfg, report: SimReport, n_rows: int,
                          row_matches) -> None:
@@ -320,17 +293,17 @@ class _CompiledPass:
         if mismatches:
             report.counters.add("crosscheck_mismatches", float(mismatches))
 
-    def _finish_report(self, acc, extra_cycles: float, events,
-                       templates: Tuple[SimReport, List[Span]]
-                       ) -> SimReport:
-        """Clone the run's template and charge its faults onto the
-        report and ``acc``'s trace."""
-        template, span_template = templates
+    def _finish_report(self, acc, k: Optional[int], faults) -> SimReport:
+        """Clone the run's templates (report, and spans onto ``acc``'s
+        trace) and charge its faults by the interpreter's rule."""
+        template, span_template = self._templates(acc, k)
         report = template.clone()
-        _apply_fault_events(report, extra_cycles, events,
-                            self.padded_block_bytes)
-        _replay_spans(acc.config.tracer, span_template, extra_cycles,
-                      events)
+        pass_span = _replay_spans(acc.config.tracer, span_template)
+        if faults:
+            if k not in self._slacks:
+                self._slacks[k] = self._slack(acc.config, k or 1, template)
+            interpreter.charge_faults(acc, report, faults, self._slacks[k],
+                                      pass_span)
         return report
 
 
@@ -405,23 +378,32 @@ class CompiledStreamingPass(_CompiledPass):
     # Resilience (all no-ops when no fault model is attached)
     # ------------------------------------------------------------------
     def _deliver(self, acc):
-        """Stream the stacked blocks through ``acc``'s (possibly faulty)
-        channel, in the interpreter's transfer order.
-
-        Returns ``(blocks, masks, extra_cycles, events)``.  With no
+        """Stream the stacked blocks in the interpreter's transfer order,
+        as one fault row; returns ``(blocks, masks, faults)``.  With no
         fault model these are the pristine compile-time arrays and the
-        call is one attribute check; a silent bitflip replaces the
-        stacked tensor with a corrupted *copy* — the compile-time
-        ``self.blocks`` stays pristine for cross-checking.
-        """
+        call is one attribute check."""
         if acc.config.fault_model is None:
-            return self.blocks, self.masks, 0.0, []
-        blocks, extra, events = self._deliver_blocks(
-            acc, range(self.blocks.shape[0]))
+            return self.blocks, self.masks, []
+        blocks, faults = self._deliver_blocks(
+            acc, ((0, i) for i in range(self.blocks.shape[0])))
         masks = self.masks
         if blocks is not self.blocks and self.kind != "spmv":
             masks = blocks != 0.0
-        return blocks, masks, extra, events
+        return blocks, masks, faults
+
+    def _slack(self, cfg, width: int, template: SimReport) -> List[float]:
+        """The pass's slack: how far its clean compute outlasts its
+        clean stream term, summed in the interpreter's order."""
+        timing = cfg.timing()
+        stream = np.add.accumulate(np.full(
+            self.blocks.shape[0], timing.stream_cycles_per_block()))[-1]
+        compute = np.add.accumulate(
+            width * self.artifacts.compute_cycles_per_block)[-1]
+        _bytes, stream_total = interpreter.stream_term(
+            cfg, float(stream),
+            interpreter.writeback_bytes(self.kind, self.n, width),
+            template.counters.get("cache_misses"))
+        return [max(0.0, float(compute) - stream_total)]
 
     def _crosscheck(self, cfg, report: SimReport, sums: np.ndarray,
                     reduce_kind: str, partial_fn) -> None:
@@ -466,8 +448,7 @@ class CompiledStreamingPass(_CompiledPass):
         service.  The report clones the solo template (``k`` None) or
         the width-``k`` batch template.
         """
-        templates = self._templates(acc, k)
-        blocks, _masks, extra, events = self._deliver(acc)
+        blocks, _masks, faults = self._deliver(acc)
         ys, sums = [], []
         for col in range(x.shape[1]):
             chunks = self._gather_chunks(x[:, col])
@@ -475,7 +456,7 @@ class CompiledStreamingPass(_CompiledPass):
             row_sums = self._accumulate_sum(partial)
             sums.append((row_sums, chunks))
             ys.append(self._scatter_assign(row_sums))
-        report = self._finish_report(acc, extra, events, templates)
+        report = self._finish_report(acc, k, faults)
         for row_sums, chunks in sums:
             self._crosscheck(
                 acc.config, report, row_sums, "sum",
@@ -486,14 +467,13 @@ class CompiledStreamingPass(_CompiledPass):
     def run_minplus(self, acc, dist: np.ndarray
                     ) -> Tuple[np.ndarray, SimReport]:
         """D-BFS (unit cost) or D-SSSP (stored weights) relaxation."""
-        templates = self._templates(acc, None)
-        blocks, masks, extra, events = self._deliver(acc)
+        blocks, masks, faults = self._deliver(acc)
         chunks = self._gather_chunks(dist)
         step = 1.0 if self.kind == "bfs" else blocks
         cand = np.where(masks, chunks[:, None, :] + step, np.inf)
         best = self._accumulate_min(cand.min(axis=2))
         out = self._scatter_min(best, dist)
-        report = self._finish_report(acc, extra, events, templates)
+        report = self._finish_report(acc, None, faults)
         self._crosscheck(
             acc.config, report, best, "min",
             lambda lo, hi: np.where(
@@ -515,8 +495,7 @@ class CompiledStreamingPass(_CompiledPass):
 
     def run_parents(self, acc, dist: np.ndarray, parent: np.ndarray
                     ) -> Tuple[np.ndarray, np.ndarray, SimReport]:
-        templates = self._templates(acc, None)
-        _blocks, masks, extra, events = self._deliver(acc)
+        _blocks, masks, faults = self._deliver(acc)
         chunks = self._gather_chunks(dist)
         per_block, lanes, src = self._parent_candidates(masks, chunks,
                                                         self.src_base)
@@ -536,7 +515,7 @@ class CompiledStreamingPass(_CompiledPass):
         take = best < dview[rows]
         dview[rows] = np.where(take, best, dview[rows])
         pview[rows] = np.where(take, best_src, pview[rows])
-        report = self._finish_report(acc, extra, events, templates)
+        report = self._finish_report(acc, None, faults)
 
         def row_matches(r: int) -> bool:
             lo = int(self.artifacts.seg_start[r])
@@ -556,8 +535,7 @@ class CompiledStreamingPass(_CompiledPass):
 
     def run_pagerank(self, acc, rank: np.ndarray, outdeg: np.ndarray
                      ) -> Tuple[np.ndarray, SimReport]:
-        templates = self._templates(acc, None)
-        _blocks, masks, extra, events = self._deliver(acc)
+        _blocks, masks, faults = self._deliver(acc)
         rank_c = self._gather_chunks(rank)
         deg_c = self._gather_chunks(outdeg)
         safe_deg = np.where(deg_c > 0.0, deg_c, 1.0)
@@ -565,7 +543,7 @@ class CompiledStreamingPass(_CompiledPass):
         partial = np.where(masks, contrib[:, None, :], 0.0).sum(axis=2)
         row_sums = self._accumulate_sum(partial)
         y = self._scatter_assign(row_sums)
-        report = self._finish_report(acc, extra, events, templates)
+        report = self._finish_report(acc, None, faults)
         self._crosscheck(
             acc.config, report, row_sums, "sum",
             lambda lo, hi: np.where(self.masks[lo:hi],
@@ -627,11 +605,14 @@ class CompiledSymgsPass(_CompiledPass):
 
     def __init__(self, n: int, omega: int, blocks: np.ndarray,
                  gather: np.ndarray, rows: List[_SymgsRow],
-                 diag: np.ndarray, artifacts: PassArtifacts,
-                 template: SimReport, **kwargs) -> None:
+                 diag: np.ndarray, refetch: np.ndarray,
+                 artifacts: PassArtifacts, template: SimReport,
+                 **kwargs) -> None:
         super().__init__("symgs", n, omega, blocks, gather, artifacts,
                          template, **kwargs)
         self.rows = rows
+        #: Rows whose diagonal block streams twice (§4.1 ablation).
+        self.refetch = _read_only(refetch)
         self.n_gemv = int(gather.shape[0])
         diag_pad = np.zeros(self.npad)
         diag_pad[:n] = diag
@@ -658,11 +639,26 @@ class CompiledSymgsPass(_CompiledPass):
         return x.T.copy(), report
 
     def _transfer_order(self):
-        """Stacked indices in the interpreter's transfer order: each
-        row's GEMV blocks, then its diagonal block."""
+        """``(row, stacked index)`` in the interpreter's transfer order:
+        each row's GEMV blocks, then its diagonal block."""
         for i, row in enumerate(self.rows):
-            yield from range(row.seg_start, row.seg_start + row.seg_len)
-            yield self.n_gemv + i
+            for j in range(row.seg_start, row.seg_start + row.seg_len):
+                yield i, j
+            yield i, self.n_gemv + i
+
+    def _slack(self, cfg, width: int, template: SimReport) -> List[float]:
+        """Each block row's slack: how far its GEMV compute outlasts its
+        clean stream (GEMV blocks, the diagonal and any §4.1 re-fetch),
+        summed in the interpreter's order."""
+        a = self.artifacts
+        bodies = a.seg_start + np.arange(a.seg_len.size) + a.seg_len
+        compute = _row_sums(
+            width * np.delete(a.compute_cycles_per_block, bodies), a.seg_len)
+        transfers = a.seg_len + 1 + self.refetch
+        stream = _row_sums(np.full(int(transfers.sum()),
+                                   cfg.timing().stream_cycles_per_block()),
+                           transfers)
+        return np.maximum(0.0, compute - stream).tolist()
 
     def _sweep(self, acc, b: np.ndarray, x_prev: np.ndarray,
                k: Optional[int]) -> Tuple[np.ndarray, SimReport]:
@@ -677,12 +673,9 @@ class CompiledSymgsPass(_CompiledPass):
         service.  The report clones the solo template (``k`` None) or
         the width-``k`` batch template.
         """
-        templates = self._templates(acc, k)
-        extra, events = 0.0, []
-        blocks = self.blocks
+        blocks, faults = self.blocks, []
         if acc.config.fault_model is not None:
-            blocks, extra, events = self._deliver_blocks(
-                acc, self._transfer_order())
+            blocks, faults = self._deliver_blocks(acc, self._transfer_order())
         n, npad = self.n, self.npad
         width = b.shape[1]
         prev = np.zeros((width, npad))
@@ -692,7 +685,7 @@ class CompiledSymgsPass(_CompiledPass):
         b_pads[:, :n] = b.T
         for col in range(width):
             self._walk(blocks, b_pads[col], prev[col], cur[col])
-        report = self._finish_report(acc, extra, events, templates)
+        report = self._finish_report(acc, k, faults)
         for col in range(width):
             self._crosscheck_rows(
                 acc.config, report, len(self.rows),
@@ -801,16 +794,9 @@ def _capture_template(acc, kind: str, k: Optional[int] = None
     ``k`` None captures the solo pass at compile time; an integer
     captures a width-``k`` batch (``(n, k)`` zero panels), lazily the
     first time each width runs, so a program that never batches pays
-    nothing.  The interpreter is looked up in the same pass-kind table
-    (:data:`repro.core.interpreter.ORACLES`) the accelerator falls back
-    to.
-
-    Fault injection is suppressed for the replay: the template must
-    record the *clean* pass (faults would advance the injector's RNG,
-    contaminate the captured cycles/counters, and break the lowering
-    verification below).  Faults are charged per run instead.  The span
-    capture uses the same shadowing trick: a fresh capture tracer
-    replaces the user's for the replay, so template spans (anchored at
+    nothing.  The replay runs on a clean binding of the same image: no
+    fault model (the template is the clean pass; each run charges its
+    own faults) and a capture tracer, so template spans (anchored at
     cycle 0) never leak into the user's trace.
     """
     traced = acc.config.tracer is not None
@@ -820,13 +806,9 @@ def _capture_template(acc, kind: str, k: Optional[int] = None
     _loop, arity = interpreter.ORACLES[kind]
     zeros = np.zeros(acc.n if k is None else (acc.n, k))
     capture = Tracer() if traced else None
-    acc._suppress_faults = True
-    acc._capture_tracer = capture
-    try:
-        report = interpreter.run(acc, kind, (zeros,) * arity, k)[-1]
-    finally:
-        acc._suppress_faults = False
-        acc._capture_tracer = None
+    clean = type(acc).bind(acc.image, replace(acc.config, fault_model=None,
+                                              tracer=capture))
+    report = interpreter.run(clean, kind, (zeros,) * arity, k)[-1]
     spans = capture.spans if capture is not None else []
     _save_stored_template(acc, kind, k, report, spans if traced else None)
     return report, spans
@@ -921,7 +903,7 @@ def _compile_symgs(acc) -> CompiledSymgsPass:
     rows = [_SymgsRow(*fields) for fields in zip(
         seg_start.tolist(), n_lower.tolist(), seg_len.tolist(),
         start.tolist(), np.clip(n - start, 0, w).tolist())]
-    refetch = (not table.reordered) & (seg_len > 0)
+    refetch = interpreter.refetches_diagonal(table.reordered, seg_len)
     n_requests = int(gemvs.size + np.where(refetch, 2, 1).sum())
     # Engine cycles in execution order: each row's GEMVs, then its
     # D-SymGS.
@@ -936,7 +918,7 @@ def _compile_symgs(acc) -> CompiledSymgsPass:
     stacked = np.concatenate((gemvs, bodies))
     index = image.block_index[gemvs]
     return CompiledSymgsPass(
-        n, w, rows=rows, diag=diag,
+        n, w, rows=rows, diag=diag, refetch=refetch,
         **_lowered(acc, "symgs", matrix.blocks[image.block_index[stacked]],
                    _gather(table.inx_in[gemvs], matrix.reversed_cols[index],
                            w),
@@ -950,10 +932,7 @@ def _lowered(acc, kind: str, blocks: np.ndarray, gather: np.ndarray,
              n_requests: int) -> dict:
     """Capture and verify a lowered pass's report template, and return
     the constructor keywords every compiled pass shares."""
-    block_bytes = acc.config.timing().block_bytes
     seg_len = np.asarray(seg_len, dtype=np.int64)
-    mem = acc.config.make_memory()
-    padded_block_bytes = mem._padded_bytes(block_bytes)
     artifacts = PassArtifacts(
         compute_cycles_per_block=np.asarray(compute_vec, dtype=np.float64),
         seg_start=np.cumsum(seg_len) - seg_len,
@@ -966,10 +945,7 @@ def _lowered(acc, kind: str, blocks: np.ndarray, gather: np.ndarray,
         blocks=_read_only(blocks), gather=_read_only(gather),
         artifacts=artifacts, template=template,
         traced=acc.config.tracer is not None,
-        checksums=checksums,
-        restream_cycles=padded_block_bytes / mem.bytes_per_cycle,
-        padded_block_bytes=padded_block_bytes,
-        span_template=span_template)
+        checksums=checksums, span_template=span_template)
 
 
 # KernelType is imported for the kernel→plan-kind map used by

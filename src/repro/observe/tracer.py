@@ -208,9 +208,8 @@ class Tracer:
         return sid
 
     def stretch(self, span_id: int, extra: float) -> None:
-        """Lengthen a recorded span in place — e.g. a replayed pass span
-        absorbing per-run fault-recovery cycles its template could not
-        know about."""
+        """Lengthen a recorded span in place — e.g. a clean pass span
+        absorbing its run's charged fault cycles."""
         if extra < 0:
             raise SimulationError(f"cannot stretch a span by {extra}")
         span = self.spans[span_id]

@@ -7,7 +7,7 @@ flipped bit or a dropped burst is not a malformed record the decoder can
 reject, it is a perfectly plausible operand that silently becomes a
 wrong answer.  This module supplies the *injection* half of the
 resilience subsystem: a pluggable, seeded :class:`FaultModel` that the
-streaming memory (:mod:`repro.sim.memory`) and the compiled plan layer
+interpreter (:mod:`repro.core.interpreter`) and the compiled plan layer
 (:mod:`repro.core.plan`) consult once per payload-block transfer.
 
 Fault kinds
@@ -328,12 +328,12 @@ class FaultModel:
 
 
 def charge_event(counters: CounterSet, event: FaultEvent) -> None:
-    """Record one fault event into a component's counter set.
+    """Record one fault event into a report's counter set.
 
-    The shared accounting used by both the interpreter's streaming
-    memory and the compiled plan layer, so ``faults_*``/``retry_cycles``
-    counters reconcile with :attr:`FaultModel.log` regardless of the
-    execution path.
+    Called by :func:`repro.core.interpreter.charge_faults`, the one
+    fault charge of both execution paths, so ``faults_*``/
+    ``retry_cycles`` counters reconcile with :attr:`FaultModel.log`
+    regardless of the path.
     """
     counters.add("faults_injected", 1.0)
     if event.detected:

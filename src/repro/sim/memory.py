@@ -16,13 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
-
-import numpy as np
+from typing import Optional
 
 from repro.errors import CapacityError, SimulationError
 from repro.sim.clock import DEFAULT_FREQUENCY_HZ
-from repro.sim.faults import FaultModel, charge_event
 from repro.sim.stats import CounterSet
 
 #: Memory bandwidth from Table 5 (GDDR5, same budget given to every
@@ -61,15 +58,11 @@ class StreamingMemory:
     frequency_hz: float = DEFAULT_FREQUENCY_HZ
     burst_bytes: int = DEFAULT_BURST_BYTES
     capacity_bytes: int = DEFAULT_CAPACITY_BYTES
-    #: Optional seeded fault injector (:mod:`repro.sim.faults`),
-    #: consulted once per payload-block transfer.  None (the default)
-    #: keeps every method on the exact pre-fault code path.
-    fault_model: Optional[FaultModel] = None
     counters: CounterSet = field(default_factory=CounterSet)
     #: Optional :class:`~repro.observe.tracer.Tracer`.  When set, every
     #: transfer extends a coalesced ``stream`` span on the ``channel``
-    #: track (occupancy, not wall-aligned) and fault recovery appears as
-    #: ``retry`` spans.  None (the default) is the traced-nothing path.
+    #: track (occupancy, not wall-aligned).  None (the default) is the
+    #: traced-nothing path.
     tracer: Optional[object] = None
 
     def __post_init__(self) -> None:
@@ -83,7 +76,8 @@ class StreamingMemory:
         """Peak bytes deliverable per consumer clock cycle."""
         return self.bandwidth_bytes_per_s / self.frequency_hz
 
-    def _padded_bytes(self, nbytes: float) -> float:
+    def padded_bytes(self, nbytes: float) -> float:
+        """``nbytes`` rounded up to whole bursts."""
         bursts = -(-int(math.ceil(nbytes)) // self.burst_bytes)
         return float(bursts * self.burst_bytes)
 
@@ -100,7 +94,7 @@ class StreamingMemory:
             raise SimulationError(f"cannot stream {nbytes} bytes")
         if nbytes == 0:
             return 0.0
-        effective = self._padded_bytes(nbytes)
+        effective = self.padded_bytes(nbytes)
         self.counters.add("dram_bytes", effective)
         self.counters.add("dram_requests", 1.0)
         if not sequential:
@@ -126,50 +120,7 @@ class StreamingMemory:
             raise SimulationError(f"cannot stream {nbytes} bytes")
         if nbytes == 0:
             return 0.0
-        return self._padded_bytes(nbytes) / self.bytes_per_cycle
-
-    def stream_payload_block(self, values: np.ndarray, nbytes: float,
-                             checksum: Optional[int] = None
-                             ) -> Tuple[np.ndarray, float]:
-        """Charge one payload-block transfer, consulting the fault model.
-
-        Returns ``(values, extra_cycles)``: the delivered payload and
-        the cycles *beyond* the nominal :meth:`stream_cycles` cost
-        (retries, duplicated bursts, latency spikes).  With no fault
-        model attached this is exactly ``stream_cycles(nbytes)`` —
-        the clean path stays bit-identical.
-
-        ``checksum`` is the block's programmed CRC (recorded at
-        ``program()`` time); when given, in-flight corruption is
-        detected and re-streamed with bounded exponential backoff.  The
-        verification itself is free (an inline hardware CRC on the
-        burst path); only recovery costs cycles and bytes, which land
-        in the ``retry_cycles``/``fault_restreams`` counters and the
-        DRAM traffic totals.
-        """
-        self.stream_cycles(nbytes)
-        fm = self.fault_model
-        if fm is None:
-            return values, 0.0
-        padded = self._padded_bytes(nbytes)
-        values, extra, event = fm.deliver(
-            values, checksum, restream_cycles=padded / self.bytes_per_cycle)
-        if event is not None:
-            charge_event(self.counters, event)
-            if event.restreams:
-                self.counters.add("dram_bytes", padded * event.restreams)
-                self.counters.add("dram_requests", float(event.restreams))
-            if self.tracer is not None:
-                if extra > 0.0:
-                    self.tracer.extend(
-                        "channel", f"retry:{event.kind}", "retry", extra,
-                        {"restreams": float(event.restreams)},
-                        coalesce=False)
-                else:
-                    self.tracer.instant_event(
-                        f"fault:{event.kind}", "fault",
-                        self.tracer.cursor("channel"), "channel")
-        return values, extra
+        return self.padded_bytes(nbytes) / self.bytes_per_cycle
 
     def check_capacity(self, resident_bytes: float,
                        context: str = "device image") -> None:

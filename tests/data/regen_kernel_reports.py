@@ -19,7 +19,9 @@ Chrome trace.
 
 The golden pins kernel reports across commits, so it is the
 differential test for any rewrite of the plan or interpreter layers:
-both paths must keep producing these exact reports.  Regenerating it
+both paths must keep producing these exact reports.  The script refuses
+to write a golden in which a plan fault case differs from its
+interpreter twin (``plan_degraded`` aside).  Regenerating it
 declares a cost-model change; do so only with the change that caused
 it.  The file holds one case per line so a diff names the cases that
 moved.
@@ -239,9 +241,27 @@ def dumps_golden(entries):
     return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
+def fault_twin_drift(entries):
+    """Ids of the plan fault cases whose entry differs from their
+    interpreter twin's.  Both engines charge a run's faults through one
+    rule, so only ``plan_degraded`` may differ."""
+    def comparable(entry):
+        return {k: v for k, v in entry.items() if k != "plan_degraded"}
+
+    return [cid for cid in sorted(entries)
+            if "/plan/" in cid and cid.endswith("/faults")
+            and comparable(entries[cid])
+            != comparable(entries[cid.replace("/plan/", "/interp/")])]
+
+
 def main():
     entries = {cid: run_case(kernel, matrix, settings)
                for cid, kernel, matrix, settings in cases()}
+    drift = fault_twin_drift(entries)
+    if drift:
+        raise SystemExit(
+            f"refusing to write {GOLDEN_PATH}: plan fault case(s) differ "
+            f"from their interpreter twin: {', '.join(drift)}")
     GOLDEN_PATH.write_text(dumps_golden(entries))
     print(f"wrote {GOLDEN_PATH} ({len(entries)} cases)")
 

@@ -9,8 +9,12 @@ cross-check fallback from the compiled plan to the interpreter, and
 counter reconciliation against the injection log.
 """
 
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.core import Alrescha, AlreschaConfig, KernelType, convert
 from repro.core.config import ConfigEntry, ConfigTable, DataPathType, \
@@ -127,6 +131,86 @@ def _counter_reconciliation(report, fm):
     assert report.counters.get("faults_corrected") == fm.corrected
     assert report.counters.get("retry_cycles") == \
         pytest.approx(fm.total_retry_cycles)
+
+
+#: Kernel -> (programmed kernel, runner name, batch width or None).
+DIFFERENTIAL_KERNELS = {
+    "spmv": (KernelType.SPMV, "run_spmv", None),
+    "spmv_k2": (KernelType.SPMV, "run_spmv_batch", 2),
+    "spmv_k4": (KernelType.SPMV, "run_spmv_batch", 4),
+    "bfs": (KernelType.BFS, "run_bfs_pass", None),
+    "bfs_parents": (KernelType.BFS, "run_bfs_pass_parents", None),
+    "sssp": (KernelType.SSSP, "run_sssp_pass", None),
+    "pagerank": (KernelType.PAGERANK, "run_pr_pass", None),
+    "symgs": (KernelType.SYMGS, "run_symgs_sweep", None),
+    "symgs_k2": (KernelType.SYMGS, "run_symgs_batch", 2),
+    "symgs_k4": (KernelType.SYMGS, "run_symgs_batch", 4),
+    "sptrsv": (KernelType.SYMGS, "run_sptrsv", None),
+}
+
+#: Fault specs that inject on both matrices without exhausting a retry
+#: budget: a mix, latency spikes only, and drops (re-streams).
+DIFFERENTIAL_SPECS = ("0.05:3", "0.3:7:latency", "0.2:5:drop")
+
+#: ``(kernel, matrix, spec, omega, element_bytes, reorder)``; only SymGS
+#: kernels have a reordering to switch off.
+DIFFERENTIAL_CASES = [
+    (kernel, matrix, spec, omega, element_bytes, reorder)
+    for kernel, (ktype, _runner, _k) in DIFFERENTIAL_KERNELS.items()
+    for matrix in ("stencil27", "spd_small")
+    for spec in DIFFERENTIAL_SPECS
+    for omega in (8, 4)
+    for element_bytes in (8, 4)
+    for reorder in ((True, False) if ktype is KernelType.SYMGS
+                    else (True,))
+]
+
+
+def _case_id(case) -> str:
+    kernel, matrix, spec, omega, element_bytes, reorder = case
+    return (f"{kernel}-{matrix}-{spec}-w{omega}-e{element_bytes}"
+            + ("" if reorder else "-noreorder"))
+
+
+@functools.lru_cache(maxsize=None)
+def _stencil27():
+    from repro.datasets import load_dataset
+    return load_dataset("stencil27", scale=0.05).matrix
+
+
+def _engine_run(kernel, matrix, spec, use_plan, reorder=True, **config):
+    """Run ``kernel`` once on one engine under fault model ``spec``;
+    returns ``(outputs, report fields, fault log)``."""
+    ktype, runner, k = DIFFERENTIAL_KERNELS[kernel]
+    if ktype is not KernelType.SPMV and ktype is not KernelType.SYMGS:
+        matrix = abs(sp.csr_matrix(matrix)).tolil()
+        matrix.setdiag(0.0)
+        matrix = matrix.tocsr()
+        matrix.eliminate_zeros()
+    n = matrix.shape[0]
+    rng = np.random.default_rng(n)
+    shape = (n,) if k is None else (n, k)
+    dist = np.full(n, np.inf)
+    dist[0] = 0.0
+    if ktype is KernelType.SPMV or kernel == "sptrsv":
+        operands = (rng.normal(size=shape),)
+    elif ktype is KernelType.SYMGS:
+        operands = (rng.normal(size=shape), rng.normal(size=shape))
+    elif ktype is KernelType.PAGERANK:
+        operands = (np.full(n, 1.0 / n), np.asarray(
+            (matrix != 0).sum(axis=0), dtype=float).ravel())
+    elif kernel == "bfs_parents":
+        operands = (dist, np.full(n, -1, dtype=np.int64))
+    else:
+        operands = (dist,)
+    fm = FaultModel.parse(spec)
+    acc = Alrescha.from_matrix(
+        ktype, matrix, reorder=reorder,
+        config=AlreschaConfig(use_plan=use_plan, fault_model=fm, **config))
+    *outputs, report = getattr(acc, runner)(*operands)
+    fields = dataclasses.asdict(report)
+    fields["counters"] = report.counters.as_dict()
+    return outputs, fields, list(fm.log)
 
 
 class TestFaultModel:
@@ -253,26 +337,28 @@ class TestRuntimeFaults:
         assert rep.counters.get("faults_silent") == fm.injected
         assert rep.counters.get("retry_cycles") == 0.0
 
-    def test_plan_path_matches_interpreter_under_faults(self, spd_small):
-        """The compiled plan consults the same fault model in the same
-        transfer order, so a replayed seed produces the identical
-        event log and identical delivered values."""
-        x = np.arange(17, dtype=np.float64)
-        results = []
-        for use_plan in (False, True):
-            fm = FaultModel(rate=0.25, seed=13, kinds=("bitflip", "drop"))
-            acc = Alrescha.from_matrix(
-                KernelType.SPMV, spd_small,
-                config=AlreschaConfig(use_plan=use_plan, fault_model=fm))
-            y, rep = acc.run_spmv(x)
-            results.append((y, [(e.index, e.kind, e.retry_cycles)
-                                for e in fm.log],
-                            rep.counters.get("faults_injected"),
-                            rep.counters.get("retry_cycles")))
-        (y_i, log_i, n_i, rc_i), (y_p, log_p, n_p, rc_p) = results
-        assert np.array_equal(y_i, y_p)
-        assert log_i == log_p and log_i
-        assert n_i == n_p and rc_i == rc_p
+    @pytest.mark.parametrize("case", DIFFERENTIAL_CASES,
+                             ids=[_case_id(c) for c in DIFFERENTIAL_CASES])
+    def test_plan_path_matches_interpreter_under_faults(self, case,
+                                                        spd_small):
+        """Both engines charge a faulty pass through one rule: the same
+        seed gives the same fault log, bitwise-equal answers and a
+        field-for-field equal report on every plan kind, stream-bound
+        (element_bytes 8) or compute-bound (element_bytes 4 and the
+        batches), with and without SymGS reordering."""
+        kernel, matrix_name, spec, omega, element_bytes, reorder = case
+        matrix = (_stencil27() if matrix_name == "stencil27"
+                  else spd_small)
+        runs = [_engine_run(kernel, matrix, spec, use_plan,
+                            omega=omega, element_bytes=element_bytes,
+                            reorder=reorder)
+                for use_plan in (False, True)]
+        (out_i, rep_i, log_i), (out_p, rep_p, log_p) = runs
+        assert log_i, f"{spec} must inject on {matrix_name}"
+        assert log_p == log_i
+        assert [(o.dtype, o.tobytes()) for o in out_p] \
+            == [(o.dtype, o.tobytes()) for o in out_i]
+        assert rep_p == rep_i
 
     def test_crosscheck_falls_back_to_interpreter(self, spd_small):
         """A silent bitflip under the compiled plan is caught by the
@@ -290,8 +376,7 @@ class TestRuntimeFaults:
             KernelType.SPMV, spd_small,
             config=AlreschaConfig(use_plan=True, fault_model=fm,
                                   verify_checksums=False,
-                                  crosscheck_rows=1.0,
-                                  crosscheck_threshold=1))
+                                  crosscheck_rows=1.0))
         y, rep = acc.run_spmv(x)
         assert rep.counters.get("crosscheck_mismatches") > 0
         assert rep.counters.get("plan_fallbacks") == 1.0

@@ -58,6 +58,15 @@ def test_golden_file_is_canonical(golden):
     assert regen.GOLDEN_PATH.read_text() == regen.dumps_golden(golden)
 
 
+def test_plan_fault_cases_equal_their_interpreter_twins(golden):
+    """Both engines price a faulty pass through one rule, so every plan
+    fault entry equals its interpreter twin field for field."""
+    plan_faults = [cid for cid in golden
+                   if "/plan/" in cid and cid.endswith("/faults")]
+    assert len(plan_faults) == len(regen.KERNELS)
+    assert regen.fault_twin_drift(golden) == []
+
+
 @pytest.mark.parametrize("kernel", sorted(regen.KERNELS))
 def test_kernel_reports_match_golden(golden, kernel):
     mismatched = {}

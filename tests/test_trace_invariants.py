@@ -31,6 +31,7 @@ from repro.observe import (
     check_reconfig_hidden,
     check_row_ordering,
     check_trace,
+    dumps_chrome_trace,
     phase_cycle_totals,
 )
 from repro.observe.export import EXCLUSIVE_CATS
@@ -389,6 +390,40 @@ class TestReportReconciliation:
         table = attribution_table(tracer)
         assert "engine wall" in table
         assert "datapath:gemv" in table
+
+
+    @pytest.mark.parametrize("kernel,runner,k", [
+        (KernelType.SPMV, "run_spmv", None),
+        (KernelType.SPMV, "run_spmv_batch", 2),  # compute hides faults
+        (KernelType.SYMGS, "run_symgs_sweep", None),
+        (KernelType.SYMGS, "run_symgs_batch", 4),
+    ])
+    def test_faulty_pass_tiles_on_both_engines(self, matrix, rhs, kernel,
+                                               runner, k):
+        # A faulty pass is its clean trace plus the one fault charge: a
+        # trailing wait of the charged cycles keeps the engine track
+        # tiled, and both engines lay byte-identical traces.
+        n = matrix.shape[0]
+        operands = [rhs if k is None else np.tile(rhs[:, None], (1, k))]
+        if kernel is KernelType.SYMGS:
+            operands.append(np.zeros_like(operands[0]))
+        traces = []
+        for use_plan in (False, True):
+            tracer = Tracer()
+            acc = Alrescha.from_matrix(kernel, matrix, config=AlreschaConfig(
+                use_plan=use_plan, tracer=tracer,
+                fault_model=FaultModel(rate=0.05, seed=3)))
+            _, report = getattr(acc, runner)(*operands)
+            assert report.counters.get("faults_injected") > 0
+            (pass_span,) = tracer.by_cat("pass", track="engine")
+            assert pass_span.dur == pytest.approx(report.cycles)
+            assert pass_span.args["cycles"] == report.cycles
+            tiled = sum(s.dur for s in tracer.spans
+                        if s.track == "engine" and s.cat in EXCLUSIVE_CATS)
+            assert tiled == pytest.approx(report.cycles)
+            assert check_trace(tracer) == []
+            traces.append(dumps_chrome_trace(tracer))
+        assert traces[0] == traces[1]
 
 
 # ---------------------------------------------------------------------------
