@@ -52,8 +52,9 @@ Execution paths
 Each ``Alrescha.run_*`` method checks its operands and makes one
 dispatch (``Alrescha._run``): the pass's compiled plan
 (:mod:`repro.core.plan`) by default, or the per-block interpreter
-(:mod:`repro.core.interpreter`) with ``config.use_plan`` off or after
-cross-check failures degraded the plans.  Batched runs take the same
+(:mod:`repro.core.interpreter`) with ``config.use_plan`` off, with
+``config.guard_nonfinite`` on, or after cross-check failures degraded
+the plans.  Batched runs take the same
 route with ``(n, k)`` operand panels; a solo run is the width-1 case.
 """
 
@@ -152,6 +153,9 @@ class AlreschaConfig:
     #: Raise :class:`~repro.errors.CorruptionError` when an FCU sum
     #: reduction emits NaN/Inf.  Off by default: poisoned inputs must
     #: stay *visible* in the output unless the user opts into guarding.
+    #: The guard names the first bad value in stream order, which only
+    #: the interpreter walks, so a guarded accelerator runs every pass
+    #: there, as with ``use_plan=False``.
     guard_nonfinite: bool = False
     #: Fraction of block rows whose compiled-plan output is spot-checked
     #: against an independent recompute per pass (0 disables).  Every
@@ -178,6 +182,12 @@ class AlreschaConfig:
         """The values of :data:`COMPILE_FIELDS` and the energy model:
         configurations with equal signatures program identical images."""
         return _compile_values(self) + (self.energy_model,)
+
+    @property
+    def runs_plans(self) -> bool:
+        """Whether passes run on compiled plans: with ``use_plan``,
+        unless ``guard_nonfinite`` sends them to the interpreter."""
+        return self.use_plan and not self.guard_nonfinite
 
     @property
     def bytes_per_cycle(self) -> float:
@@ -522,15 +532,18 @@ class Alrescha:
         ``plan_method(plan, acc, *operands)`` runs the compiled plan for
         this accelerator;
         :func:`repro.core.interpreter.run` runs the same pass on the
-        per-block interpreter, which serves ``config.use_plan=False``
-        and degraded plans.  When a plan's sampled cross-check reports
+        per-block interpreter, which serves ``config.use_plan=False``,
+        guarded configurations (``config.guard_nonfinite``) and
+        degraded plans.  When a plan's sampled cross-check reports
         a mismatch, the plan output is *discarded* — never returned —
         and the accelerator stops trusting plans for the rest of the
         program: the pass reruns on the interpreter, which from then on
-        verifies checksums, charged for the wasted plan cycles.  On a
-        clean run the plan result passes through untouched.
+        verifies checksums, charged for the wasted plan cycles (energy
+        re-priced from the folded counters and cycles).  On a clean run
+        the plan result passes through untouched.
         """
-        if not self.config.use_plan or self._plan_degraded:
+        cfg = self.config
+        if not cfg.runs_plans or self._plan_degraded:
             return interpreter.run(self, kind, operands, k)
         result = plan_method(self._plan(kind), self, *operands)
         report = result[-1]
@@ -551,6 +564,8 @@ class Alrescha:
             value = report.counters.get(key)
             if value:
                 rerun_report.counters.add(key, value)
+        rerun_report.energy_j = cfg.energy_model.energy_j(
+            rerun_report.counters, rerun_report.cycles / cfg.frequency_hz)
         return rerun
 
     @property
@@ -578,7 +593,7 @@ class Alrescha:
     def run_spmv(self, x: np.ndarray) -> Tuple[np.ndarray, SimReport]:
         """SpMV over the programmed matrix: ``y = A @ x``."""
         self._require_kernel(KernelType.SPMV)
-        return self._run("spmv", CompiledStreamingPass.run_spmv,
+        return self._run("spmv", CompiledStreamingPass.run,
                          self._vector("x", x))
 
     def run_spmv_batch(self, x: np.ndarray) -> Tuple[np.ndarray, SimReport]:
@@ -599,7 +614,7 @@ class Alrescha:
         """
         self._require_kernel(KernelType.SPMV)
         (x,) = self._panels(x=x)
-        return self._run("spmv", CompiledStreamingPass.run_spmv_batch, x,
+        return self._run("spmv", CompiledStreamingPass.run_batch, x,
                          k=x.shape[1])
 
     def run_sptrsv(self, b: np.ndarray) -> Tuple[np.ndarray, SimReport]:
@@ -624,7 +639,7 @@ class Alrescha:
         returned vector applies ``min(dist, min-plus candidates)``.
         """
         self._require_kernel(KernelType.BFS)
-        return self._run("bfs", CompiledStreamingPass.run_minplus,
+        return self._run("bfs", CompiledStreamingPass.run,
                          self._vector("dist", dist))
 
     def run_bfs_pass_parents(
@@ -645,7 +660,7 @@ class Alrescha:
     def run_sssp_pass(self, dist: np.ndarray) -> Tuple[np.ndarray, SimReport]:
         """One synchronous D-SSSP relaxation pass (weighted min-plus)."""
         self._require_kernel(KernelType.SSSP)
-        return self._run("sssp", CompiledStreamingPass.run_minplus,
+        return self._run("sssp", CompiledStreamingPass.run,
                          self._vector("dist", dist))
 
     def run_pr_pass(self, rank: np.ndarray,
@@ -657,7 +672,7 @@ class Alrescha:
         here (two PE ops per updated element).
         """
         self._require_kernel(KernelType.PAGERANK)
-        return self._run("pagerank", CompiledStreamingPass.run_pagerank,
+        return self._run("pagerank", CompiledStreamingPass.run,
                          self._vector("rank", rank),
                          self._vector("outdeg", outdeg))
 

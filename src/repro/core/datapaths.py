@@ -11,16 +11,21 @@ Two classes of data paths:
   into the operand register by a one-slot shift (Figure 10), so the
   steps are inherently serial.
 
-Each data path exposes a *functional* block operation (exact values,
-with FCU/RCU event counting) and a *timing* entry (cycles per block for
-the streaming-bound paths, cycles per serial step for D-SymGS).
+Each data path's arithmetic is written once, as a pure function over a
+block stack (:func:`gemv_partials`, :func:`minplus_candidates` with
+:func:`parent_improve`, :func:`dpr_contributions`, and the two halves
+of D-SymGS).  The interpreter calls it per block through a *functional*
+block operation that adds FCU/RCU event counting and the NaN/Inf
+guard; the compiled plans call it on their whole stacks.  Each data
+path also has a *timing* entry (cycles per block for the
+streaming-bound paths, cycles per serial step for D-SymGS).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -46,36 +51,60 @@ def _require_square_block(block: np.ndarray, omega: int) -> None:
 
 
 # ---------------------------------------------------------------------
-# Functional block operations
+# Data-path arithmetic over a block stack
 # ---------------------------------------------------------------------
-def gemv_block(fcu: FixedComputeUnit, block: np.ndarray,
-               chunk: np.ndarray, reversed_cols: bool = False) -> np.ndarray:
-    """GEMV over one block: ``block @ chunk`` (ω partial dot products).
+# Blocks are ``[..., ω, ω]`` and operand chunks ``[..., ω]``, so one
+# block and a whole stack take the same call.
+def gemv_partials(blocks: np.ndarray, chunks: np.ndarray) -> np.ndarray:
+    """GEMV: the ω partial dot products of each block with its chunk.
+    A solo block and a stack give the same bits (one ``np.matmul``)."""
+    return np.matmul(blocks, chunks[..., None])[..., 0]
 
-    ``reversed_cols=True`` handles upper-triangle blocks stored in the
-    Alrescha format's reversed column order: the operand chunk is read
-    right-to-left (the ``r2l``/shift-register behaviour), which restores
-    the original product exactly.
+
+def minplus_candidates(masks: np.ndarray, chunks: np.ndarray,
+                       weights: Optional[np.ndarray] = None,
+                       with_argmin: bool = False):
+    """D-BFS / D-SSSP: each destination lane's best ``dist + cost``.
+
+    Phase 1 of Table 1 ("sum") adds the cost — 1, or the stored
+    ``weights`` for D-SSSP — to ``chunks[..., c]`` for every edge
+    ``masks[..., r, c]`` from source lane ``c`` to destination ``r``;
+    phase 2 ("min") reduces per destination (``inf`` where no edge).
+    ``with_argmin`` also returns the winning source lane, -1 where no
+    candidate is finite: ``(best, lanes)``.
     """
-    _require_square_block(block, fcu.omega)
-    # The r2l read lands in the PE's operand buffer as a contiguous
-    # vector; materialise it the same way here so the product is
-    # bit-identical to the compiled plan's gathered operands (BLAS picks
-    # a different accumulation order for negative-stride views).
-    operand = np.ascontiguousarray(chunk[::-1]) if reversed_cols else chunk
-    if operand.shape != (fcu.omega,):
-        raise SimulationError(
-            f"operand chunk must have {fcu.omega} elements"
-        )
-    nnz = float(np.count_nonzero(block))
-    fcu.counters.add("alu_op", nnz)
-    # Each row reduction activates up to omega-1 REs; activity again
-    # scales with row occupancy.
-    fcu.counters.add("re_op", max(0.0, nnz - np.count_nonzero(
-        block.any(axis=1))))
-    result = block @ operand
-    fcu.check_finite(result, "GEMV sum-reduce output")
-    return result
+    step = 1.0 if weights is None else weights
+    cand = np.where(masks, chunks[..., None, :] + step, np.inf)
+    best = cand.min(axis=-1)
+    if not with_argmin:
+        return best
+    return best, np.where(np.isfinite(best), cand.argmin(axis=-1), -1)
+
+
+def parent_improve(best: np.ndarray, best_src: np.ndarray,
+                   cand: np.ndarray, cand_src: np.ndarray,
+                   lanes: Optional[np.ndarray] = None
+                   ) -> Tuple[np.ndarray, np.ndarray]:
+    """Parent-tracking min: each lane takes a candidate strictly below
+    its running minimum ``best``, and the candidate's source vertex
+    unless ``lanes`` (the min tree's lane tags) marks it -1.  It folds
+    each block's candidates into its block row, then updates the
+    output ("compare & update")."""
+    improved = cand < best
+    take_src = improved if lanes is None else improved & (lanes >= 0)
+    return (np.where(improved, cand, best),
+            np.where(take_src, cand_src, best_src))
+
+
+def dpr_contributions(masks: np.ndarray, rank_chunks: np.ndarray,
+                      outdeg_chunks: np.ndarray) -> np.ndarray:
+    """D-PR: each destination lane's sum of ``rank / outdeg`` over the
+    block's edges ("AND/division", then "sum" in Table 1); a source
+    without out-edges contributes nothing."""
+    has_out = outdeg_chunks > 0.0
+    share = np.where(has_out, rank_chunks
+                     / np.where(has_out, outdeg_chunks, 1.0), 0.0)
+    return np.where(masks, share[..., None, :], 0.0).sum(axis=-1)
 
 
 def dsymgs_upper_dots(bodies: np.ndarray,
@@ -130,6 +159,39 @@ def dsymgs_recurrence(body: np.ndarray, diag: np.ndarray,
     return x
 
 
+# ---------------------------------------------------------------------
+# Per-block operations: shape check, FCU/RCU activity, then one call
+# ---------------------------------------------------------------------
+def gemv_block(fcu: FixedComputeUnit, block: np.ndarray,
+               chunk: np.ndarray, reversed_cols: bool = False) -> np.ndarray:
+    """GEMV over one block: ``block @ chunk`` (ω partial dot products).
+
+    ``reversed_cols=True`` handles upper-triangle blocks stored in the
+    Alrescha format's reversed column order: the operand chunk is read
+    right-to-left (the ``r2l``/shift-register behaviour), which restores
+    the original product exactly.
+    """
+    _require_square_block(block, fcu.omega)
+    # The r2l read lands in the PE's operand buffer as a contiguous
+    # vector; materialise it the same way here, as the compiled plan's
+    # gathered operands are (BLAS picks a different accumulation order
+    # for negative-stride views).
+    operand = np.ascontiguousarray(chunk[::-1]) if reversed_cols else chunk
+    if operand.shape != (fcu.omega,):
+        raise SimulationError(
+            f"operand chunk must have {fcu.omega} elements"
+        )
+    nnz = float(np.count_nonzero(block))
+    fcu.counters.add("alu_op", nnz)
+    # Each row reduction activates up to omega-1 REs; activity again
+    # scales with row occupancy.
+    fcu.counters.add("re_op", max(0.0, nnz - np.count_nonzero(
+        block.any(axis=1))))
+    result = gemv_partials(block, operand)
+    fcu.check_finite(result, "GEMV sum-reduce output")
+    return result
+
+
 def dsymgs_block(fcu: FixedComputeUnit, rcu: ReconfigurableComputeUnit,
                  body: np.ndarray, diag: np.ndarray, b_chunk: np.ndarray,
                  x_old_chunk: np.ndarray, acc: np.ndarray,
@@ -162,44 +224,35 @@ def dsymgs_block(fcu: FixedComputeUnit, rcu: ReconfigurableComputeUnit,
     return x_new
 
 
+def _count_edges(fcu: FixedComputeUnit, block: np.ndarray) -> np.ndarray:
+    """Shape-check a graph block and count one ALU op and one RE op per
+    edge; returns the block's edge mask."""
+    _require_square_block(block, fcu.omega)
+    mask = block != 0.0
+    nnz = float(np.count_nonzero(mask))
+    fcu.counters.add("alu_op", nnz)
+    fcu.counters.add("re_op", nnz)
+    return mask
+
+
 def dbfs_block(fcu: FixedComputeUnit, block: np.ndarray,
                dist_chunk: np.ndarray,
                with_argmin: bool = False):
     """D-BFS over one block: min-plus with unit edge cost.
 
-    Phase 1 of Table 1 ("sum"): candidate distance ``dist[u] + 1`` for
-    every edge in the block; phase 2 ("min"): reduce per destination.
-    ``block[r, c]`` is the edge weight/flag from source ``c`` (chunk
-    element) to destination ``r``.
-
-    With ``with_argmin`` the min tree also reports which lane won —
-    the local column index of the best predecessor — enabling
-    Graph500-style parent output at no extra stream cost (the tree
-    carries a lane tag beside each value).
+    With ``with_argmin`` the min tree also reports which lane won — the
+    local column of the best predecessor — enabling Graph500-style
+    parent output at no extra stream cost (a lane tag rides beside each
+    value in the tree).
     """
-    _require_square_block(block, fcu.omega)
-    mask = block != 0.0
-    nnz = float(np.count_nonzero(mask))
-    fcu.counters.add("alu_op", nnz)
-    fcu.counters.add("re_op", nnz)
-    cand = np.where(mask, dist_chunk[np.newaxis, :] + 1.0, np.inf)
-    best = cand.min(axis=1)
-    if not with_argmin:
-        return best
-    lanes = np.where(np.isfinite(best), cand.argmin(axis=1), -1)
-    return best, lanes
+    return minplus_candidates(_count_edges(fcu, block), dist_chunk,
+                              with_argmin=with_argmin)
 
 
 def dsssp_block(fcu: FixedComputeUnit, block: np.ndarray,
                 dist_chunk: np.ndarray) -> np.ndarray:
     """D-SSSP over one block: min-plus with the stored edge weights."""
-    _require_square_block(block, fcu.omega)
-    mask = block != 0.0
-    nnz = float(np.count_nonzero(mask))
-    fcu.counters.add("alu_op", nnz)
-    fcu.counters.add("re_op", nnz)
-    cand = np.where(mask, dist_chunk[np.newaxis, :] + block, np.inf)
-    return cand.min(axis=1)
+    return minplus_candidates(_count_edges(fcu, block), dist_chunk, block)
 
 
 def dpr_block(fcu: FixedComputeUnit, rcu: ReconfigurableComputeUnit,
@@ -207,19 +260,11 @@ def dpr_block(fcu: FixedComputeUnit, rcu: ReconfigurableComputeUnit,
               outdeg_chunk: np.ndarray) -> np.ndarray:
     """D-PR over one block: select rank/out-degree where an edge exists
     ("AND/division" in Table 1), then sum per destination."""
-    _require_square_block(block, fcu.omega)
-    mask = block != 0.0
-    nnz = float(np.count_nonzero(mask))
-    fcu.counters.add("alu_op", nnz)
-    fcu.counters.add("re_op", nnz)
+    mask = _count_edges(fcu, block)
     # The divides happen in the RCU PEs, once per chunk element with
     # out-going edges (the quotient is broadcast to the ALU row).
-    safe_deg = np.where(outdeg_chunk > 0.0, outdeg_chunk, 1.0)
-    active = np.count_nonzero(mask.any(axis=0))
-    rcu.counters.add("pe_op", float(active))
-    contrib = rank_chunk / safe_deg
-    contrib = np.where(outdeg_chunk > 0.0, contrib, 0.0)
-    return (np.where(mask, contrib[np.newaxis, :], 0.0)).sum(axis=1)
+    rcu.counters.add("pe_op", float(np.count_nonzero(mask.any(axis=0))))
+    return dpr_contributions(mask, rank_chunk, outdeg_chunk)
 
 
 # ---------------------------------------------------------------------

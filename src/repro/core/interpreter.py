@@ -5,7 +5,7 @@ at a time, driving the FCU, the RCU (cache, link stack, switch) and the
 streaming-memory model exactly as §4 narrates.  It is
 
 * the **plan-equivalence oracle** — ``AlreschaConfig(use_plan=False)``
-  runs every kernel here;
+  runs every kernel here, as does ``guard_nonfinite=True``;
 * the source of every compiled plan's **report and span templates**
   (:mod:`repro.core.plan` replays it once with neutral operands);
 * the target of the plan **cross-check fallback**.
@@ -15,7 +15,10 @@ SpMV, D-BFS, D-SSSP, D-PR) and :func:`symgs_sweep`.  Both take a panel
 of operand columns; a solo run is the width-1 call (``k=None``) and a
 batch streams each block once for all ``k`` columns (``k=int``).
 Parent-tracking D-BFS keeps its own loop (:func:`bfs_parents_pass`)
-because it reduces to two outputs carrying argmin lanes.  The loops
+because it reduces to two outputs carrying argmin lanes.  The streaming
+kinds' :data:`STREAMING_KERNELS` specs also drive the compiled plans'
+one streaming body, and every data path's arithmetic is a
+:mod:`repro.core.datapaths` function both engines call.  The loops
 account a clean pass; a run's channel faults are then charged by
 :func:`charge_faults`, the one fault rule the compiled plans share.
 
@@ -40,9 +43,13 @@ from repro.core.config import DataPathType, OperandPort
 from repro.core.datapaths import (
     dbfs_block,
     dpr_block,
+    dpr_contributions,
     dsssp_block,
     dsymgs_block,
     gemv_block,
+    gemv_partials,
+    minplus_candidates,
+    parent_improve,
 )
 from repro.core.report import SimReport
 from repro.observe.tracer import PassTraceBuilder, Tracer
@@ -83,6 +90,10 @@ class _Engine:
         self.prev_dp: Optional[DataPathType] = None
         self.fills = 0.0
         self.exposed = 0.0
+        #: Streaming-pass totals, accumulated by :meth:`stream_block`.
+        self.stream_cycles = 0.0
+        self.compute_cycles = 0.0
+        self.dp_cycles: Dict[str, float] = {}
         #: ``(row, event)`` per faulty transfer, for :func:`charge_faults`.
         self.faults: List[Tuple[int, FaultEvent]] = []
         self.fault_model = cfg.fault_model
@@ -135,6 +146,21 @@ class _Engine:
             self.faults.append((row, event))
         return values
 
+    def stream_block(self, op, width: int) -> np.ndarray:
+        """One block of a streaming pass: switch to ``op``'s data path,
+        stream its block (:meth:`stream`), charge its stream and
+        ``width`` columns of compute; returns the delivered values."""
+        self.switch(op.dp)
+        values = self.stream(op)
+        compute = width * self.timing.compute_cycles_per_block(op.dp)
+        self.stream_cycles += self.spb
+        self.compute_cycles += compute
+        dp = op.dp.value
+        self.dp_cycles[dp] = self.dp_cycles.get(dp, 0.0) + compute
+        if self.tb is not None:
+            self.tb.block(compute, self.spb)
+        return values
+
     def report(self, name: str, total_cycles: float, seq_cycles: float,
                dp_cycles: Dict[str, float],
                extra_stream_bytes: float) -> SimReport:
@@ -163,21 +189,21 @@ class _Engine:
             bytes_per_cycle=cfg.bytes_per_cycle,
         )
 
-    def finish_streaming(self, name: str, stream_cycles: float,
-                         compute_cycles: float, dp_cycles: Dict[str, float],
+    def finish_streaming(self, name: str,
                          writeback_bytes: float) -> SimReport:
-        """Report a streaming-class pass: the FIFOs let memory run ahead
-        of compute, so the pass costs ``max(stream, compute)`` plus the
-        switch terms; write-back and cache refills share the channel.
-        The whole pass is one row of the fault charge."""
+        """Report a streaming-class pass from its :meth:`stream_block`
+        totals: the FIFOs let memory run ahead of compute, so the pass
+        costs ``max(stream, compute)`` plus the switch terms; write-back
+        and cache refills share the channel.  The whole pass is one row
+        of the fault charge."""
+        compute = self.compute_cycles
         extra_bytes, stream_total = stream_term(
-            self.acc.config, stream_cycles, writeback_bytes,
+            self.acc.config, self.stream_cycles, writeback_bytes,
             self.rcu.cache.counters.get("cache_misses"))
-        total = max(stream_total, compute_cycles) + self.fills + self.exposed
+        total = max(stream_total, compute) + self.fills + self.exposed
         return self.finish(
-            self.report(name, total, 0.0, dp_cycles, extra_bytes),
-            "stream_wait", extra_bytes,
-            [max(0.0, compute_cycles - stream_total)])
+            self.report(name, total, 0.0, self.dp_cycles, extra_bytes),
+            "stream_wait", extra_bytes, [max(0.0, compute - stream_total)])
 
     def finish(self, report: SimReport, gap_name: str, extra_bytes: float,
                slack: Sequence[float]) -> SimReport:
@@ -298,12 +324,16 @@ def _row_span(acc, block_row: int) -> Tuple[int, int]:
 # ---------------------------------------------------------------------
 @dataclass(frozen=True)
 class _StreamingKernel:
-    """What distinguishes one streaming pass kind from another."""
+    """What distinguishes one streaming pass kind from another, in both
+    engines (the compiled plans call :attr:`stack`)."""
 
     #: RCU operand spaces, in the order each block reads them.
     operands: Tuple[str, ...]
     #: ``(fcu, rcu, op, values, chunks) -> partial`` for one block.
     block: Callable
+    #: ``(blocks, masks, chunks) -> partials`` over a block stack: the
+    #: :mod:`repro.core.datapaths` function :attr:`block` wraps.
+    stack: Callable
     #: Row reduction: ``np.add`` (sum tree) or ``np.minimum`` (min tree).
     reduce: Callable
     #: Output starts from the first operand and keeps the minimum
@@ -312,23 +342,32 @@ class _StreamingKernel:
     #: Phase-3 PE operations charged per updated output element.
     pe_ops: float
 
+    @property
+    def identity(self) -> float:
+        """The row reduction's starting value."""
+        return 0.0 if self.reduce is np.add else np.inf
+
 
 STREAMING_KERNELS = {
     "spmv": _StreamingKernel(
         ("x",), lambda fcu, rcu, op, values, c: gemv_block(
             fcu, values, c[0], op.reversed_cols),
+        lambda blocks, masks, c: gemv_partials(blocks, c[0]),
         np.add, seeded=False, pe_ops=0.0),
     "bfs": _StreamingKernel(
         ("dist",), lambda fcu, rcu, op, values, c: dbfs_block(
             fcu, values, c[0]),
+        lambda blocks, masks, c: minplus_candidates(masks, c[0]),
         np.minimum, seeded=True, pe_ops=1.0),  # compare & update
     "sssp": _StreamingKernel(
         ("dist",), lambda fcu, rcu, op, values, c: dsssp_block(
             fcu, values, c[0]),
+        lambda blocks, masks, c: minplus_candidates(masks, c[0], blocks),
         np.minimum, seeded=True, pe_ops=1.0),
     "pagerank": _StreamingKernel(
         ("rank", "outdeg"), lambda fcu, rcu, op, values, c: dpr_block(
             fcu, rcu, values, c[0], c[1]),
+        lambda blocks, masks, c: dpr_contributions(masks, c[0], c[1]),
         np.add, seeded=False, pe_ops=2.0),  # damping mul + add
 }
 
@@ -351,32 +390,20 @@ def streaming_pass(acc, kind: str, operands: Sequence[np.ndarray],
     width = len(suffixes)
     name = kind if k is None else BATCH_NAMES[kind]
     eng = _Engine(acc, name)
-    fcu, rcu, tb = eng.fcu, eng.rcu, eng.tb
+    fcu, rcu = eng.fcu, eng.rcu
     for sfx, vecs in zip(suffixes, columns):
         for space, vec in zip(spec.operands, vecs):
             rcu.load_operand(space + sfx, vec)
     outputs = [np.array(vecs[0], dtype=np.float64) if spec.seeded
                else np.zeros(n) for vecs in columns]
-    identity = 0.0 if spec.reduce is np.add else np.inf
 
-    stream_cycles = 0.0
-    compute_cycles = 0.0
-    dp_cycles: Dict[str, float] = {}
     for group in acc.image.rows:
         if not group.streaming:
             continue
-        accs = [np.full(w, identity) for _ in suffixes]
+        accs = [np.full(w, spec.identity) for _ in suffixes]
         start, valid = _row_span(acc, group.block_row)
         for op in group.streaming:
-            eng.switch(op.dp)
-            values = eng.stream(op)
-            stream_cycles += eng.spb
-            block_compute = width * eng.timing.compute_cycles_per_block(op.dp)
-            compute_cycles += block_compute
-            dp_cycles[op.dp.value] = dp_cycles.get(op.dp.value, 0.0) \
-                + block_compute
-            if tb is not None:
-                tb.block(block_compute, eng.spb)
+            values = eng.stream_block(op, width)
             for col, sfx in enumerate(suffixes):
                 chunks = [rcu.read_chunk(space + sfx, op.inx_in, w)
                           for space in spec.operands]
@@ -393,8 +420,7 @@ def streaming_pass(acc, kind: str, operands: Sequence[np.ndarray],
             rcu.cache.write("out", start, valid)
             rcu.counters.add("cache_busy_cycles", 1.0)
 
-    report = eng.finish_streaming(name, stream_cycles, compute_cycles,
-                                  dp_cycles, writeback_bytes(kind, n, width))
+    report = eng.finish_streaming(name, writeback_bytes(kind, n, width))
     output = outputs[0] if k is None else np.stack(outputs, axis=1)
     return output, report
 
@@ -411,13 +437,12 @@ def bfs_parents_pass(acc, kind: str, operands: Sequence[np.ndarray],
     dist, parent = operands
     n, w = acc.n, acc.config.omega
     eng = _Engine(acc, kind)
-    fcu, rcu, tb = eng.fcu, eng.rcu, eng.tb
+    eng.dp_cycles["d-bfs"] = 0.0  # reported even when no block streams
+    fcu, rcu = eng.fcu, eng.rcu
     rcu.load_operand("dist", dist)
 
     new_dist = dist.copy()
     new_parent = parent.copy()
-    stream_cycles = 0.0
-    compute_cycles = 0.0
     for group in acc.image.rows:
         if not group.streaming:
             continue
@@ -425,33 +450,20 @@ def bfs_parents_pass(acc, kind: str, operands: Sequence[np.ndarray],
         best = np.full(w, np.inf)
         best_parent = np.full(w, -1, dtype=np.int64)
         for op in group.streaming:
-            eng.switch(op.dp)
-            values = eng.stream(op)
-            stream_cycles += eng.spb
-            cpb = eng.timing.compute_cycles_per_block(op.dp)
-            compute_cycles += cpb
-            if tb is not None:
-                tb.block(cpb, eng.spb)
+            values = eng.stream_block(op, 1)
             chunk = rcu.read_chunk("dist", op.inx_in, w)
             cand, lanes = dbfs_block(fcu, values, chunk, with_argmin=True)
-            improved = cand < best
-            best = np.where(improved, cand, best)
-            global_src = op.inx_in + lanes
-            best_parent = np.where(improved & (lanes >= 0),
-                                   global_src, best_parent)
-        take = best[:valid] < new_dist[start:start + valid]
+            best, best_parent = parent_improve(
+                best, best_parent, cand, op.inx_in + lanes, lanes)
         rcu.counters.add("pe_op", float(valid))  # compare & update
-        new_dist[start:start + valid] = np.where(
-            take, best[:valid], new_dist[start:start + valid])
-        new_parent[start:start + valid] = np.where(
-            take, best_parent[:valid], new_parent[start:start + valid])
+        out = slice(start, start + valid)
+        new_dist[out], new_parent[out] = parent_improve(
+            new_dist[out], new_parent[out], best[:valid], best_parent[:valid])
         if valid:
             rcu.cache.write("out", start, valid)
             rcu.counters.add("cache_busy_cycles", 1.0)
 
-    report = eng.finish_streaming(kind, stream_cycles, compute_cycles,
-                                  {"d-bfs": compute_cycles},
-                                  writeback_bytes(kind, n, 1))
+    report = eng.finish_streaming(kind, writeback_bytes(kind, n, 1))
     return new_dist, new_parent, report
 
 

@@ -31,11 +31,13 @@ captures its report as a template; each plan run returns a
 :meth:`~repro.core.report.SimReport.clone` of it.  Batched runs clone a
 per-width template, captured the same way the first time each width
 runs.  This makes report identity hold by construction — including the
-sequence-dependent LRU cache counters — and the functional results are
-computed with operation-for-operation identical numpy expressions, so
-kernel outputs are bit-identical too (property-tested against the
-interpreter).  Solo SpMV and solo SymGS are the width-1 calls of their
-batch loops.  A faulty run is the clean template plus one fault charge,
+sequence-dependent LRU cache counters.  Kernel outputs are
+bit-identical too: both engines compute every data path through the
+same functions of :mod:`repro.core.datapaths`, which the interpreter
+calls per block and a plan calls on its whole stack (one block and a
+stack give the same bits), and a plan reduces each block row in the
+interpreter's order.  Solo runs are the width-1 calls of their batch
+loops.  A faulty run is the clean template plus one fault charge,
 priced by the interpreter's own
 :func:`~repro.core.interpreter.charge_faults` from the same transfers
 and the same per-row slack, so it matches the interpreter too.
@@ -72,7 +74,9 @@ from repro.errors import SimulationError
 from repro.core import interpreter
 from repro.core.config import (DATAPATHS, DataPathType, KernelType,
                                OperandPort, column_code)
-from repro.core.datapaths import dsymgs_recurrence, dsymgs_upper_dots
+from repro.core.datapaths import (dsymgs_recurrence, dsymgs_upper_dots,
+                                  gemv_partials, minplus_candidates,
+                                  parent_improve)
 from repro.core.report import SimReport
 from repro.observe.tracer import Span, Tracer
 
@@ -106,12 +110,6 @@ class PassArtifacts:
     seg_len: np.ndarray
     #: Block-row index of each segment (scatter target).
     out_rows: np.ndarray
-
-
-def _padded_length(n: int, omega: int) -> Tuple[int, int]:
-    """(number of block rows, padded vector length) for size ``n``."""
-    nbr = -(-n // omega)
-    return nbr, nbr * omega
 
 
 def _time_groups(seg_len: np.ndarray, seg_start: np.ndarray,
@@ -158,14 +156,23 @@ def _replay_spans(tracer: Optional[Tracer],
                 if span.cat == "pass")
 
 
+def _accumulate(groups: List[Tuple[np.ndarray, np.ndarray]],
+                partials: np.ndarray, n_rows: int, reduce=np.add,
+                identity: float = 0.0) -> np.ndarray:
+    """Each row's ``reduce`` (sum or min tree) of its blocks' partials,
+    from ``identity``, replaying :func:`_time_groups` ``groups`` in
+    order so every row reduces in the interpreter's sequence."""
+    out = np.full((n_rows, partials.shape[-1]), identity)
+    for live, idx in groups:
+        out[live] = reduce(out[live], partials[idx])
+    return out
+
+
 def _row_sums(values: np.ndarray, seg_len: np.ndarray) -> np.ndarray:
     """The sum of each run of ``seg_len`` consecutive ``values``, added
-    left to right from 0.0 (``np.add.accumulate``) as the interpreter's
-    per-row ``+=`` does, so the floats are the interpreter's."""
-    lanes = np.arange(max(1, int(seg_len.max(initial=0))))
-    table = np.zeros((seg_len.size, lanes.size))
-    table[lanes < seg_len[:, None]] = values
-    return np.add.accumulate(table, axis=1)[:, -1]
+    left to right from 0.0 as the interpreter's per-row ``+=`` does."""
+    groups = _time_groups(seg_len, np.cumsum(seg_len) - seg_len)
+    return _accumulate(groups, values[:, None], seg_len.size)[:, 0]
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -209,7 +216,9 @@ class _CompiledPass:
         self.kind = kind
         self.n = n
         self.omega = omega
-        self.nbr, self.npad = _padded_length(n, omega)
+        #: Block rows, and the vector length padded to whole rows.
+        self.nbr = -(-n // omega)
+        self.npad = self.nbr * omega
         self.blocks = blocks
         self.gather = gather
         self.artifacts = artifacts
@@ -224,6 +233,14 @@ class _CompiledPass:
                 None: (template, span_template or [], traced)}
         #: Fault-charge slack by batch width, on its first faulty run.
         self._slacks: Dict[Optional[int], List[float]] = {}
+
+    def _padded(self, vec, dtype=np.float64
+                ) -> Tuple[np.ndarray, np.ndarray]:
+        """``vec`` zero-padded to whole block rows, and its
+        ``[block rows, ω]`` view."""
+        pad = np.zeros(self.npad, dtype=dtype)
+        pad[:self.n] = vec
+        return pad, pad.reshape(self.nbr, self.omega)
 
     def _templates(self, acc, k: Optional[int]
                    ) -> Tuple[SimReport, List[Span]]:
@@ -273,8 +290,8 @@ class _CompiledPass:
 
         ``row_matches(r)`` recomputes block row ``r`` from the pristine
         compile-time blocks and compares it bitwise with the run's
-        result.  The recompute uses operation-for-operation identical
-        expressions, so on an uncorrupted run every row matches by
+        result.  The recompute calls the same data-path functions as
+        the run, so on an uncorrupted run every row matches by
         construction — a mismatch means the delivered payload differed
         from the programmed payload (a silent fault that slipped past
         checksum verification).  Checked rows and mismatches land in
@@ -307,23 +324,18 @@ class _CompiledPass:
         return report
 
 
-def _improve(best: np.ndarray, best_src: np.ndarray, cand: np.ndarray,
-             lanes: np.ndarray, src: np.ndarray
-             ) -> Tuple[np.ndarray, np.ndarray]:
-    """Fold one block's parent-tracking candidates into a row's running
-    minimum and its source vertices."""
-    improved = cand < best
-    return (np.where(improved, cand, best),
-            np.where(improved & (lanes >= 0), src, best_src))
-
-
 class CompiledStreamingPass(_CompiledPass):
     """A compiled SpMV / D-BFS / D-SSSP / D-PR pass.
 
-    Executes as: one gather of operand chunks, one batched block
-    compute, a short live-row accumulation loop (longest block row many
-    steps, each fully vectorized across rows), one scatter — then clones
-    the report template.
+    Executes as: one gather of operand chunks, one call of the kind's
+    data-path function on the whole block stack, a short live-row
+    accumulation loop (longest block row many steps, each fully
+    vectorized across rows), one scatter — then clones the report
+    template.  One body serves every kind, driven by the kind's
+    :data:`~repro.core.interpreter.STREAMING_KERNELS` spec (operand
+    spaces, data-path function, sum or min reduction, seeded output),
+    the same spec the interpreter's loop runs.  Parent-tracking D-BFS
+    folds two outputs and keeps :meth:`run_parents`.
     """
 
     def __init__(self, kind: str, n: int, omega: int,
@@ -338,41 +350,14 @@ class CompiledStreamingPass(_CompiledPass):
         self._tgroups = _time_groups(artifacts.seg_len, artifacts.seg_start)
         self._n_rows = int(artifacts.out_rows.size)
 
-    # ------------------------------------------------------------------
-    # Shared pieces
-    # ------------------------------------------------------------------
     def _gather_chunks(self, vec: np.ndarray) -> np.ndarray:
         """Zero-padded operand chunks per block, reversal applied."""
-        pad = np.zeros(self.npad)
-        pad[:self.n] = vec
-        return pad[self.gather]
+        return self._padded(vec)[0][self.gather]
 
-    def _accumulate_sum(self, partial: np.ndarray) -> np.ndarray:
-        acc = np.zeros((self._n_rows, self.omega))
-        for live, idx in self._tgroups:
-            acc[live] += partial[idx]
-        return acc
-
-    def _accumulate_min(self, partial: np.ndarray) -> np.ndarray:
-        acc = np.full((self._n_rows, self.omega), np.inf)
-        for live, idx in self._tgroups:
-            acc[live] = np.minimum(acc[live], partial[idx])
-        return acc
-
-    def _scatter_assign(self, acc: np.ndarray) -> np.ndarray:
-        """Rows without blocks stay zero (the interpreter never writes
-        them)."""
-        out = np.zeros(self.npad)
-        out.reshape(self.nbr, self.omega)[self.artifacts.out_rows] = acc
-        return out[:self.n].copy()
-
-    def _scatter_min(self, acc: np.ndarray, base: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.npad)
-        out[:self.n] = base
-        view = out.reshape(self.nbr, self.omega)
-        rows = self.artifacts.out_rows
-        view[rows] = np.minimum(view[rows], acc)
-        return out[:self.n].copy()
+    def _segment(self, r: int) -> slice:
+        """Stacked blocks of block row ``r``."""
+        lo = int(self.artifacts.seg_start[r])
+        return slice(lo, lo + int(self.artifacts.seg_len[r]))
 
     # ------------------------------------------------------------------
     # Resilience (all no-ops when no fault model is attached)
@@ -405,151 +390,114 @@ class CompiledStreamingPass(_CompiledPass):
             template.counters.get("cache_misses"))
         return [max(0.0, float(compute) - stream_total)]
 
-    def _crosscheck(self, cfg, report: SimReport, sums: np.ndarray,
-                    reduce_kind: str, partial_fn) -> None:
-        """Cross-check sampled block rows of this run: ``sums`` are the
-        run's per-block-row results and ``partial_fn(lo, hi)`` the
-        pristine per-block partials of stacked blocks ``lo:hi``."""
-        def row_matches(r: int) -> bool:
-            lo = int(self.artifacts.seg_start[r])
-            hi = lo + int(self.artifacts.seg_len[r])
-            expect = (np.zeros(self.omega) if reduce_kind == "sum"
-                      else np.full(self.omega, np.inf))
-            for p in partial_fn(lo, hi):
-                expect = (expect + p if reduce_kind == "sum"
-                          else np.minimum(expect, p))
-            return np.array_equal(expect, sums[r], equal_nan=True)
-
-        self._crosscheck_rows(cfg, report, self._n_rows, row_matches)
-
     # ------------------------------------------------------------------
     # Pass kinds
     # ------------------------------------------------------------------
-    def run_spmv(self, acc, x: np.ndarray) -> Tuple[np.ndarray, SimReport]:
-        """Solo SpMV: the width-1 call of the panel loop."""
-        ys, report = self._spmv_panel(acc, x[:, None], None)
-        return ys[0], report
+    def run(self, acc, *operands: np.ndarray
+            ) -> Tuple[np.ndarray, SimReport]:
+        """Solo SpMV, D-BFS, D-SSSP or D-PR over ``(n,)`` operands: the
+        width-1 call of :meth:`_stream`."""
+        outs, report = self._stream(acc, [op[:, None] for op in operands],
+                                    None)
+        return outs[0], report
 
-    def run_spmv_batch(self, acc, x: np.ndarray
-                       ) -> Tuple[np.ndarray, SimReport]:
-        """Batched multi-RHS SpMV over an ``(n, k)`` panel."""
-        ys, report = self._spmv_panel(acc, x, x.shape[1])
-        return np.stack(ys, axis=1), report
+    def run_batch(self, acc, *panels: np.ndarray
+                  ) -> Tuple[np.ndarray, SimReport]:
+        """Batched multi-RHS SpMV over ``(n, k)`` panels."""
+        outs, report = self._stream(acc, panels, panels[0].shape[1])
+        return np.stack(outs, axis=1), report
 
-    def _spmv_panel(self, acc, x: np.ndarray, k: Optional[int]
-                    ) -> Tuple[List[np.ndarray], SimReport]:
-        """SpMV of every column of ``x`` over one payload delivery.
+    def _stream(self, acc, panels, k: Optional[int]
+                ) -> Tuple[List[np.ndarray], SimReport]:
+        """The pass over every column of the ``(n, width)`` operand
+        ``panels``, with one payload delivery.
 
         The stacked blocks cross the (possibly faulty) channel *once*
         for all columns — one shared fault exposure, one payload's DRAM
-        traffic — and each column is then computed with its own matmul
+        traffic — and each column then makes its own data-path call
         (deliberately not one wide matmul whose BLAS summation order
         could differ), so every column's answer is bit-identical to solo
         service.  The report clones the solo template (``k`` None) or
         the width-``k`` batch template.
         """
-        blocks, _masks, faults = self._deliver(acc)
-        ys, sums = [], []
-        for col in range(x.shape[1]):
-            chunks = self._gather_chunks(x[:, col])
-            partial = np.matmul(blocks, chunks[:, :, None])[:, :, 0]
-            row_sums = self._accumulate_sum(partial)
-            sums.append((row_sums, chunks))
-            ys.append(self._scatter_assign(row_sums))
-        report = self._finish_report(acc, k, faults)
-        for row_sums, chunks in sums:
-            self._crosscheck(
-                acc.config, report, row_sums, "sum",
-                lambda lo, hi, c=chunks: np.matmul(
-                    self.blocks[lo:hi], c[lo:hi, :, None])[:, :, 0])
-        return ys, report
-
-    def run_minplus(self, acc, dist: np.ndarray
-                    ) -> Tuple[np.ndarray, SimReport]:
-        """D-BFS (unit cost) or D-SSSP (stored weights) relaxation."""
+        spec = interpreter.STREAMING_KERNELS[self.kind]
         blocks, masks, faults = self._deliver(acc)
-        chunks = self._gather_chunks(dist)
-        step = 1.0 if self.kind == "bfs" else blocks
-        cand = np.where(masks, chunks[:, None, :] + step, np.inf)
-        best = self._accumulate_min(cand.min(axis=2))
-        out = self._scatter_min(best, dist)
-        report = self._finish_report(acc, None, faults)
-        self._crosscheck(
-            acc.config, report, best, "min",
-            lambda lo, hi: np.where(
-                self.masks[lo:hi],
-                chunks[lo:hi, None, :]
-                + (1.0 if self.kind == "bfs" else self.blocks[lo:hi]),
-                np.inf).min(axis=2))
-        return out, report
+        outs, runs = [], []
+        for col in range(panels[0].shape[1]):
+            chunks = [self._gather_chunks(panel[:, col]) for panel in panels]
+            partials = spec.stack(blocks, masks, chunks)
+            sums = _accumulate(self._tgroups, partials, self._n_rows,
+                               spec.reduce, spec.identity)
+            runs.append((chunks, sums))
+            # Rows without blocks keep their start value: the seed, or
+            # zero (the interpreter never writes them).
+            out, view = self._padded(panels[0][:, col] if spec.seeded
+                                     else 0.0)
+            rows = self.artifacts.out_rows
+            view[rows] = (spec.reduce(view[rows], sums) if spec.seeded
+                          else sums)
+            outs.append(out[:self.n].copy())
+        report = self._finish_report(acc, k, faults)
+        for chunks, sums in runs:
+            self._crosscheck_rows(
+                acc.config, report, self._n_rows,
+                lambda r, c=chunks, s=sums: self._row_matches(spec, c, s, r))
+        return outs, report
+
+    def _row_matches(self, spec, chunks: List[np.ndarray], sums: np.ndarray,
+                     r: int) -> bool:
+        """Recompute block row ``r`` through the kind's data-path
+        function on the pristine stack, reduce it block by block, and
+        compare bitwise with the run's row result ``sums[r]``."""
+        seg = self._segment(r)
+        masks = None if self.masks is None else self.masks[seg]
+        expect = np.full(self.omega, spec.identity)
+        for partial in spec.stack(self.blocks[seg], masks,
+                                  [c[seg] for c in chunks]):
+            expect = spec.reduce(expect, partial)
+        return np.array_equal(expect, sums[r], equal_nan=True)
 
     def _parent_candidates(self, masks: np.ndarray, chunks: np.ndarray,
-                           src_base: np.ndarray):
-        """Per block and output lane: the unit-cost min-plus candidate,
-        its argmin lane (-1 where no edge reaches it) and that lane's
-        vertex."""
-        cand = np.where(masks, chunks[:, None, :] + 1.0, np.inf)
-        per_block = cand.min(axis=2)
-        lanes = np.where(np.isfinite(per_block), cand.argmin(axis=2), -1)
-        return per_block, lanes, src_base[:, None] + lanes
+                           seg: slice = slice(None)):
+        """Per block of the stacked ``seg``: the unit-cost min-plus
+        candidate, its argmin lane's vertex, and the lane (-1 where no
+        edge reaches it)."""
+        cand, lanes = minplus_candidates(masks[seg], chunks[seg],
+                                         with_argmin=True)
+        return cand, self.src_base[seg, None] + lanes, lanes
 
     def run_parents(self, acc, dist: np.ndarray, parent: np.ndarray
                     ) -> Tuple[np.ndarray, np.ndarray, SimReport]:
+        """Parent-tracking D-BFS: each block row folds its blocks'
+        candidates with :func:`~repro.core.datapaths.parent_improve`,
+        then each vertex takes its row's best the same way."""
         _blocks, masks, faults = self._deliver(acc)
         chunks = self._gather_chunks(dist)
-        per_block, lanes, src = self._parent_candidates(masks, chunks,
-                                                        self.src_base)
+        cand, src, lanes = self._parent_candidates(masks, chunks)
         best = np.full((self._n_rows, self.omega), np.inf)
         best_src = np.full((self._n_rows, self.omega), -1, dtype=np.int64)
         for live, idx in self._tgroups:
-            best[live], best_src[live] = _improve(
-                best[live], best_src[live], per_block[idx], lanes[idx],
-                src[idx])
-        dist_pad = np.zeros(self.npad)
-        dist_pad[:self.n] = dist
-        parent_pad = np.zeros(self.npad, dtype=np.int64)
-        parent_pad[:self.n] = parent
-        dview = dist_pad.reshape(self.nbr, self.omega)
-        pview = parent_pad.reshape(self.nbr, self.omega)
+            best[live], best_src[live] = parent_improve(
+                best[live], best_src[live], cand[idx], src[idx], lanes[idx])
+        dist_pad, dview = self._padded(dist)
+        parent_pad, pview = self._padded(parent, np.int64)
         rows = self.artifacts.out_rows
-        take = best < dview[rows]
-        dview[rows] = np.where(take, best, dview[rows])
-        pview[rows] = np.where(take, best_src, pview[rows])
+        dview[rows], pview[rows] = parent_improve(dview[rows], pview[rows],
+                                                  best, best_src)
         report = self._finish_report(acc, None, faults)
 
         def row_matches(r: int) -> bool:
-            lo = int(self.artifacts.seg_start[r])
-            hi = lo + int(self.artifacts.seg_len[r])
-            cands = self._parent_candidates(
-                self.masks[lo:hi], chunks[lo:hi], self.src_base[lo:hi])
             expect = np.full(self.omega, np.inf)
             expect_src = np.full(self.omega, -1, dtype=np.int64)
-            for cand, lane, vertex in zip(*cands):
-                expect, expect_src = _improve(expect, expect_src, cand,
-                                              lane, vertex)
+            for block in zip(*self._parent_candidates(
+                    self.masks, chunks, self._segment(r))):
+                expect, expect_src = parent_improve(expect, expect_src,
+                                                    *block)
             return (np.array_equal(expect, best[r], equal_nan=True)
                     and np.array_equal(expect_src, best_src[r]))
 
         self._crosscheck_rows(acc.config, report, self._n_rows, row_matches)
         return dist_pad[:self.n].copy(), parent_pad[:self.n].copy(), report
-
-    def run_pagerank(self, acc, rank: np.ndarray, outdeg: np.ndarray
-                     ) -> Tuple[np.ndarray, SimReport]:
-        _blocks, masks, faults = self._deliver(acc)
-        rank_c = self._gather_chunks(rank)
-        deg_c = self._gather_chunks(outdeg)
-        safe_deg = np.where(deg_c > 0.0, deg_c, 1.0)
-        contrib = np.where(deg_c > 0.0, rank_c / safe_deg, 0.0)
-        partial = np.where(masks, contrib[:, None, :], 0.0).sum(axis=2)
-        row_sums = self._accumulate_sum(partial)
-        y = self._scatter_assign(row_sums)
-        report = self._finish_report(acc, None, faults)
-        self._crosscheck(
-            acc.config, report, row_sums, "sum",
-            lambda lo, hi: np.where(self.masks[lo:hi],
-                                    contrib[lo:hi, None, :],
-                                    0.0).sum(axis=2))
-        return y, report
 
 
 @dataclass(frozen=True)
@@ -567,13 +515,6 @@ class _SymgsRow:
     seg_len: int
     start: int
     valid: int
-
-
-def _gemv(blocks: np.ndarray, gather: np.ndarray,
-          vec: np.ndarray) -> np.ndarray:
-    """Per-block GEMV partials ``[m, ω]`` of ``blocks`` on the chunks of
-    padded ``vec`` that ``gather`` selects."""
-    return np.matmul(blocks, vec[gather][:, :, None])[:, :, 0]
 
 
 def _lifo_sum(acc: np.ndarray, partials: np.ndarray) -> np.ndarray:
@@ -614,9 +555,7 @@ class CompiledSymgsPass(_CompiledPass):
         #: Rows whose diagonal block streams twice (§4.1 ablation).
         self.refetch = _read_only(refetch)
         self.n_gemv = int(gather.shape[0])
-        diag_pad = np.zeros(self.npad)
-        diag_pad[:n] = diag
-        self._diag_pad = _read_only(diag_pad)
+        self._diag_pad = _read_only(self._padded(diag)[0])
         self._block_rows = np.asarray([row.start // omega for row in rows],
                                       dtype=np.int64)
         # Each row's port-2 blocks, popped last-first.
@@ -697,40 +636,43 @@ class CompiledSymgsPass(_CompiledPass):
               prev: np.ndarray, cur: np.ndarray) -> None:
         """One column's sweep over delivered ``blocks``: the x^{t-1}
         half for every row, then the x^t walk writing ``cur``."""
-        w, gather, diag = self.omega, self.gather, self._diag_pad
-        gemv, bodies = blocks[:self.n_gemv], blocks[self.n_gemv:]
-        partials = _gemv(gemv, gather, prev)
-        prefix = np.zeros((len(self.rows), w))
-        for live, idx in self._upper_groups:
-            prefix[live] += partials[idx]
+        w = self.omega
+        prefix = _accumulate(self._upper_groups, gemv_partials(
+            blocks[:self.n_gemv], prev[self.gather]), len(self.rows))
         upper = dsymgs_upper_dots(
-            bodies, prev.reshape(-1, w)[self._block_rows])
+            blocks[self.n_gemv:], prev.reshape(-1, w)[self._block_rows])
         for i, row in enumerate(self.rows):
-            acc = prefix[i]
-            if row.n_lower:
-                lower = slice(row.seg_start, row.seg_start + row.n_lower)
-                acc = _lifo_sum(acc, _gemv(gemv[lower], gather[lower], cur))
-            start = row.start
-            cur[start:start + row.valid] = dsymgs_recurrence(
-                bodies[i], diag[start:start + w], b_pad[start:start + w],
-                acc, upper[i], row.valid)
+            cur[row.start:row.start + row.valid] = self._solve_row(
+                blocks, i, b_pad, cur, prefix[i], upper[i])
+
+    def _solve_row(self, blocks: np.ndarray, i: int, b_pad: np.ndarray,
+                   cur: np.ndarray, acc: np.ndarray, upper: np.ndarray
+                   ) -> List[float]:
+        """Block row ``i``'s new x^t values: its port-1 partials on the
+        x^t ``cur``, popped last-first onto its x^{t-1} terms ``acc``
+        and ``upper``, then the recurrence."""
+        row, w = self.rows[i], self.omega
+        lower = slice(row.seg_start, row.seg_start + row.n_lower)
+        if row.n_lower:
+            acc = _lifo_sum(acc, gemv_partials(blocks[lower],
+                                               cur[self.gather[lower]]))
+        sl = slice(row.start, row.start + w)
+        return dsymgs_recurrence(blocks[self.n_gemv + i], self._diag_pad[sl],
+                                 b_pad[sl], acc, upper, row.valid)
 
     def _row_matches(self, i: int, b_pad: np.ndarray, prev: np.ndarray,
                      cur: np.ndarray) -> bool:
         """Recompute block row ``i`` from the pristine blocks, the run's
         final x^t and its x^{t-1}, and compare bitwise with the run."""
         row, w = self.rows[i], self.omega
-        lower = slice(row.seg_start, row.seg_start + row.n_lower)
-        upper = slice(lower.stop, row.seg_start + row.seg_len)
-        acc = _lifo_sum(np.zeros(w), _gemv(self.blocks[upper],
-                                           self.gather[upper], prev))
-        acc = _lifo_sum(acc, _gemv(self.blocks[lower], self.gather[lower],
-                                   cur))
+        upper = slice(row.seg_start + row.n_lower, row.seg_start + row.seg_len)
         sl = slice(row.start, row.start + w)
-        body = self.blocks[self.n_gemv + i]
-        expect = dsymgs_recurrence(
-            body, self._diag_pad[sl], b_pad[sl], acc,
-            dsymgs_upper_dots(body[None], prev[sl][None])[0], row.valid)
+        expect = self._solve_row(
+            self.blocks, i, b_pad, cur,
+            _lifo_sum(np.zeros(w), gemv_partials(
+                self.blocks[upper], prev[self.gather[upper]])),
+            dsymgs_upper_dots(self.blocks[self.n_gemv + i][None],
+                              prev[sl][None])[0])
         return np.array_equal(expect, cur[row.start:row.start + row.valid],
                               equal_nan=True)
 
@@ -755,36 +697,6 @@ def compile_pass(acc, kind: str):
     raise SimulationError(f"unknown pass kind {kind!r}")
 
 
-def _load_stored_template(acc, kind: str, k,
-                          traced: bool
-                          ) -> Optional[Tuple[SimReport, List[Span]]]:
-    """A stored template for this program, or None to capture afresh.
-
-    Only consulted when the accelerator's image was resolved through
-    an artifact store (``acc.image.store_key`` set).  A traced
-    accelerator requires the stored spans; templates persisted untraced
-    are then a miss, and the richer re-capture overwrites them.  Loaded
-    templates still flow through ``_verify_against_template`` when the
-    lowering is compiled, so a stale store entry fails loudly rather
-    than skewing reports.
-    """
-    store = acc.config.artifact_store
-    key = acc.image.store_key
-    if store is None or key is None:
-        return None
-    return store.load_template(key, kind, k=k, want_spans=traced)
-
-
-def _save_stored_template(acc, kind: str, k, report: SimReport,
-                          spans: Optional[List[Span]]) -> None:
-    """Persist a freshly captured template (``spans`` None = untraced)."""
-    store = acc.config.artifact_store
-    key = acc.image.store_key
-    if store is None or key is None:
-        return
-    store.save_template(key, kind, report, spans, k=k)
-
-
 def _capture_template(acc, kind: str, k: Optional[int] = None
                       ) -> Tuple[SimReport, List[Span]]:
     """Replay the interpreter once with neutral operands and keep its
@@ -798,11 +710,22 @@ def _capture_template(acc, kind: str, k: Optional[int] = None
     fault model (the template is the clean pass; each run charges its
     own faults) and a capture tracer, so template spans (anchored at
     cycle 0) never leak into the user's trace.
+
+    An image resolved through an artifact store (``acc.image.store_key``
+    set) loads a stored template instead, and saves a fresh capture.
+    A traced accelerator requires the stored spans; templates persisted
+    untraced are then a miss, and the richer re-capture overwrites
+    them.  Loaded templates still flow through
+    ``_verify_against_template`` when the lowering is compiled, so a
+    stale store entry fails loudly rather than skewing reports.
     """
     traced = acc.config.tracer is not None
-    cached = _load_stored_template(acc, kind, k, traced)
-    if cached is not None:
-        return cached
+    store, key = acc.config.artifact_store, acc.image.store_key
+    stored = store is not None and key is not None
+    if stored:
+        cached = store.load_template(key, kind, k=k, want_spans=traced)
+        if cached is not None:
+            return cached
     _loop, arity = interpreter.ORACLES[kind]
     zeros = np.zeros(acc.n if k is None else (acc.n, k))
     capture = Tracer() if traced else None
@@ -810,7 +733,9 @@ def _capture_template(acc, kind: str, k: Optional[int] = None
                                               tracer=capture))
     report = interpreter.run(clean, kind, (zeros,) * arity, k)[-1]
     spans = capture.spans if capture is not None else []
-    _save_stored_template(acc, kind, k, report, spans if traced else None)
+    if stored:
+        store.save_template(key, kind, report, spans if traced else None,
+                            k=k)
     return report, spans
 
 

@@ -125,7 +125,7 @@ class AcceleratorBackend:
         self._symgs_acc = Alrescha.bind(symgs, config)
         self._symgs_rev_acc: Optional[Alrescha] = (
             Alrescha.bind(reverse[0], config) if reverse else None)
-        if config.use_plan:
+        if config.runs_plans:
             # Compile the pass plans eagerly so the one-off lowering cost
             # is paid at backend construction, not inside the solver loop.
             self._spmv_acc.compile_plans()

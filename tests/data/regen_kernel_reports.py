@@ -21,7 +21,9 @@ The golden pins kernel reports across commits, so it is the
 differential test for any rewrite of the plan or interpreter layers:
 both paths must keep producing these exact reports.  The script refuses
 to write a golden in which a plan fault case differs from its
-interpreter twin (``plan_degraded`` aside).  Regenerating it
+interpreter twin (``plan_degraded`` aside) or in which a report's
+``energy_j`` is not the energy model's price of its own counters and
+cycles.  Regenerating it
 declares a cost-model change; do so only with the change that caused
 it.  The file holds one case per line so a diff names the cases that
 moved.
@@ -30,6 +32,7 @@ moved.
 import functools
 import hashlib
 import json
+import math
 import pathlib
 import zlib
 from dataclasses import asdict
@@ -40,6 +43,7 @@ import scipy.sparse as sp
 from repro.core import Alrescha, AlreschaConfig, KernelType
 from repro.datasets import load_dataset
 from repro.observe import Tracer, dumps_chrome_trace
+from repro.sim.energy import EnergyModel
 from repro.sim.faults import FaultModel
 
 GOLDEN_PATH = pathlib.Path(__file__).with_name("kernel_report_golden.json")
@@ -254,6 +258,22 @@ def fault_twin_drift(entries):
             != comparable(entries[cid.replace("/plan/", "/interp/")])]
 
 
+def energy_drift(entries):
+    """Ids of the cases whose ``energy_j`` is not the energy model's
+    price of their own counters and cycles (to 1e-12 relative): every
+    report — a cross-check fallback's folded one included — is priced
+    from its final counters and cycles."""
+    model = EnergyModel()
+    drift = []
+    for cid in sorted(entries):
+        report = entries[cid]["report"]
+        expect = model.energy_j(report["counters"],
+                                report["cycles"] / report["frequency_hz"])
+        if not math.isclose(report["energy_j"], expect, rel_tol=1e-12):
+            drift.append(cid)
+    return drift
+
+
 def main():
     entries = {cid: run_case(kernel, matrix, settings)
                for cid, kernel, matrix, settings in cases()}
@@ -262,6 +282,11 @@ def main():
         raise SystemExit(
             f"refusing to write {GOLDEN_PATH}: plan fault case(s) differ "
             f"from their interpreter twin: {', '.join(drift)}")
+    drift = energy_drift(entries)
+    if drift:
+        raise SystemExit(
+            f"refusing to write {GOLDEN_PATH}: energy_j is not the price "
+            f"of the report's counters and cycles: {', '.join(drift)}")
     GOLDEN_PATH.write_text(dumps_golden(entries))
     print(f"wrote {GOLDEN_PATH} ({len(entries)} cases)")
 

@@ -9,9 +9,14 @@ from repro.core.datapaths import (
     DataPathTiming,
     dbfs_block,
     dpr_block,
+    dpr_contributions,
     dsssp_block,
     dsymgs_block,
+    dsymgs_upper_dots,
     gemv_block,
+    gemv_partials,
+    minplus_candidates,
+    parent_improve,
 )
 from repro.errors import SimulationError
 
@@ -145,6 +150,114 @@ class TestGraphBlocks:
         outdeg = np.zeros(8)  # vertex 1 has no out-edges recorded
         out = dpr_block(fcu, rcu, block, rank, outdeg)
         assert out[0] == 0.0
+
+
+def _same_bits(stacked, per_block):
+    """``stacked`` equals the per-block results, stacked, bit for bit."""
+    expect = np.stack(per_block)
+    assert stacked.shape == expect.shape
+    assert stacked.dtype == expect.dtype
+    assert stacked.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("omega", [8, 4])
+class TestStackEqualsPerBlock:
+    """Each data path's stack function over ``[m, ω, ω]`` equals the
+    per-block operation on each block, bit for bit.  The compiled plans
+    call the former on their whole stacks and the interpreter the
+    latter, so this equality is what keeps the two engines' answers
+    equal; CI reruns it under OpenBLAS's Haswell kernels."""
+
+    M = 512
+
+    @pytest.fixture
+    def units(self, omega):
+        return (FixedComputeUnit(omega=omega),
+                ReconfigurableComputeUnit())
+
+    @pytest.fixture
+    def stack(self, rng, omega):
+        blocks = rng.normal(size=(self.M, omega, omega))
+        blocks[rng.random(blocks.shape) < 0.4] = 0.0
+        return blocks
+
+    @pytest.fixture
+    def dist(self, rng, omega):
+        """Small integer distances (so candidates tie) with unreached
+        (``inf``) lanes."""
+        dist = rng.integers(0, 3, size=(self.M, omega)).astype(float)
+        dist[rng.random(dist.shape) < 0.3] = np.inf
+        return dist
+
+    def test_gemv(self, units, stack, rng, omega):
+        chunks = rng.normal(size=(self.M, omega))
+        _same_bits(gemv_partials(stack, chunks),
+                   [gemv_block(units[0], b, c)
+                    for b, c in zip(stack, chunks)])
+
+    def test_gemv_reversed_lanes(self, units, stack, rng, omega):
+        """The plan gathers a column-reversed block's lanes reversed;
+        the interpreter reads the chunk right-to-left."""
+        chunks = rng.normal(size=(self.M, omega))
+        _same_bits(gemv_partials(stack, chunks[:, ::-1].copy()),
+                   [gemv_block(units[0], b, c, reversed_cols=True)
+                    for b, c in zip(stack, chunks)])
+
+    def test_bfs_with_unreached_sources(self, units, stack, dist):
+        _same_bits(minplus_candidates(stack != 0.0, dist),
+                   [dbfs_block(units[0], b, d)
+                    for b, d in zip(stack, dist)])
+
+    def test_sssp_with_unreached_sources(self, units, stack, dist):
+        weights = np.abs(stack)
+        _same_bits(minplus_candidates(weights != 0.0, dist, weights),
+                   [dsssp_block(units[0], w, d)
+                    for w, d in zip(weights, dist)])
+
+    def test_argmin_lanes_with_ties(self, units, stack, dist):
+        """Tied candidates report the lowest source lane on both forms,
+        and lanes no edge reaches report -1."""
+        best, lanes = minplus_candidates(stack != 0.0, dist,
+                                         with_argmin=True)
+        solo = [dbfs_block(units[0], b, d, with_argmin=True)
+                for b, d in zip(stack, dist)]
+        _same_bits(best, [s[0] for s in solo])
+        _same_bits(lanes, [s[1] for s in solo])
+        cand = np.where(stack != 0.0, dist[:, None, :] + 1.0, np.inf)
+        ties = (cand == best[..., None]).sum(axis=-1) > 1
+        assert ties.any() and np.isinf(best).any()
+        assert (lanes[np.isinf(best)] == -1).all()
+
+    @pytest.mark.parametrize("tagged", [True, False])
+    def test_parent_improve(self, units, stack, dist, rng, omega, tagged):
+        """One improve over a stack of rows equals one per row, with
+        lane tags (the per-block fold) and without (the update)."""
+        cand, lanes = minplus_candidates(stack != 0.0, dist,
+                                         with_argmin=True)
+        src = np.arange(self.M)[:, None] * omega + lanes
+        best = rng.integers(0, 4, size=cand.shape).astype(float)
+        best[rng.random(best.shape) < 0.3] = np.inf
+        best_src = rng.integers(-1, 50, size=cand.shape)
+        rows = [best, best_src, cand, src] + ([lanes] if tagged else [])
+        stacked = parent_improve(*rows)
+        solo = [parent_improve(*row) for row in zip(*rows)]
+        _same_bits(stacked[0], [s[0] for s in solo])
+        _same_bits(stacked[1], [s[1] for s in solo])
+
+    def test_dpr_with_zero_outdegrees(self, units, stack, rng, omega):
+        rank = rng.random((self.M, omega))
+        outdeg = rng.integers(0, 4, size=(self.M, omega)).astype(float)
+        assert (outdeg == 0.0).any()
+        fcu, rcu = units
+        _same_bits(dpr_contributions(stack != 0.0, rank, outdeg),
+                   [dpr_block(fcu, rcu, b, r, d)
+                    for b, r, d in zip(stack, rank, outdeg)])
+
+    def test_dsymgs_upper_dots(self, stack, rng, omega):
+        x_old = rng.normal(size=(self.M, omega))
+        _same_bits(dsymgs_upper_dots(stack, x_old),
+                   [dsymgs_upper_dots(b[None], x[None])[0]
+                    for b, x in zip(stack, x_old)])
 
 
 class TestTiming:

@@ -556,17 +556,32 @@ class TestCapacityAndImageIntegrity:
 
 
 class TestNonFiniteGuards:
-    def test_fcu_guard_catches_poisoned_gemv(self, spd_small):
+    @pytest.mark.parametrize("use_plan", [False, True])
+    def test_fcu_guard_catches_poisoned_gemv(self, spd_small, use_plan):
         """With the FCU reduction guard armed, a NaN operand surfaces
         as CorruptionError at the reduce boundary instead of quietly
-        poisoning downstream iterations."""
+        poisoning downstream iterations — on the default engine too,
+        which sends a guarded accelerator's passes to the interpreter."""
         acc = Alrescha.from_matrix(
             KernelType.SPMV, spd_small,
-            config=AlreschaConfig(use_plan=False, guard_nonfinite=True))
+            config=AlreschaConfig(use_plan=use_plan, guard_nonfinite=True))
         x = np.ones(17)
         x[3] = np.nan
         with pytest.raises(CorruptionError, match="GEMV"):
             acc.run_spmv(x)
+
+    @pytest.mark.parametrize("use_plan", [False, True])
+    def test_fcu_guard_catches_poisoned_symgs(self, spd_small, use_plan):
+        """A NaN right-hand side is caught where D-SymGS first emits it
+        (block row 0, lane 3), on either engine setting."""
+        acc = Alrescha.from_matrix(
+            KernelType.SYMGS, spd_small,
+            config=AlreschaConfig(use_plan=use_plan, guard_nonfinite=True))
+        b = np.ones(17)
+        b[3] = np.nan
+        with pytest.raises(CorruptionError,
+                           match=r"D-SymGS solve output \(lane 3\)"):
+            acc.run_symgs_sweep(b, np.zeros(17))
 
     def test_guard_off_by_default_keeps_nan_propagation(self, spd_small):
         acc = Alrescha.from_matrix(KernelType.SPMV, spd_small,

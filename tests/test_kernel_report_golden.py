@@ -67,6 +67,13 @@ def test_plan_fault_cases_equal_their_interpreter_twins(golden):
     assert regen.fault_twin_drift(golden) == []
 
 
+def test_energy_is_the_price_of_counters_and_cycles(golden):
+    """Every report's energy is the default energy model's price of its
+    final counters and cycles — the cross-check fallback's folded
+    report included."""
+    assert regen.energy_drift(golden) == []
+
+
 @pytest.mark.parametrize("kernel", sorted(regen.KERNELS))
 def test_kernel_reports_match_golden(golden, kernel):
     mismatched = {}
