@@ -62,24 +62,22 @@ def test_tab1_symgs_is_majority_parallel(benchmark, scale):
 
 def test_tab1_phase_semantics_match(benchmark):
     """The reduce operation per data path matches Table 1 phase 2."""
-    from repro.core.datapaths import dbfs_block, dpr_block, dsssp_block
-    from repro.core import FixedComputeUnit, ReconfigurableComputeUnit
+    from repro.core.datapaths import dpr_contributions, minplus_candidates
 
-    fcu = FixedComputeUnit()
-    rcu = ReconfigurableComputeUnit()
     block = np.zeros((8, 8))
     block[0, 1] = 1.0
     block[0, 2] = 1.0
+    edges = block != 0.0
 
     def check():
         # BFS/SSSP reduce with min.
         dist = np.array([9.0, 1.0, 2.0, 9, 9, 9, 9, 9])
-        assert dbfs_block(fcu, block, dist)[0] == 2.0       # min(1+1, 2+1)
-        assert dsssp_block(fcu, block, dist)[0] == 2.0
+        assert minplus_candidates(edges, dist)[0] == 2.0  # min(1+1, 2+1)
+        assert minplus_candidates(edges, dist, block)[0] == 2.0
         # PR reduces with sum over rank/outdeg.
         rank = np.array([0.0, 0.3, 0.6, 0, 0, 0, 0, 0])
         deg = np.array([1.0, 3.0, 2.0, 1, 1, 1, 1, 1])
-        out = dpr_block(fcu, rcu, block, rank, deg)
+        out = dpr_contributions(edges, rank, deg)
         assert abs(out[0] - (0.1 + 0.3)) < 1e-12
         return True
 

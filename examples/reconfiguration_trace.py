@@ -75,8 +75,8 @@ def narrate_sweep(a, b, x_prev, omega=4) -> None:
             b_chunk = np.zeros(omega)
             b_chunk[:valid] = b[start:start + valid]
             x_old = rcu.read_chunk("x_prev", start, omega)
-            x_new = dsymgs_block(fcu, rcu, sb.values, d_chunk, b_chunk,
-                                 x_old, acc_vec, valid)
+            x_new = dsymgs_block(fcu, sb.values, d_chunk, b_chunk, x_old,
+                                 acc_vec, valid)
             x_curr[start:start + valid] = x_new[:valid]
             print(f"  D-SymGS block({entry.block_row},{entry.block_col}) "
                   f"pop x{pops} from link -> x^t"

@@ -5,7 +5,7 @@ matrix structure) with named, documented constants — the same
 methodology §5.1 of the paper describes for its own comparisons.
 """
 
-from repro.baselines.base import EnergyReport, MatrixProfile, PlatformModel
+from repro.baselines.base import MatrixProfile, PlatformModel
 from repro.baselines.coloring import (
     WARP_WIDTH,
     alrescha_sequential_fraction,
@@ -22,7 +22,6 @@ from repro.baselines.outerspace import OuterSPACEModel
 
 __all__ = [
     "CPUModel",
-    "EnergyReport",
     "GPUModel",
     "GraphRModel",
     "MatrixProfile",

@@ -15,7 +15,6 @@ needs (once per matrix), so the models themselves stay small formulas.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Tuple
 
@@ -29,15 +28,6 @@ from repro.baselines.coloring import (
     gpu_sequential_fraction,
 )
 from repro.kernels.spmv import to_csr
-
-
-@dataclass(frozen=True)
-class EnergyReport:
-    """Energy for one kernel execution on a platform (joules)."""
-
-    platform: str
-    kernel: str
-    joules: float
 
 
 class MatrixProfile:

@@ -99,7 +99,8 @@ from repro.sim.memory import DEFAULT_CAPACITY_BYTES, StreamingMemory
 #: the conversion's blocking, plan timing and captured report templates
 #: — besides the energy model, whose constants the templates bake in.
 #: Runtime knobs (fault model, tracer, plan cross-checking, checksum
-#: verification, ``use_plan`` and the store attachment) are excluded:
+#: verification, the NaN/Inf guard, ``use_plan`` and the store
+#: attachment) are excluded: they pick the engine or act on a run, and
 #: templates are captured on the clean path, so configurations that
 #: differ only in those share one image and one stored artifact.
 COMPILE_FIELDS = (
@@ -108,7 +109,7 @@ COMPILE_FIELDS = (
     "cache_miss_latency", "alu_latency", "re_sum_latency",
     "re_min_latency", "dsymgs_step_latency", "reconfig_cycles",
     "hide_reconfig_under_drain", "element_bytes",
-    "memory_capacity_bytes", "guard_nonfinite",
+    "memory_capacity_bytes",
 )
 _compile_values = operator.attrgetter(*COMPILE_FIELDS)
 
@@ -313,6 +314,16 @@ class ProgrammedImage:
         rank = np.empty_like(order)
         rank[order] = np.arange(order.size)
         return uniq[order], rank[inverse.reshape(-1)]
+
+    @cached_property
+    def row_diagonals(self) -> np.ndarray:
+        """Per entry group, the table index of its D-SymGS entry (the
+        last, the one :attr:`rows` keeps), or -1 where it has none."""
+        group_rows, group = self.entry_groups
+        bodies = np.full(group_rows.size, -1, dtype=np.int64)
+        dependent = np.flatnonzero(self.conversion.table.dependent)
+        np.maximum.at(bodies, group[dependent], dependent)
+        return bodies
 
     @cached_property
     def rows(self) -> Tuple[_RowGroup, ...]:
@@ -538,8 +549,10 @@ class Alrescha:
         a mismatch, the plan output is *discarded* — never returned —
         and the accelerator stops trusting plans for the rest of the
         program: the pass reruns on the interpreter, which from then on
-        verifies checksums, charged for the wasted plan cycles (energy
-        re-priced from the folded counters and cycles).  On a clean run
+        verifies checksums.  Such a pass ran twice on the hardware, so
+        the rerun's report is charged the discarded run's cycles, every
+        counter and its ``streamed_bytes``, and its energy is re-priced;
+        the per-pass structural fields stay the rerun's.  On a clean run
         the plan result passes through untouched.
         """
         cfg = self.config
@@ -553,17 +566,10 @@ class Alrescha:
         rerun = interpreter.run(self, kind, operands, k)
         rerun_report = rerun[-1]
         rerun_report.cycles += report.cycles
+        rerun_report.streamed_bytes += report.streamed_bytes
         rerun_report.counters.add("plan_fallbacks", 1.0)
         rerun_report.counters.add("crosscheck_wasted_cycles", report.cycles)
-        # Fold the discarded plan run's fault accounting into the rerun
-        # so the pass's counters still reconcile with the injection log.
-        for key in ("faults_injected", "faults_detected",
-                    "faults_corrected", "faults_silent", "retry_cycles",
-                    "fault_latency_cycles", "fault_restreams",
-                    "crosscheck_mismatches", "crosscheck_rows"):
-            value = report.counters.get(key)
-            if value:
-                rerun_report.counters.add(key, value)
+        rerun_report.counters.merge(report.counters)
         rerun_report.energy_j = cfg.energy_model.energy_j(
             rerun_report.counters, rerun_report.cycles / cfg.frequency_hz)
         return rerun

@@ -14,11 +14,11 @@ Two classes of data paths:
 Each data path's arithmetic is written once, as a pure function over a
 block stack (:func:`gemv_partials`, :func:`minplus_candidates` with
 :func:`parent_improve`, :func:`dpr_contributions`, and the two halves
-of D-SymGS).  The interpreter calls it per block through a *functional*
-block operation that adds FCU/RCU event counting and the NaN/Inf
-guard; the compiled plans call it on their whole stacks.  Each data
-path also has a *timing* entry (cycles per block for the
-streaming-bound paths, cycles per serial step for D-SymGS).
+of D-SymGS), which the compiled plans call on whole stacks and the
+interpreter on single blocks.  :func:`block_activity` counts a stack's
+FCU/RCU work.  Each data path also has a *timing* entry (cycles per
+block for the streaming-bound paths, cycles per serial step for
+D-SymGS).
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ import numpy as np
 from repro.errors import SimulationError
 from repro.core.config import DataPathType
 from repro.core.fcu import FixedComputeUnit
-from repro.core.rcu import ReconfigurableComputeUnit
 
 #: Serial-step latency of D-SymGS in steady state: the forwarding path
 #: from a freshly produced ``x_j^t`` through one multiplier, one bypass
@@ -41,6 +40,9 @@ from repro.core.rcu import ReconfigurableComputeUnit
 #: are pre-accumulated), which is what keeps the reconfigurable design
 #: "lightweight" rather than latency-bound.
 DEFAULT_DSYMGS_STEP_LATENCY = 4
+
+#: Where the FCU guard names a non-finite GEMV partial.
+GEMV_GUARD = "GEMV sum-reduce output"
 
 
 def _require_square_block(block: np.ndarray, omega: int) -> None:
@@ -159,8 +161,38 @@ def dsymgs_recurrence(body: np.ndarray, diag: np.ndarray,
     return x
 
 
+def block_activity(blocks: np.ndarray, dp: DataPathType, valid_rows=None
+                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(alu_op, re_op, pe_op)`` of each block of the ``[..., ω, ω]``
+    stack ``blocks`` on data path ``dp``, for one operand column.
+
+    GEMV: an ALU op per nonzero, and an RE op per nonzero beyond its
+    row's first.  D-BFS, D-SSSP and D-PR: an ALU op and an RE op per
+    edge; D-PR adds a PE divide per source lane with an edge (the
+    quotient is broadcast to the ALU row).  D-SymGS, over the
+    ``valid_rows`` (default ω; the last block row may be short): an ALU
+    op per nonzero, at least one RE op, and a PE subtract and divide
+    per row.
+    """
+    row_nnz = np.count_nonzero(blocks, axis=-1)
+    if dp is DataPathType.D_SYMGS:
+        w = blocks.shape[-1]
+        live = np.arange(w) < np.asarray(
+            w if valid_rows is None else valid_rows)[..., None]
+        return ((row_nnz * live).sum(axis=-1),
+                (np.maximum(row_nnz, 1) * live).sum(axis=-1),
+                2 * live.sum(axis=-1))
+    alu = row_nnz.sum(axis=-1)
+    if dp is DataPathType.GEMV:
+        return (alu, alu - np.count_nonzero(row_nnz, axis=-1),
+                np.zeros_like(alu))
+    pe = (np.count_nonzero(np.count_nonzero(blocks, axis=-2), axis=-1)
+          if dp is DataPathType.D_PR else np.zeros_like(alu))
+    return alu, alu, pe
+
+
 # ---------------------------------------------------------------------
-# Per-block operations: shape check, FCU/RCU activity, then one call
+# Per-block SymGS operations: shape check, r2l read, one call, guard
 # ---------------------------------------------------------------------
 def gemv_block(fcu: FixedComputeUnit, block: np.ndarray,
                chunk: np.ndarray, reversed_cols: bool = False) -> np.ndarray:
@@ -181,21 +213,14 @@ def gemv_block(fcu: FixedComputeUnit, block: np.ndarray,
         raise SimulationError(
             f"operand chunk must have {fcu.omega} elements"
         )
-    nnz = float(np.count_nonzero(block))
-    fcu.counters.add("alu_op", nnz)
-    # Each row reduction activates up to omega-1 REs; activity again
-    # scales with row occupancy.
-    fcu.counters.add("re_op", max(0.0, nnz - np.count_nonzero(
-        block.any(axis=1))))
     result = gemv_partials(block, operand)
-    fcu.check_finite(result, "GEMV sum-reduce output")
+    fcu.check_finite(result, GEMV_GUARD)
     return result
 
 
-def dsymgs_block(fcu: FixedComputeUnit, rcu: ReconfigurableComputeUnit,
-                 body: np.ndarray, diag: np.ndarray, b_chunk: np.ndarray,
-                 x_old_chunk: np.ndarray, acc: np.ndarray,
-                 valid_rows: int) -> np.ndarray:
+def dsymgs_block(fcu: FixedComputeUnit, body: np.ndarray, diag: np.ndarray,
+                 b_chunk: np.ndarray, x_old_chunk: np.ndarray,
+                 acc: np.ndarray, valid_rows: int) -> np.ndarray:
     """The dependent D-SymGS data path over one diagonal block.
 
     Implements Equation 3 step by step: for local row ``r``,
@@ -211,60 +236,12 @@ def dsymgs_block(fcu: FixedComputeUnit, rcu: ReconfigurableComputeUnit,
     """
     omega = fcu.omega
     _require_square_block(body, omega)
-    for r in range(valid_rows):
-        nnz = float(np.count_nonzero(body[r]))
-        fcu.counters.add("alu_op", nnz)
-        fcu.counters.add("re_op", max(0.0, nnz - 1.0) + 1.0)
-        rcu.counters.add("pe_op", 2.0)  # the sub and the div per row
     x_new = np.zeros(omega)
     x_new[:valid_rows] = dsymgs_recurrence(
         body, diag, b_chunk, acc,
         dsymgs_upper_dots(body[None], x_old_chunk[None])[0], valid_rows)
     fcu.check_finite(x_new[:valid_rows], "D-SymGS solve output")
     return x_new
-
-
-def _count_edges(fcu: FixedComputeUnit, block: np.ndarray) -> np.ndarray:
-    """Shape-check a graph block and count one ALU op and one RE op per
-    edge; returns the block's edge mask."""
-    _require_square_block(block, fcu.omega)
-    mask = block != 0.0
-    nnz = float(np.count_nonzero(mask))
-    fcu.counters.add("alu_op", nnz)
-    fcu.counters.add("re_op", nnz)
-    return mask
-
-
-def dbfs_block(fcu: FixedComputeUnit, block: np.ndarray,
-               dist_chunk: np.ndarray,
-               with_argmin: bool = False):
-    """D-BFS over one block: min-plus with unit edge cost.
-
-    With ``with_argmin`` the min tree also reports which lane won — the
-    local column of the best predecessor — enabling Graph500-style
-    parent output at no extra stream cost (a lane tag rides beside each
-    value in the tree).
-    """
-    return minplus_candidates(_count_edges(fcu, block), dist_chunk,
-                              with_argmin=with_argmin)
-
-
-def dsssp_block(fcu: FixedComputeUnit, block: np.ndarray,
-                dist_chunk: np.ndarray) -> np.ndarray:
-    """D-SSSP over one block: min-plus with the stored edge weights."""
-    return minplus_candidates(_count_edges(fcu, block), dist_chunk, block)
-
-
-def dpr_block(fcu: FixedComputeUnit, rcu: ReconfigurableComputeUnit,
-              block: np.ndarray, rank_chunk: np.ndarray,
-              outdeg_chunk: np.ndarray) -> np.ndarray:
-    """D-PR over one block: select rank/out-degree where an edge exists
-    ("AND/division" in Table 1), then sum per destination."""
-    mask = _count_edges(fcu, block)
-    # The divides happen in the RCU PEs, once per chunk element with
-    # out-going edges (the quotient is broadcast to the ALU row).
-    rcu.counters.add("pe_op", float(np.count_nonzero(mask.any(axis=0))))
-    return dpr_contributions(mask, rank_chunk, outdeg_chunk)
 
 
 # ---------------------------------------------------------------------

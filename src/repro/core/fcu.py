@@ -9,18 +9,18 @@ D-BFS/D-SSSP, AND/divide for D-PR) and the reduction operation (sum or
 min), both selected by the RCU's configuration.
 
 The data paths (:mod:`repro.core.datapaths`) compute each block's
-values and count the unit's activity here; every FCU cycle is charged by
+values and :func:`~repro.core.datapaths.block_activity` counts the
+unit's work from the programmed blocks; every FCU cycle is charged by
 :class:`~repro.core.datapaths.DataPathTiming` from Table 5's latencies.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import CorruptionError, SimulationError
-from repro.sim.stats import CounterSet
 
 #: Number of ALUs in the row.  §5.2 sizes the design so the compute
 #: logic keeps up with the 288 GB/s stream at 2.5 GHz (115.2 B/cycle =
@@ -31,7 +31,7 @@ DEFAULT_N_ALUS = 16
 
 @dataclass
 class FixedComputeUnit:
-    """The ALU row and reduction tree: geometry, activity, NaN guard."""
+    """The ALU row and reduction tree: geometry and the NaN guard."""
 
     omega: int = 8
     n_alus: int = DEFAULT_N_ALUS
@@ -41,7 +41,6 @@ class FixedComputeUnit:
     #: opts into guarding.  Min-plus paths are exempt: BFS/SSSP use inf
     #: as the legitimate "unreached" distance.
     guard_nonfinite: bool = False
-    counters: CounterSet = field(default_factory=CounterSet)
 
     def __post_init__(self) -> None:
         if self.omega <= 0 or (self.omega & (self.omega - 1)):

@@ -18,9 +18,11 @@ Parent-tracking D-BFS keeps its own loop (:func:`bfs_parents_pass`)
 because it reduces to two outputs carrying argmin lanes.  The streaming
 kinds' :data:`STREAMING_KERNELS` specs also drive the compiled plans'
 one streaming body, and every data path's arithmetic is a
-:mod:`repro.core.datapaths` function both engines call.  The loops
-account a clean pass; a run's channel faults are then charged by
-:func:`charge_faults`, the one fault rule the compiled plans share.
+:mod:`repro.core.datapaths` function both engines call.  A pass's
+activity is its programmed blocks', charged once
+(:meth:`_Engine.charge_activity`); the loops account the rest of a
+clean pass, and :func:`charge_faults`, the one fault rule the compiled
+plans share, charges a run's channel faults.
 
 Operand names are part of the report: the RCU cache picks a set from
 ``crc32(space name) ^ line``, so the names of operand chunks and the
@@ -39,12 +41,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.core.config import DataPathType, OperandPort
+from repro.core.config import DATAPATHS, DataPathType, OperandPort
 from repro.core.datapaths import (
-    dbfs_block,
-    dpr_block,
+    GEMV_GUARD,
+    block_activity,
     dpr_contributions,
-    dsssp_block,
     dsymgs_block,
     gemv_block,
     gemv_partials,
@@ -54,6 +55,7 @@ from repro.core.datapaths import (
 from repro.core.report import SimReport
 from repro.observe.tracer import PassTraceBuilder, Tracer
 from repro.sim.faults import FaultEvent, charge_event
+from repro.sim.stats import CounterSet
 
 #: Report (and trace pass) name of a batched run, by pass kind.
 BATCH_NAMES = {"spmv": "spmm", "symgs": "symgs-batch"}
@@ -94,6 +96,8 @@ class _Engine:
         self.stream_cycles = 0.0
         self.compute_cycles = 0.0
         self.dp_cycles: Dict[str, float] = {}
+        #: ``alu_op`` and ``re_op``, from :meth:`charge_activity`.
+        self.fcu_ops = CounterSet()
         #: ``(row, event)`` per faulty transfer, for :func:`charge_faults`.
         self.faults: List[Tuple[int, FaultEvent]] = []
         self.fault_model = cfg.fault_model
@@ -161,23 +165,44 @@ class _Engine:
             self.tb.block(compute, self.spb)
         return values
 
-    def report(self, name: str, total_cycles: float, seq_cycles: float,
-               dp_cycles: Dict[str, float],
-               extra_stream_bytes: float) -> SimReport:
+    def charge_activity(self, entries: np.ndarray, width: int) -> None:
+        """Charge ``width`` columns of the activity of the table
+        ``entries`` a pass streamed: :func:`block_activity` over their
+        programmed blocks (never a delivered copy), each on the data path
+        the table gives it.  Passes call it after their loop, so a new
+        ``pe_op`` follows the RCU's own counters."""
+        acc, w = self.acc, self.acc.config.omega
+        table = acc.table
+        for code in np.unique(table.dp[entries]).tolist():
+            on = entries[table.dp[entries] == code]
+            alu, re, pe = block_activity(
+                acc.conversion.matrix.blocks[acc.image.block_index[on]],
+                DATAPATHS[code],
+                np.clip(acc.n - table.block_row[on] * w, 0, w))
+            self.fcu_ops.add("alu_op", width * float(alu.sum()))
+            self.fcu_ops.add("re_op", width * float(re.sum()))
+            if pe.any():
+                self.rcu.counters.add("pe_op", width * float(pe.sum()))
+
+    def finish(self, name: str, total_cycles: float, seq_cycles: float,
+               extra_bytes: float, gap_name: str,
+               slack: Sequence[float]) -> SimReport:
+        """Report the clean pass (``extra_bytes`` crossed the channel
+        beside the payload), close its trace, then charge its faults."""
         acc, cfg = self.acc, self.acc.config
-        fcu, rcu, mem = self.fcu, self.rcu, self.mem
-        counters = fcu.counters + rcu.counters
+        rcu, mem = self.rcu, self.mem
+        counters = self.fcu_ops + rcu.counters
         counters.merge(rcu.cache.counters)
         counters.merge(rcu.link.counters)
         counters.merge(mem.counters)
-        counters.add("dram_bytes", extra_stream_bytes)
+        counters.add("dram_bytes", extra_bytes)
         seconds = total_cycles / cfg.frequency_hz
-        return SimReport(
+        report = SimReport(
             kernel=name,
             cycles=total_cycles,
             frequency_hz=cfg.frequency_hz,
             useful_bytes=float(acc.conversion.nnz * cfg.element_bytes),
-            streamed_bytes=mem.total_bytes + extra_stream_bytes,
+            streamed_bytes=mem.total_bytes + extra_bytes,
             sequential_cycles=seq_cycles,
             cache_busy_cycles=rcu.cache_busy_cycles,
             exposed_reconfig_cycles=self.exposed,
@@ -185,9 +210,14 @@ class _Engine:
             n_switches=acc.image.table_switches,
             counters=counters,
             energy_j=cfg.energy_model.energy_j(counters, seconds),
-            datapath_cycles=dp_cycles,
+            datapath_cycles=self.dp_cycles,
             bytes_per_cycle=cfg.bytes_per_cycle,
         )
+        pass_span = None if self.tb is None else self.tb.finish(
+            report, gap_name=gap_name,
+            args={"extra_stream_bytes": extra_bytes})
+        charge_faults(acc, report, self.faults, slack, pass_span)
+        return report
 
     def finish_streaming(self, name: str,
                          writeback_bytes: float) -> SimReport:
@@ -201,18 +231,8 @@ class _Engine:
             self.acc.config, self.stream_cycles, writeback_bytes,
             self.rcu.cache.counters.get("cache_misses"))
         total = max(stream_total, compute) + self.fills + self.exposed
-        return self.finish(
-            self.report(name, total, 0.0, self.dp_cycles, extra_bytes),
-            "stream_wait", extra_bytes, [max(0.0, compute - stream_total)])
-
-    def finish(self, report: SimReport, gap_name: str, extra_bytes: float,
-               slack: Sequence[float]) -> SimReport:
-        """Close the clean pass's trace, then charge its faults."""
-        pass_span = None if self.tb is None else self.tb.finish(
-            report, gap_name=gap_name,
-            args={"extra_stream_bytes": extra_bytes})
-        charge_faults(self.acc, report, self.faults, slack, pass_span)
-        return report
+        return self.finish(name, total, 0.0, extra_bytes, "stream_wait",
+                           [max(0.0, compute - stream_total)])
 
 
 def restream_cost(cfg) -> Tuple[float, float]:
@@ -325,14 +345,12 @@ def _row_span(acc, block_row: int) -> Tuple[int, int]:
 @dataclass(frozen=True)
 class _StreamingKernel:
     """What distinguishes one streaming pass kind from another, in both
-    engines (the compiled plans call :attr:`stack`)."""
+    engines."""
 
     #: RCU operand spaces, in the order each block reads them.
     operands: Tuple[str, ...]
-    #: ``(fcu, rcu, op, values, chunks) -> partial`` for one block.
-    block: Callable
-    #: ``(blocks, masks, chunks) -> partials`` over a block stack: the
-    #: :mod:`repro.core.datapaths` function :attr:`block` wraps.
+    #: ``(blocks, masks, chunks) -> partials``: the datapaths function,
+    #: on a plan's stack or on one block the interpreter delivered.
     stack: Callable
     #: Row reduction: ``np.add`` (sum tree) or ``np.minimum`` (min tree).
     reduce: Callable
@@ -350,23 +368,17 @@ class _StreamingKernel:
 
 STREAMING_KERNELS = {
     "spmv": _StreamingKernel(
-        ("x",), lambda fcu, rcu, op, values, c: gemv_block(
-            fcu, values, c[0], op.reversed_cols),
-        lambda blocks, masks, c: gemv_partials(blocks, c[0]),
+        ("x",), lambda blocks, masks, c: gemv_partials(blocks, c[0]),
         np.add, seeded=False, pe_ops=0.0),
     "bfs": _StreamingKernel(
-        ("dist",), lambda fcu, rcu, op, values, c: dbfs_block(
-            fcu, values, c[0]),
-        lambda blocks, masks, c: minplus_candidates(masks, c[0]),
+        ("dist",), lambda blocks, masks, c: minplus_candidates(masks, c[0]),
         np.minimum, seeded=True, pe_ops=1.0),  # compare & update
     "sssp": _StreamingKernel(
-        ("dist",), lambda fcu, rcu, op, values, c: dsssp_block(
-            fcu, values, c[0]),
+        ("dist",),
         lambda blocks, masks, c: minplus_candidates(masks, c[0], blocks),
         np.minimum, seeded=True, pe_ops=1.0),
     "pagerank": _StreamingKernel(
-        ("rank", "outdeg"), lambda fcu, rcu, op, values, c: dpr_block(
-            fcu, rcu, values, c[0], c[1]),
+        ("rank", "outdeg"),
         lambda blocks, masks, c: dpr_contributions(masks, c[0], c[1]),
         np.add, seeded=False, pe_ops=2.0),  # damping mul + add
 }
@@ -404,11 +416,16 @@ def streaming_pass(acc, kind: str, operands: Sequence[np.ndarray],
         start, valid = _row_span(acc, group.block_row)
         for op in group.streaming:
             values = eng.stream_block(op, width)
+            mask = values != 0.0
             for col, sfx in enumerate(suffixes):
                 chunks = [rcu.read_chunk(space + sfx, op.inx_in, w)
                           for space in spec.operands]
-                accs[col] = spec.reduce(
-                    accs[col], spec.block(fcu, rcu, op, values, chunks))
+                if op.reversed_cols:  # the r2l read
+                    chunks = [np.ascontiguousarray(c[::-1]) for c in chunks]
+                partial = spec.stack(values, mask, chunks)
+                if op.dp is DataPathType.GEMV:
+                    fcu.check_finite(partial, GEMV_GUARD)
+                accs[col] = spec.reduce(accs[col], partial)
         for out, row_acc in zip(outputs, accs):
             if spec.pe_ops:
                 rcu.counters.add("pe_op", spec.pe_ops * valid)
@@ -420,6 +437,7 @@ def streaming_pass(acc, kind: str, operands: Sequence[np.ndarray],
             rcu.cache.write("out", start, valid)
             rcu.counters.add("cache_busy_cycles", 1.0)
 
+    eng.charge_activity(np.flatnonzero(~acc.table.dependent), width)
     report = eng.finish_streaming(name, writeback_bytes(kind, n, width))
     output = outputs[0] if k is None else np.stack(outputs, axis=1)
     return output, report
@@ -437,8 +455,7 @@ def bfs_parents_pass(acc, kind: str, operands: Sequence[np.ndarray],
     dist, parent = operands
     n, w = acc.n, acc.config.omega
     eng = _Engine(acc, kind)
-    eng.dp_cycles["d-bfs"] = 0.0  # reported even when no block streams
-    fcu, rcu = eng.fcu, eng.rcu
+    rcu = eng.rcu
     rcu.load_operand("dist", dist)
 
     new_dist = dist.copy()
@@ -452,7 +469,8 @@ def bfs_parents_pass(acc, kind: str, operands: Sequence[np.ndarray],
         for op in group.streaming:
             values = eng.stream_block(op, 1)
             chunk = rcu.read_chunk("dist", op.inx_in, w)
-            cand, lanes = dbfs_block(fcu, values, chunk, with_argmin=True)
+            cand, lanes = minplus_candidates(values != 0.0, chunk,
+                                             with_argmin=True)
             best, best_parent = parent_improve(
                 best, best_parent, cand, op.inx_in + lanes, lanes)
         rcu.counters.add("pe_op", float(valid))  # compare & update
@@ -463,6 +481,7 @@ def bfs_parents_pass(acc, kind: str, operands: Sequence[np.ndarray],
             rcu.cache.write("out", start, valid)
             rcu.counters.add("cache_busy_cycles", 1.0)
 
+    eng.charge_activity(np.flatnonzero(~acc.table.dependent), 1)
     report = eng.finish_streaming(kind, writeback_bytes(kind, n, 1))
     return new_dist, new_parent, report
 
@@ -506,7 +525,7 @@ def symgs_sweep(acc, kind: str, operands: Sequence[np.ndarray],
 
     chain_cycles = 0.0
     seq_cycles = 0.0
-    dp_cycles: Dict[str, float] = {}
+    dp_cycles = eng.dp_cycles
     slack: List[float] = []
     for row, group in enumerate(acc.image.rows):
         row_stream = 0.0
@@ -570,8 +589,8 @@ def symgs_sweep(acc, kind: str, operands: Sequence[np.ndarray],
                 if d_chunk is None:
                     d_chunk = rcu.read_chunk("diag", start, w)
                 x_old = rcu.read_chunk("x_prev" + sfx, start, w)
-                x_new = dsymgs_block(fcu, rcu, values, d_chunk, b_chunk,
-                                     x_old, accs[col], valid)
+                x_new = dsymgs_block(fcu, values, d_chunk, b_chunk, x_old,
+                                     accs[col], valid)
                 rcu.write_chunk("x_curr" + sfx, start, x_new[:valid])
             dsymgs_compute = width * timing.compute_cycles_per_block(op.dp)
             dp_cycles["d-symgs"] = dp_cycles.get("d-symgs", 0.0) \
@@ -584,6 +603,10 @@ def symgs_sweep(acc, kind: str, operands: Sequence[np.ndarray],
                              row_stream, row_gemv_compute, dsymgs_compute,
                              ablation_penalty)
 
+    diagonals = acc.image.row_diagonals
+    eng.charge_activity(np.concatenate((
+        np.flatnonzero(~acc.table.dependent), diagonals[diagonals >= 0])),
+        width)
     # Cache refills contend for the memory channel.
     miss_bytes = rcu.cache.counters.get("cache_misses") \
         * cfg.cache_line_bytes
@@ -591,9 +614,8 @@ def symgs_sweep(acc, kind: str, operands: Sequence[np.ndarray],
         + miss_bytes / cfg.bytes_per_cycle
     results = [rcu.operand("x_curr" + sfx) for sfx in suffixes]
     x = results[0].copy() if k is None else np.stack(results, axis=1)
-    report = eng.finish(
-        eng.report(name, total, seq_cycles, dp_cycles, miss_bytes),
-        "cache_refill", miss_bytes, slack)
+    report = eng.finish(name, total, seq_cycles, miss_bytes, "cache_refill",
+                        slack)
     return x, report
 
 

@@ -24,13 +24,14 @@ Why timing stays identical
 --------------------------
 Every quantity in a :class:`~repro.core.report.SimReport` — cycles,
 counters, energy, bytes — depends only on the block structure fixed at
-``program()`` time, never on operand *values* (block nnz decides ALU/RE
-activity, the table decides cache/stack/memory traffic).  Compilation
-therefore replays the interpreter once with neutral (zero) operands and
-captures its report as a template; each plan run returns a
-:meth:`~repro.core.report.SimReport.clone` of it.  Batched runs clone a
-per-width template, captured the same way the first time each width
-runs.  This makes report identity hold by construction — including the
+``program()`` time, never on operand *values* (the programmed blocks
+decide ALU/RE/PE activity, which the interpreter counts from them and
+never from a delivered copy; the table decides cache/stack/memory
+traffic).  Compilation therefore replays the interpreter once with
+neutral (zero) operands and captures its report as a template; each
+plan run returns a :meth:`~repro.core.report.SimReport.clone` of it.
+Batched runs clone a per-width template, captured the same way the
+first time each width runs.  This makes report identity hold by construction — including the
 sequence-dependent LRU cache counters.  Kernel outputs are
 bit-identical too: both engines compute every data path through the
 same functions of :mod:`repro.core.datapaths`, which the interpreter
@@ -814,10 +815,7 @@ def _compile_symgs(acc) -> CompiledSymgsPass:
         raise SimulationError("programmed matrix lacks SymGS layout")
     group_rows, group = image.entry_groups
     n_rows = group_rows.size
-    # Each block row's D-SymGS entry (its last, as a per-row walk keeps).
-    bodies = np.full(n_rows, -1, dtype=np.int64)
-    dependent = np.flatnonzero(table.dependent)
-    np.maximum.at(bodies, group[dependent], dependent)
+    bodies = image.row_diagonals
     gemvs, seg_len = _streaming_ops(image)
     seg_start = np.cumsum(seg_len) - seg_len
     row_of = group[gemvs]

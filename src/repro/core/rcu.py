@@ -10,8 +10,9 @@ subtract), and a configurable switch that rewires them per data path.
 This model keeps the cache, the link stack and the switch.  The FIFOs
 only decouple memory from compute, which the pass-level timing folds
 into ``max(stream, compute)``; their depth is modelled in
-:mod:`repro.core.detailed`.  The data paths count PE work here, and
-:class:`~repro.core.datapaths.DataPathTiming` charges its latency.
+:mod:`repro.core.detailed`.  PE work is counted here (per output row
+by the passes, per block by :func:`~repro.core.datapaths.block_activity`),
+and :class:`~repro.core.datapaths.DataPathTiming` charges its latency.
 
 Reconfiguration cost model (§4.4): switching data paths requires the
 reduction tree to drain, "during which the switch is reconfigured to

@@ -10,22 +10,18 @@ from repro.formats.alrescha import AlreschaMatrix, StreamBlock
 from repro.formats.base import SparseFormat, as_dense, index_bits
 from repro.formats.bcsr import BCSRMatrix
 from repro.formats.coo import COOMatrix, blocked_coo_metadata_bits
-from repro.formats.csc import CSCMatrix
 from repro.formats.csr import CSRMatrix
 from repro.formats.dia import DIAMatrix
 from repro.formats.ell import ELLMatrix, PAD
-from repro.formats.hyb import HYBMatrix
 from repro.formats.metadata import DEFAULT_OMEGA, format_survey
 
 __all__ = [
     "AlreschaMatrix",
     "BCSRMatrix",
     "COOMatrix",
-    "CSCMatrix",
     "CSRMatrix",
     "DIAMatrix",
     "ELLMatrix",
-    "HYBMatrix",
     "PAD",
     "SparseFormat",
     "StreamBlock",

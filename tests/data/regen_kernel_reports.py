@@ -21,9 +21,10 @@ The golden pins kernel reports across commits, so it is the
 differential test for any rewrite of the plan or interpreter layers:
 both paths must keep producing these exact reports.  The script refuses
 to write a golden in which a plan fault case differs from its
-interpreter twin (``plan_degraded`` aside) or in which a report's
+interpreter twin (``plan_degraded`` aside), in which a report's
 ``energy_j`` is not the energy model's price of its own counters and
-cycles.  Regenerating it
+cycles, or in which a case's activity counts are not its ``base``
+twin's.  Regenerating it
 declares a cost-model change; do so only with the change that caused
 it.  The file holds one case per line so a diff names the cases that
 moved.
@@ -87,6 +88,12 @@ FAULT_SPEC = "0.05:3"
 #: Fault model of the cross-check cases: unverified, so silent
 #: bitflips reach the plan's sampled cross-check.
 CROSSCHECK_SPEC = "0.2:5:bitflip"
+
+#: Variants that program the base case's blocks (same ω and matrix).
+SAME_BLOCKS = ("cache256", "exposed", "noreorder", "faults", "crosscheck",
+               "traced")
+#: The activity counters: a function of the programmed blocks alone.
+ACTIVITY = ("alu_op", "re_op", "pe_op")
 
 
 def cases():
@@ -274,6 +281,28 @@ def energy_drift(entries):
     return drift
 
 
+def activity_drift(entries):
+    """Ids of the cases on a :data:`SAME_BLOCKS` variant whose
+    ``alu_op``, ``re_op`` or ``pe_op`` differ from their engine's
+    ``base`` twin's.  Activity is counted from the programmed blocks,
+    never from operand values or a corrupted delivery; a cross-check
+    fallback (``plan_degraded``) ran its pass twice and counts twice."""
+    def activity(entry, times=1):
+        counters = entry["report"]["counters"]
+        return [times * counters.get(name, 0.0) for name in ACTIVITY]
+
+    drift = []
+    for cid in sorted(entries):
+        kernel, path, matrix, variant = cid.split("/")
+        if variant not in SAME_BLOCKS:
+            continue
+        twin = entries[f"{kernel}/{path}/{matrix}/base"]
+        times = 2 if entries[cid].get("plan_degraded") else 1
+        if activity(entries[cid]) != activity(twin, times):
+            drift.append(cid)
+    return drift
+
+
 def main():
     entries = {cid: run_case(kernel, matrix, settings)
                for cid, kernel, matrix, settings in cases()}
@@ -287,6 +316,11 @@ def main():
         raise SystemExit(
             f"refusing to write {GOLDEN_PATH}: energy_j is not the price "
             f"of the report's counters and cycles: {', '.join(drift)}")
+    drift = activity_drift(entries)
+    if drift:
+        raise SystemExit(
+            f"refusing to write {GOLDEN_PATH}: activity counts differ "
+            f"from the base twin's: {', '.join(drift)}")
     GOLDEN_PATH.write_text(dumps_golden(entries))
     print(f"wrote {GOLDEN_PATH} ({len(entries)} cases)")
 

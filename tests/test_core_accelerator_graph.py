@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from repro.core import Alrescha, KernelType
+from repro.core import Alrescha, AlreschaConfig, KernelType
 
 
 def _transpose_unit(adj):
@@ -43,6 +44,23 @@ class TestBFSPass:
         _new, report = acc.run_bfs_pass(dist)
         assert "d-bfs" in report.datapath_cycles
         assert report.cycles > 0
+
+    @pytest.mark.parametrize("use_plan", [False, True])
+    @pytest.mark.parametrize("parents", [False, True])
+    def test_edgeless_pass_names_no_datapath(self, use_plan, parents):
+        """``datapath_cycles`` names only data paths that ran: a pass
+        over a graph without edges streams no block and names none,
+        with or without parent tracking, on either engine."""
+        acc = Alrescha.from_matrix(KernelType.BFS, sp.csr_matrix((10, 10)),
+                                   config=AlreschaConfig(use_plan=use_plan))
+        dist = np.full(10, np.inf)
+        dist[0] = 0.0
+        if parents:
+            *_, report = acc.run_bfs_pass_parents(
+                dist, np.full(10, -1, dtype=np.int64))
+        else:
+            _new, report = acc.run_bfs_pass(dist)
+        assert report.datapath_cycles == {}
 
 
 class TestSSSPPass:

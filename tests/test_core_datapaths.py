@@ -3,14 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core import AlreschaConfig, DataPathType, FixedComputeUnit, \
-    ReconfigurableComputeUnit
+from repro.core import AlreschaConfig, DataPathType, FixedComputeUnit
 from repro.core.datapaths import (
     DataPathTiming,
-    dbfs_block,
-    dpr_block,
+    block_activity,
     dpr_contributions,
-    dsssp_block,
     dsymgs_block,
     dsymgs_upper_dots,
     gemv_block,
@@ -24,11 +21,6 @@ from repro.errors import SimulationError
 @pytest.fixture
 def fcu():
     return FixedComputeUnit()
-
-
-@pytest.fixture
-def rcu():
-    return ReconfigurableComputeUnit()
 
 
 @pytest.fixture
@@ -60,13 +52,16 @@ class TestGEMV:
         with pytest.raises(SimulationError):
             gemv_block(fcu, block, np.zeros(4))
 
-    def test_alu_activity_equals_block_nnz(self, fcu, block, rng):
-        gemv_block(fcu, block, rng.normal(size=8))
-        assert fcu.counters.get("alu_op") == np.count_nonzero(block)
+    def test_alu_activity_equals_block_nnz(self, block):
+        alu, re, pe = block_activity(block, DataPathType.GEMV)
+        assert alu == np.count_nonzero(block)
+        # Each row's reduction: one RE op per nonzero beyond its first.
+        assert re == alu - np.count_nonzero(block.any(axis=1))
+        assert pe == 0
 
 
 class TestDSymGS:
-    def test_solves_block_row_exactly(self, fcu, rcu, rng):
+    def test_solves_block_row_exactly(self, fcu, rng):
         """One D-SymGS block equals a forward Gauss-Seidel restricted to
         the block, given the external accumulator."""
         n = 8
@@ -76,7 +71,7 @@ class TestDSymGS:
         b = rng.normal(size=n)
         x_old = rng.normal(size=n)
         acc = rng.normal(size=n)
-        out = dsymgs_block(fcu, rcu, body, diag, b, x_old, acc, n)
+        out = dsymgs_block(fcu, body, diag, b, x_old, acc, n)
         expected = np.zeros(n)
         for r in range(n):
             s = acc[r] + body[r, :r] @ expected[:r] \
@@ -84,55 +79,61 @@ class TestDSymGS:
             expected[r] = (b[r] - s) / diag[r]
         np.testing.assert_allclose(out, expected)
 
-    def test_padding_rows_stay_zero(self, fcu, rcu, rng):
+    def test_padding_rows_stay_zero(self, fcu, rng):
         body = np.zeros((8, 8))
         diag = np.ones(8)
-        out = dsymgs_block(fcu, rcu, body, diag, np.ones(8),
+        out = dsymgs_block(fcu, body, diag, np.ones(8),
                            np.zeros(8), np.zeros(8), valid_rows=5)
         np.testing.assert_allclose(out[5:], 0.0)
         np.testing.assert_allclose(out[:5], 1.0)
 
-    def test_zero_diagonal_raises(self, fcu, rcu):
+    def test_zero_diagonal_raises(self, fcu):
         with pytest.raises(SimulationError):
-            dsymgs_block(fcu, rcu, np.zeros((8, 8)), np.zeros(8),
+            dsymgs_block(fcu, np.zeros((8, 8)), np.zeros(8),
                          np.ones(8), np.zeros(8), np.zeros(8), 8)
 
-    def test_pe_ops_counted(self, fcu, rcu, rng):
-        diag = np.ones(8)
-        dsymgs_block(fcu, rcu, np.zeros((8, 8)), diag, np.ones(8),
-                     np.zeros(8), np.zeros(8), 8)
+    def test_pe_ops_counted(self):
         # One sub + one div per valid row.
-        assert rcu.counters.get("pe_op") == 16.0
+        _alu, _re, pe = block_activity(np.zeros((8, 8)),
+                                       DataPathType.D_SYMGS)
+        assert pe == 16
+
+    def test_activity_counts_valid_rows_only(self, block):
+        """Over the valid rows: each row's nonzeros as ALU ops, at least
+        one RE op per row, two PE ops per row."""
+        rows = np.count_nonzero(block[:5], axis=1)
+        assert tuple(block_activity(block, DataPathType.D_SYMGS, 5)) \
+            == (rows.sum(), np.maximum(rows, 1).sum(), 10)
 
 
 class TestGraphBlocks:
-    def test_dbfs_min_plus_unit(self, fcu):
+    def test_dbfs_min_plus_unit(self):
         block = np.zeros((8, 8))
         block[0, 1] = 1.0
         block[0, 3] = 1.0
         dist = np.full(8, np.inf)
         dist[1] = 5.0
         dist[3] = 2.0
-        out = dbfs_block(fcu, block, dist)
+        out = minplus_candidates(block != 0.0, dist)
         assert out[0] == pytest.approx(3.0)   # min(5+1, 2+1)
         assert np.isinf(out[1])
 
-    def test_dsssp_uses_weights(self, fcu):
+    def test_dsssp_uses_weights(self):
         block = np.zeros((8, 8))
         block[2, 0] = 7.0
         block[2, 1] = 1.5
         dist = np.zeros(8)
-        out = dsssp_block(fcu, block, dist)
+        out = minplus_candidates(block != 0.0, dist, block)
         assert out[2] == pytest.approx(1.5)
 
-    def test_dsssp_inf_propagates(self, fcu):
+    def test_dsssp_inf_propagates(self):
         block = np.zeros((8, 8))
         block[0, 1] = 2.0
         dist = np.full(8, np.inf)
-        out = dsssp_block(fcu, block, dist)
+        out = minplus_candidates(block != 0.0, dist, block)
         assert np.isinf(out[0])
 
-    def test_dpr_sums_rank_over_outdeg(self, fcu, rcu):
+    def test_dpr_sums_rank_over_outdeg(self):
         block = np.zeros((8, 8))
         block[0, 1] = 1.0
         block[0, 2] = 1.0
@@ -140,16 +141,31 @@ class TestGraphBlocks:
         rank[1], rank[2] = 0.4, 0.6
         outdeg = np.zeros(8)
         outdeg[1], outdeg[2] = 2.0, 3.0
-        out = dpr_block(fcu, rcu, block, rank, outdeg)
+        out = dpr_contributions(block != 0.0, rank, outdeg)
         assert out[0] == pytest.approx(0.4 / 2 + 0.6 / 3)
 
-    def test_dpr_ignores_dangling_sources(self, fcu, rcu):
+    def test_dpr_ignores_dangling_sources(self):
         block = np.zeros((8, 8))
         block[0, 1] = 1.0
         rank = np.full(8, 1.0)
         outdeg = np.zeros(8)  # vertex 1 has no out-edges recorded
-        out = dpr_block(fcu, rcu, block, rank, outdeg)
+        out = dpr_contributions(block != 0.0, rank, outdeg)
         assert out[0] == 0.0
+
+    @pytest.mark.parametrize("dp", [DataPathType.D_BFS,
+                                    DataPathType.D_SSSP])
+    def test_min_plus_activity_counts_edges(self, block, dp):
+        edges = np.count_nonzero(block)
+        assert tuple(block_activity(block, dp)) == (edges, edges, 0)
+
+    def test_dpr_activity_divides_once_per_source_lane(self):
+        """The quotient of a source with edges is broadcast to the ALU
+        row: one PE divide per source lane, however many edges leave
+        it."""
+        block = np.zeros((8, 8))
+        block[[0, 3, 5], 1] = 1.0
+        block[2, 6] = 1.0
+        assert tuple(block_activity(block, DataPathType.D_PR)) == (4, 4, 2)
 
 
 def _same_bits(stacked, per_block):
@@ -171,9 +187,8 @@ class TestStackEqualsPerBlock:
     M = 512
 
     @pytest.fixture
-    def units(self, omega):
-        return (FixedComputeUnit(omega=omega),
-                ReconfigurableComputeUnit())
+    def fcu(self, omega):
+        return FixedComputeUnit(omega=omega)
 
     @pytest.fixture
     def stack(self, rng, omega):
@@ -189,37 +204,36 @@ class TestStackEqualsPerBlock:
         dist[rng.random(dist.shape) < 0.3] = np.inf
         return dist
 
-    def test_gemv(self, units, stack, rng, omega):
+    def test_gemv(self, fcu, stack, rng, omega):
         chunks = rng.normal(size=(self.M, omega))
         _same_bits(gemv_partials(stack, chunks),
-                   [gemv_block(units[0], b, c)
-                    for b, c in zip(stack, chunks)])
+                   [gemv_block(fcu, b, c) for b, c in zip(stack, chunks)])
 
-    def test_gemv_reversed_lanes(self, units, stack, rng, omega):
+    def test_gemv_reversed_lanes(self, fcu, stack, rng, omega):
         """The plan gathers a column-reversed block's lanes reversed;
         the interpreter reads the chunk right-to-left."""
         chunks = rng.normal(size=(self.M, omega))
         _same_bits(gemv_partials(stack, chunks[:, ::-1].copy()),
-                   [gemv_block(units[0], b, c, reversed_cols=True)
+                   [gemv_block(fcu, b, c, reversed_cols=True)
                     for b, c in zip(stack, chunks)])
 
-    def test_bfs_with_unreached_sources(self, units, stack, dist):
+    def test_bfs_with_unreached_sources(self, stack, dist):
         _same_bits(minplus_candidates(stack != 0.0, dist),
-                   [dbfs_block(units[0], b, d)
+                   [minplus_candidates(b != 0.0, d)
                     for b, d in zip(stack, dist)])
 
-    def test_sssp_with_unreached_sources(self, units, stack, dist):
+    def test_sssp_with_unreached_sources(self, stack, dist):
         weights = np.abs(stack)
         _same_bits(minplus_candidates(weights != 0.0, dist, weights),
-                   [dsssp_block(units[0], w, d)
+                   [minplus_candidates(w != 0.0, d, w)
                     for w, d in zip(weights, dist)])
 
-    def test_argmin_lanes_with_ties(self, units, stack, dist):
+    def test_argmin_lanes_with_ties(self, stack, dist):
         """Tied candidates report the lowest source lane on both forms,
         and lanes no edge reaches report -1."""
         best, lanes = minplus_candidates(stack != 0.0, dist,
                                          with_argmin=True)
-        solo = [dbfs_block(units[0], b, d, with_argmin=True)
+        solo = [minplus_candidates(b != 0.0, d, with_argmin=True)
                 for b, d in zip(stack, dist)]
         _same_bits(best, [s[0] for s in solo])
         _same_bits(lanes, [s[1] for s in solo])
@@ -229,7 +243,7 @@ class TestStackEqualsPerBlock:
         assert (lanes[np.isinf(best)] == -1).all()
 
     @pytest.mark.parametrize("tagged", [True, False])
-    def test_parent_improve(self, units, stack, dist, rng, omega, tagged):
+    def test_parent_improve(self, stack, dist, rng, omega, tagged):
         """One improve over a stack of rows equals one per row, with
         lane tags (the per-block fold) and without (the update)."""
         cand, lanes = minplus_candidates(stack != 0.0, dist,
@@ -244,13 +258,12 @@ class TestStackEqualsPerBlock:
         _same_bits(stacked[0], [s[0] for s in solo])
         _same_bits(stacked[1], [s[1] for s in solo])
 
-    def test_dpr_with_zero_outdegrees(self, units, stack, rng, omega):
+    def test_dpr_with_zero_outdegrees(self, stack, rng, omega):
         rank = rng.random((self.M, omega))
         outdeg = rng.integers(0, 4, size=(self.M, omega)).astype(float)
         assert (outdeg == 0.0).any()
-        fcu, rcu = units
         _same_bits(dpr_contributions(stack != 0.0, rank, outdeg),
-                   [dpr_block(fcu, rcu, b, r, d)
+                   [dpr_contributions(b != 0.0, r, d)
                     for b, r, d in zip(stack, rank, outdeg)])
 
     def test_dsymgs_upper_dots(self, stack, rng, omega):
@@ -258,6 +271,17 @@ class TestStackEqualsPerBlock:
         _same_bits(dsymgs_upper_dots(stack, x_old),
                    [dsymgs_upper_dots(b[None], x[None])[0]
                     for b, x in zip(stack, x_old)])
+
+    @pytest.mark.parametrize("dp", list(DataPathType))
+    def test_activity(self, stack, rng, omega, dp):
+        """Activity over a stack is each block's, whatever the data
+        path; D-SymGS with per-block valid rows."""
+        valid = rng.integers(0, omega + 1, size=self.M)
+        for stacked, solo in zip(
+                block_activity(stack, dp, valid),
+                zip(*(block_activity(b, dp, v)
+                      for b, v in zip(stack, valid)))):
+            assert stacked.tolist() == list(solo)
 
 
 class TestTiming:

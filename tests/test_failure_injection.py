@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.core import Alrescha, AlreschaConfig, KernelType, convert
+from repro.core import Alrescha, AlreschaConfig, KernelType, convert, \
+    interpreter
 from repro.core.config import ConfigEntry, ConfigTable, DataPathType, \
     AccessOrder, OperandPort
 from repro.core.convert import ConversionResult
@@ -149,8 +150,12 @@ DIFFERENTIAL_KERNELS = {
 }
 
 #: Fault specs that inject on both matrices without exhausting a retry
-#: budget: a mix, latency spikes only, and drops (re-streams).
-DIFFERENTIAL_SPECS = ("0.05:3", "0.3:7:latency", "0.2:5:drop")
+#: budget — a mix, latency spikes only, drops (re-streams) and silent
+#: bitflips — each with whether the run verifies checksums.  Unverified
+#: bitflips reach the data paths, so a pass computes on a corrupted copy
+#: of its programmed blocks.
+DIFFERENTIAL_SPECS = {"0.05:3": True, "0.3:7:latency": True,
+                      "0.2:5:drop": True, "0.2:5:bitflip": False}
 
 #: ``(kernel, matrix, spec, omega, element_bytes, reorder)``; only SymGS
 #: kernels have a reordering to switch off.
@@ -206,7 +211,9 @@ def _engine_run(kernel, matrix, spec, use_plan, reorder=True, **config):
     fm = FaultModel.parse(spec)
     acc = Alrescha.from_matrix(
         ktype, matrix, reorder=reorder,
-        config=AlreschaConfig(use_plan=use_plan, fault_model=fm, **config))
+        config=AlreschaConfig(use_plan=use_plan, fault_model=fm,
+                              verify_checksums=DIFFERENTIAL_SPECS[spec],
+                              **config))
     *outputs, report = getattr(acc, runner)(*operands)
     fields = dataclasses.asdict(report)
     fields["counters"] = report.counters.as_dict()
@@ -345,7 +352,9 @@ class TestRuntimeFaults:
         seed gives the same fault log, bitwise-equal answers and a
         field-for-field equal report on every plan kind, stream-bound
         (element_bytes 8) or compute-bound (element_bytes 4 and the
-        batches), with and without SymGS reordering."""
+        batches), with and without SymGS reordering.  Activity counts
+        come from the programmed blocks, so an unverified bitflip moves
+        the answers of both engines alike and neither one's counts."""
         kernel, matrix_name, spec, omega, element_bytes, reorder = case
         matrix = (_stencil27() if matrix_name == "stencil27"
                   else spd_small)
@@ -383,6 +392,15 @@ class TestRuntimeFaults:
         assert rep.counters.get("crosscheck_wasted_cycles") > 0.0
         assert acc.plan_degraded
         assert np.array_equal(y, y_clean)
+        # The pass ran twice on the hardware: the discarded plan run's
+        # blocks are charged beside the rerun's blocks and re-streams.
+        _, rep_clean = clean.run_spmv(x)
+        restreams = rep.counters.get("fault_restreams")
+        assert restreams > 0
+        assert rep.counters.get("dram_requests") == \
+            2 * rep_clean.counters.get("dram_requests") + restreams
+        assert rep.streamed_bytes == 2 * rep_clean.streamed_bytes \
+            + restreams * interpreter.restream_cost(acc.config)[0]
         # Once degraded, later runs go straight to the (verifying)
         # interpreter and keep producing clean answers.
         y2, rep2 = acc.run_spmv(x)

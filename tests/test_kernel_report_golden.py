@@ -74,6 +74,14 @@ def test_energy_is_the_price_of_counters_and_cycles(golden):
     assert regen.energy_drift(golden) == []
 
 
+def test_activity_is_a_function_of_the_programmed_blocks(golden):
+    """Every case that programs its base case's blocks reports the base
+    twin's ``alu_op``, ``re_op`` and ``pe_op`` — under faults, unverified
+    bitflips and tracing too — and a cross-check fallback, which ran
+    the pass twice, twice them."""
+    assert regen.activity_drift(golden) == []
+
+
 @pytest.mark.parametrize("kernel", sorted(regen.KERNELS))
 def test_kernel_reports_match_golden(golden, kernel):
     mismatched = {}

@@ -28,7 +28,7 @@ from repro.core import (
     convert,
 )
 from repro.datasets import load_dataset
-from repro.errors import ConfigError
+from repro.errors import ConfigError, CorruptionError
 from repro.observe import Tracer
 from repro.runtime import (
     AutoscaleConfig,
@@ -244,6 +244,23 @@ class TestIsolation:
         image = Alrescha.from_matrix(KernelType.SPMV, stencil).image
         with pytest.raises(ConfigError, match="compile configuration"):
             Alrescha.bind(image, AlreschaConfig(cache_bytes=2048))
+
+    def test_guarded_binding_shares_an_unguarded_image(self, stencil):
+        """The NaN/Inf guard only picks the engine, so a guarded device
+        binds an image programmed without it, reports like a guarded
+        private program and still traps a poisoned operand."""
+        image = Alrescha.from_matrix(KernelType.SPMV, stencil).image
+        guarded = Alrescha.bind(image, AlreschaConfig(guard_nonfinite=True))
+        private = Alrescha.from_matrix(
+            KernelType.SPMV, stencil, AlreschaConfig(guard_nonfinite=True))
+        x = np.ones(stencil.shape[0])
+        y_mine, rep_mine = guarded.run_spmv(x)
+        y_theirs, rep_theirs = private.run_spmv(x)
+        assert np.array_equal(y_mine, y_theirs)
+        assert_reports_identical(rep_mine, rep_theirs)
+        x[3] = np.nan
+        with pytest.raises(CorruptionError, match="GEMV"):
+            guarded.run_spmv(x)
 
 
 class TestReadOnlyPlans:

@@ -62,13 +62,15 @@ class TestContentKey:
                            reorder=False) != base
 
     def test_fingerprint_ignores_runtime_only_knobs(self):
-        """Fault model, tracer and store attachment must not change the
-        content key — all pool devices (and the fault-free golden
-        device) share one artifact."""
+        """Fault model, tracer, NaN/Inf guard and store attachment must
+        not change the content key — all pool devices (and the
+        fault-free golden device) share one artifact."""
         from repro.sim.faults import FaultModel
         base = config_fingerprint(AlreschaConfig())
         assert config_fingerprint(AlreschaConfig(
             fault_model=FaultModel(rate=0.5, seed=1))) == base
+        assert config_fingerprint(AlreschaConfig(
+            guard_nonfinite=True)) == base
         assert config_fingerprint(AlreschaConfig(
             tracer=Tracer())) == base
         assert config_fingerprint(AlreschaConfig(

@@ -33,16 +33,11 @@ pcg_module = importlib.import_module("repro.solvers.pcg")
 SWEEP_RTOL = 1e-11
 
 
-def _blas_dsymgs_block(fcu, rcu, body, diag, b_chunk, x_old_chunk, acc,
+def _blas_dsymgs_block(fcu, body, diag, b_chunk, x_old_chunk, acc,
                        valid_rows):
-    """The D-SymGS block with its dots taken by BLAS, events counted
-    as the data path counts them."""
+    """The D-SymGS block with its dots taken by BLAS."""
     x_new = np.zeros(fcu.omega)
     for r in range(valid_rows):
-        nnz = float(np.count_nonzero(body[r]))
-        fcu.counters.add("alu_op", nnz)
-        fcu.counters.add("re_op", max(0.0, nnz - 1.0) + 1.0)
-        rcu.counters.add("pe_op", 2.0)
         row = body[r]
         dot = float(row[:r] @ x_new[:r]) \
             + float(row[r + 1:] @ x_old_chunk[r + 1:])
