@@ -30,7 +30,7 @@ Commands
   ``run`` and ``serve`` also accept ``--trace FILE`` to export a trace
   of their normal execution.
 * ``serve --store DIR`` attaches a content-addressed artifact store:
-  compiled plans, device images and captured templates persist under
+  compiled plans, device images and report templates persist under
   DIR, so a second run against the same store performs zero
   programming-phase compilations (the printed ``store:`` line proves
   it) while producing byte-identical reports.

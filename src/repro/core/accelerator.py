@@ -96,12 +96,12 @@ from repro.sim.memory import DEFAULT_CAPACITY_BYTES, StreamingMemory
 
 
 #: ``AlreschaConfig`` fields that shape programmed and compiled state —
-#: the conversion's blocking, plan timing and captured report templates
+#: the conversion's blocking, plan timing and the passes' report templates
 #: — besides the energy model, whose constants the templates bake in.
 #: Runtime knobs (fault model, tracer, plan cross-checking, checksum
 #: verification, the NaN/Inf guard, ``use_plan`` and the store
 #: attachment) are excluded: they pick the engine or act on a run, and
-#: templates are captured on the clean path, so configurations that
+#: templates describe the clean path, so configurations that
 #: differ only in those share one image and one stored artifact.
 COMPILE_FIELDS = (
     "omega", "n_alus", "frequency_hz", "bandwidth_bytes_per_s",
@@ -274,8 +274,8 @@ class ProgrammedImage:
     the columns on the first run of each kind, and a compiled plan
     serves every binding (each run takes the calling accelerator).
     ``rows``, the per-op view the interpreter walks, is built from the
-    columns on first use, so a start whose plans lower with stored
-    templates never builds it.
+    columns on first use, so an untraced start, whose plans lower with
+    priced or stored templates, never builds it.
     """
 
     conversion: ConversionResult
@@ -292,7 +292,7 @@ class ProgrammedImage:
     signature: tuple
     #: Content key of the conversion in the artifact store it was
     #: resolved through (None otherwise); the plan layer loads and
-    #: persists captured templates under it.
+    #: persists report templates under it.
     store_key: Optional[str] = None
     #: Compiled pass plans by pass kind, filled on first run.
     plans: Dict[str, object] = field(default_factory=dict)
@@ -551,9 +551,11 @@ class Alrescha:
         program: the pass reruns on the interpreter, which from then on
         verifies checksums.  Such a pass ran twice on the hardware, so
         the rerun's report is charged the discarded run's cycles, every
-        counter and its ``streamed_bytes``, and its energy is re-priced;
-        the per-pass structural fields stay the rerun's.  On a clean run
-        the plan result passes through untouched.
+        counter, its ``streamed_bytes`` and the two fields that mirror a
+        counter (``cache_busy_cycles`` and ``exposed_reconfig_cycles``),
+        and its energy is re-priced; the other per-pass fields stay the
+        rerun's.  On a clean run the plan result passes through
+        untouched.
         """
         cfg = self.config
         if not cfg.runs_plans or self._plan_degraded:
@@ -567,6 +569,9 @@ class Alrescha:
         rerun_report = rerun[-1]
         rerun_report.cycles += report.cycles
         rerun_report.streamed_bytes += report.streamed_bytes
+        rerun_report.cache_busy_cycles += report.cache_busy_cycles
+        rerun_report.exposed_reconfig_cycles += \
+            report.exposed_reconfig_cycles
         rerun_report.counters.add("plan_fallbacks", 1.0)
         rerun_report.counters.add("crosscheck_wasted_cycles", report.cycles)
         rerun_report.counters.merge(report.counters)

@@ -25,39 +25,43 @@ Why timing stays identical
 Every quantity in a :class:`~repro.core.report.SimReport` — cycles,
 counters, energy, bytes — depends only on the block structure fixed at
 ``program()`` time, never on operand *values* (the programmed blocks
-decide ALU/RE/PE activity, which the interpreter counts from them and
+decide ALU/RE/PE activity, which both engines count from them and
 never from a delivered copy; the table decides cache/stack/memory
-traffic).  Compilation therefore replays the interpreter once with
-neutral (zero) operands and captures its report as a template; each
+traffic).  Compilation therefore prices the pass once from its
+programmed columns (:func:`~repro.core.pricing.price_pass`, held equal
+to the interpreter's report, counter order included, by
+``tests/test_pricing.py``) and keeps the report as a template; each
 plan run returns a :meth:`~repro.core.report.SimReport.clone` of it.
-Batched runs clone a per-width template, captured the same way the
-first time each width runs.  This makes report identity hold by construction — including the
-sequence-dependent LRU cache counters.  Kernel outputs are
-bit-identical too: both engines compute every data path through the
-same functions of :mod:`repro.core.datapaths`, which the interpreter
-calls per block and a plan calls on its whole stack (one block and a
-stack give the same bits), and a plan reduces each block row in the
-interpreter's order.  Solo runs are the width-1 calls of their batch
-loops.  A faulty run is the clean template plus one fault charge,
-priced by the interpreter's own
+Batched runs clone a per-width template, priced the same way the first
+time each width runs.  A traced run also needs the pass's spans, which
+only the interpreter lays, so a traced accelerator's templates come
+from one interpreter replay with neutral (zero) operands.  Kernel
+outputs are bit-identical too: both engines compute every data path
+through the same functions of :mod:`repro.core.datapaths`, which the
+interpreter calls per block and a plan calls on its whole stack (one
+block and a stack give the same bits), and a plan reduces each block
+row in the interpreter's order.  Solo runs are the width-1 calls of
+their batch loops.  A faulty run is the clean template plus one fault
+charge, priced by the interpreter's own
 :func:`~repro.core.interpreter.charge_faults` from the same transfers
-and the same per-row slack, so it matches the interpreter too.
+and the pricer's per-row slack, so it matches the interpreter too.
 
-Compilation cross-checks the lowered artifacts against the captured
-template (compute-cycle totals, memory request counts) and refuses to
-produce a plan that disagrees with the interpreter.
+Compilation cross-checks the lowered artifacts against the template
+(compute-cycle totals, memory request counts) — an accounting of the
+same table made apart from the lowering — and refuses to produce a
+plan that disagrees with it.
 
 Who owns a plan
 ---------------
 A plan belongs to a :class:`~repro.core.accelerator.ProgrammedImage`,
 not to an accelerator: every accelerator bound to the image runs the
 same plan, so a pool of devices with different fault models compiles
-each pass once.  Each run — and each lazy batch-template capture —
-takes the calling accelerator, which supplies the fault model, the
-checksum and cross-check knobs and the tracer.  Templates are captured
-on the clean channel, so they serve every binding; spans are kept once
-a traced accelerator has captured them, and an untraced template is
-re-captured when a traced accelerator first needs its spans.  The
+each pass once.  Each run — and each lazy batch template — takes the
+calling accelerator, which supplies the fault model, the checksum and
+cross-check knobs and the tracer.  Templates describe the clean
+channel, so they serve every binding; spans are kept once a traced
+accelerator has captured them, and a priced template is re-captured on
+the interpreter when a traced accelerator first needs its spans.  The
 lowered arrays are read-only: an in-place write raises instead of
 corrupting the sibling bindings.
 """
@@ -73,11 +77,12 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.core import interpreter
-from repro.core.config import (DATAPATHS, DataPathType, KernelType,
-                               OperandPort, column_code)
+from repro.core.config import (DataPathType, KernelType, OperandPort,
+                               column_code)
 from repro.core.datapaths import (dsymgs_recurrence, dsymgs_upper_dots,
                                   gemv_partials, minplus_candidates,
                                   parent_improve)
+from repro.core.pricing import compute_cycles, price_pass, streaming_entries
 from repro.core.report import SimReport
 from repro.observe.tracer import Span, Tracer
 
@@ -111,6 +116,11 @@ class PassArtifacts:
     seg_len: np.ndarray
     #: Block-row index of each segment (scatter target).
     out_rows: np.ndarray
+
+
+#: A pass's report and span templates, plus its fault slack per row
+#: when the report was priced (None when loaded or captured).
+_Template = Tuple[SimReport, List[Span], Optional[List[float]]]
 
 
 def _time_groups(seg_len: np.ndarray, seg_start: np.ndarray,
@@ -169,13 +179,6 @@ def _accumulate(groups: List[Tuple[np.ndarray, np.ndarray]],
     return out
 
 
-def _row_sums(values: np.ndarray, seg_len: np.ndarray) -> np.ndarray:
-    """The sum of each run of ``seg_len`` consecutive ``values``, added
-    left to right from 0.0 as the interpreter's per-row ``+=`` does."""
-    groups = _time_groups(seg_len, np.cumsum(seg_len) - seg_len)
-    return _accumulate(groups, values[:, None], seg_len.size)[:, 0]
-
-
 def _read_only(array: np.ndarray) -> np.ndarray:
     """``array``, made read-only: every binding of an image runs the
     same plan, so a write into its arrays must raise, not corrupt the
@@ -187,20 +190,21 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 def _verify_against_template(kind: str, artifacts: PassArtifacts,
                              template: SimReport,
                              n_requests: int) -> None:
-    """Refuse to emit a plan whose lowering disagrees with the
-    interpreter's accounting."""
+    """Refuse to emit a plan whose lowering disagrees with the pass's
+    report template: the pricing of the same table (or a stored or
+    interpreter-captured template), which never reads the lowering."""
     compute_total = float(artifacts.compute_cycles_per_block.sum())
     template_compute = float(sum(template.datapath_cycles.values()))
     if not math.isclose(compute_total, template_compute,
                         rel_tol=1e-9, abs_tol=1e-6):
         raise SimulationError(
-            f"{kind} plan lowering disagrees with the interpreter: "
+            f"{kind} plan lowering disagrees with its report template: "
             f"compute {compute_total} vs {template_compute} cycles"
         )
     template_requests = template.counters.get("dram_requests")
     if template_requests != float(n_requests):
         raise SimulationError(
-            f"{kind} plan lowering disagrees with the interpreter: "
+            f"{kind} plan lowering disagrees with its report template: "
             f"{n_requests} block transfers vs {template_requests} "
             f"memory requests"
         )
@@ -211,9 +215,8 @@ class _CompiledPass:
 
     def __init__(self, kind: str, n: int, omega: int, blocks: np.ndarray,
                  gather: np.ndarray, artifacts: PassArtifacts,
-                 template: SimReport, traced: bool = False,
-                 checksums: Optional[List[int]] = None,
-                 span_template: Optional[List[Span]] = None) -> None:
+                 template: _Template, traced: bool = False,
+                 checksums: Optional[List[int]] = None) -> None:
         self.kind = kind
         self.n = n
         self.omega = omega
@@ -226,14 +229,16 @@ class _CompiledPass:
         #: Per-block payload CRCs in stacked order (``program()`` data).
         self.checksums = checksums or []
         #: ``(report, spans, traced)`` by batch width (None = solo): the
-        #: solo templates captured at compile time, each batch width's
-        #: the first time it runs.  ``traced`` records whether the
-        #: capture recorded spans.
+        #: solo templates made at compile time, each batch width's the
+        #: first time it runs.  ``traced`` records whether they hold
+        #: spans.
         self._template_cache: Dict[
-            Optional[int], Tuple[SimReport, List[Span], bool]] = {
-                None: (template, span_template or [], traced)}
-        #: Fault-charge slack by batch width, on its first faulty run.
+            Optional[int], Tuple[SimReport, List[Span], bool]] = {}
+        #: Fault-charge slack by batch width: priced with the width's
+        #: template, or on its first faulty run when the template was
+        #: loaded or captured instead.
         self._slacks: Dict[Optional[int], List[float]] = {}
+        self._keep(None, template, traced)
 
     def _padded(self, vec, dtype=np.float64
                 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -243,19 +248,35 @@ class _CompiledPass:
         pad[:self.n] = vec
         return pad, pad.reshape(self.nbr, self.omega)
 
+    def _keep(self, k: Optional[int], template: _Template,
+              traced: bool) -> None:
+        """Keep a width's templates (and its slack, when priced)."""
+        report, spans, slack = template
+        self._template_cache[k] = (report, spans, traced)
+        if slack is not None:
+            self._slacks[k] = slack
+
     def _templates(self, acc, k: Optional[int]
                    ) -> Tuple[SimReport, List[Span]]:
         """Report and span templates of a solo run (``k`` None) or of a
-        width-``k`` batch, for accelerator ``acc``: captured on first
-        use, and again with spans when ``acc`` is traced and the cached
-        capture was not."""
+        width-``k`` batch, for accelerator ``acc``: made on first use,
+        and again with spans when ``acc`` is traced and the kept ones
+        have none."""
         traced = acc.config.tracer is not None
         cached = self._template_cache.get(k)
         if cached is None or (traced and not cached[2]):
-            report, spans = _capture_template(acc, self.kind, k)
-            cached = (report, spans, traced)
-            self._template_cache[k] = cached
+            self._keep(k, _template(acc, self.kind, k), traced)
+            cached = self._template_cache[k]
         return cached[0], cached[1]
+
+    def _fault_slack(self, acc, k: Optional[int]) -> List[float]:
+        """The fault slack per row of a width-``k`` run: priced once per
+        width (:func:`~repro.core.pricing.price_pass`)."""
+        slack = self._slacks.get(k)
+        if slack is None:
+            slack = self._slacks[k] = price_pass(acc.image, acc.config,
+                                                 self.kind, k)[1]
+        return slack
 
     def _deliver_blocks(self, acc, order) -> Tuple[np.ndarray, list]:
         """Stream the stacked blocks through ``acc``'s fault model in
@@ -318,10 +339,8 @@ class _CompiledPass:
         report = template.clone()
         pass_span = _replay_spans(acc.config.tracer, span_template)
         if faults:
-            if k not in self._slacks:
-                self._slacks[k] = self._slack(acc.config, k or 1, template)
-            interpreter.charge_faults(acc, report, faults, self._slacks[k],
-                                      pass_span)
+            interpreter.charge_faults(acc.config, report, faults,
+                                      self._fault_slack(acc, k), pass_span)
         return report
 
 
@@ -342,7 +361,7 @@ class CompiledStreamingPass(_CompiledPass):
     def __init__(self, kind: str, n: int, omega: int,
                  blocks: np.ndarray, gather: np.ndarray,
                  src_base: np.ndarray, artifacts: PassArtifacts,
-                 template: SimReport, **kwargs) -> None:
+                 template: _Template, **kwargs) -> None:
         super().__init__(kind, n, omega, blocks, gather, artifacts,
                          template, **kwargs)
         self.masks = (_read_only(blocks != 0.0) if kind != "spmv"
@@ -376,20 +395,6 @@ class CompiledStreamingPass(_CompiledPass):
         if blocks is not self.blocks and self.kind != "spmv":
             masks = blocks != 0.0
         return blocks, masks, faults
-
-    def _slack(self, cfg, width: int, template: SimReport) -> List[float]:
-        """The pass's slack: how far its clean compute outlasts its
-        clean stream term, summed in the interpreter's order."""
-        timing = cfg.timing()
-        stream = np.add.accumulate(np.full(
-            self.blocks.shape[0], timing.stream_cycles_per_block()))[-1]
-        compute = np.add.accumulate(
-            width * self.artifacts.compute_cycles_per_block)[-1]
-        _bytes, stream_total = interpreter.stream_term(
-            cfg, float(stream),
-            interpreter.writeback_bytes(self.kind, self.n, width),
-            template.counters.get("cache_misses"))
-        return [max(0.0, float(compute) - stream_total)]
 
     # ------------------------------------------------------------------
     # Pass kinds
@@ -547,14 +552,11 @@ class CompiledSymgsPass(_CompiledPass):
 
     def __init__(self, n: int, omega: int, blocks: np.ndarray,
                  gather: np.ndarray, rows: List[_SymgsRow],
-                 diag: np.ndarray, refetch: np.ndarray,
-                 artifacts: PassArtifacts, template: SimReport,
-                 **kwargs) -> None:
+                 diag: np.ndarray, artifacts: PassArtifacts,
+                 template: _Template, **kwargs) -> None:
         super().__init__("symgs", n, omega, blocks, gather, artifacts,
                          template, **kwargs)
         self.rows = rows
-        #: Rows whose diagonal block streams twice (§4.1 ablation).
-        self.refetch = _read_only(refetch)
         self.n_gemv = int(gather.shape[0])
         self._diag_pad = _read_only(self._padded(diag)[0])
         self._block_rows = np.asarray([row.start // omega for row in rows],
@@ -585,20 +587,6 @@ class CompiledSymgsPass(_CompiledPass):
             for j in range(row.seg_start, row.seg_start + row.seg_len):
                 yield i, j
             yield i, self.n_gemv + i
-
-    def _slack(self, cfg, width: int, template: SimReport) -> List[float]:
-        """Each block row's slack: how far its GEMV compute outlasts its
-        clean stream (GEMV blocks, the diagonal and any §4.1 re-fetch),
-        summed in the interpreter's order."""
-        a = self.artifacts
-        bodies = a.seg_start + np.arange(a.seg_len.size) + a.seg_len
-        compute = _row_sums(
-            width * np.delete(a.compute_cycles_per_block, bodies), a.seg_len)
-        transfers = a.seg_len + 1 + self.refetch
-        stream = _row_sums(np.full(int(transfers.sum()),
-                                   cfg.timing().stream_cycles_per_block()),
-                           transfers)
-        return np.maximum(0.0, compute - stream).tolist()
 
     def _sweep(self, acc, b: np.ndarray, x_prev: np.ndarray,
                k: Optional[int]) -> Tuple[np.ndarray, SimReport]:
@@ -686,7 +674,7 @@ def compile_pass(acc, kind: str):
 
     Returns a :class:`CompiledStreamingPass` or
     :class:`CompiledSymgsPass`, which the image keeps for every binding.
-    ``acc`` supplies the configuration the solo templates are captured
+    ``acc`` supplies the configuration the solo templates are made
     under.  Part of the accelerator's internals — reach it through
     ``Alrescha`` runs (``config.use_plan``) or
     :meth:`~repro.core.accelerator.Alrescha.compile_plans`.
@@ -698,27 +686,28 @@ def compile_pass(acc, kind: str):
     raise SimulationError(f"unknown pass kind {kind!r}")
 
 
-def _capture_template(acc, kind: str, k: Optional[int] = None
-                      ) -> Tuple[SimReport, List[Span]]:
-    """Replay the interpreter once with neutral operands and keep its
-    report — and, when the accelerator is traced, its spans (see the
-    module docstring for why this is exact).
+def _template(acc, kind: str, k: Optional[int] = None) -> _Template:
+    """Make the templates of pass ``kind`` for accelerator ``acc`` (see
+    the module docstring for why they are exact).
 
-    ``k`` None captures the solo pass at compile time; an integer
-    captures a width-``k`` batch (``(n, k)`` zero panels), lazily the
-    first time each width runs, so a program that never batches pays
-    nothing.  The replay runs on a clean binding of the same image: no
-    fault model (the template is the clean pass; each run charges its
-    own faults) and a capture tracer, so template spans (anchored at
-    cycle 0) never leak into the user's trace.
+    ``k`` None makes the solo pass's at compile time; an integer a
+    width-``k`` batch's, lazily the first time each width runs, so a
+    program that never batches pays nothing.  An untraced accelerator's
+    report is priced from the programmed columns
+    (:func:`~repro.core.pricing.price_pass`) and carries no spans.  A
+    traced one needs spans, which only the interpreter lays: it is
+    replayed once with neutral (zero) operands on a clean binding of the
+    same image — no fault model (the template is the clean pass; each
+    run charges its own faults) and a capture tracer, so template spans
+    (anchored at cycle 0) never leak into the user's trace.
 
     An image resolved through an artifact store (``acc.image.store_key``
-    set) loads a stored template instead, and saves a fresh capture.
-    A traced accelerator requires the stored spans; templates persisted
-    untraced are then a miss, and the richer re-capture overwrites
-    them.  Loaded templates still flow through
-    ``_verify_against_template`` when the lowering is compiled, so a
-    stale store entry fails loudly rather than skewing reports.
+    set) loads a stored template instead, and saves a fresh one.  A
+    traced accelerator requires the stored spans; templates persisted
+    untraced are then a miss, and the richer capture overwrites them.
+    Loaded templates still flow through ``_verify_against_template``
+    when the lowering is compiled, so a stale store entry fails loudly
+    rather than skewing reports.
     """
     traced = acc.config.tracer is not None
     store, key = acc.config.artifact_store, acc.image.store_key
@@ -726,25 +715,31 @@ def _capture_template(acc, kind: str, k: Optional[int] = None
     if stored:
         cached = store.load_template(key, kind, k=k, want_spans=traced)
         if cached is not None:
-            return cached
-    _loop, arity = interpreter.ORACLES[kind]
-    zeros = np.zeros(acc.n if k is None else (acc.n, k))
-    capture = Tracer() if traced else None
-    clean = type(acc).bind(acc.image, replace(acc.config, fault_model=None,
-                                              tracer=capture))
-    report = interpreter.run(clean, kind, (zeros,) * arity, k)[-1]
-    spans = capture.spans if capture is not None else []
+            return cached + (None,)
+    if traced:
+        report, spans = _capture_template(acc, kind, k)
+        slack = None
+    else:
+        report, slack = price_pass(acc.image, acc.config, kind, k)
+        spans = []
     if stored:
         store.save_template(key, kind, report, spans if traced else None,
                             k=k)
-    return report, spans
+    return report, spans, slack
 
 
-def _compute_cycles(timing, dp: np.ndarray) -> np.ndarray:
-    """Engine cycles per block of each ``dp`` code."""
-    per_code = np.array([timing.compute_cycles_per_block(path)
-                         for path in DATAPATHS], dtype=np.float64)
-    return per_code[dp]
+def _capture_template(acc, kind: str, k: Optional[int]
+                      ) -> Tuple[SimReport, List[Span]]:
+    """Replay the interpreter once with neutral operands on a clean,
+    capture-traced binding of ``acc``'s image; returns its report and
+    spans."""
+    _loop, arity = interpreter.ORACLES[kind]
+    zeros = np.zeros(acc.n if k is None else (acc.n, k))
+    capture = Tracer()
+    clean = type(acc).bind(acc.image, replace(acc.config, fault_model=None,
+                                              tracer=capture))
+    report = interpreter.run(clean, kind, (zeros,) * arity, k)[-1]
+    return report, capture.spans
 
 
 def _gather(inx_in: np.ndarray, reversed_cols: np.ndarray,
@@ -756,21 +751,11 @@ def _gather(inx_in: np.ndarray, reversed_cols: np.ndarray,
                                       lanes)
 
 
-def _streaming_ops(image) -> Tuple[np.ndarray, np.ndarray]:
-    """Table indices of the streaming-class entries, grouped by block
-    row (groups in table order, entries in table order within one), and
-    each group's entry count."""
-    group_rows, group = image.entry_groups
-    ops = np.flatnonzero(~image.conversion.table.dependent)
-    ops = ops[np.argsort(group[ops], kind="stable")]
-    return ops, np.bincount(group[ops], minlength=group_rows.size)
-
-
 def _compile_streaming(acc, kind: str) -> CompiledStreamingPass:
     image = acc.image
     table, matrix = image.conversion.table, image.conversion.matrix
     n, w = acc.n, acc.config.omega
-    ops, seg_len = _streaming_ops(image)
+    ops, seg_len = streaming_entries(image)
     live = seg_len > 0
     index = image.block_index[ops]
     inx_in = table.inx_in[ops]
@@ -780,7 +765,7 @@ def _compile_streaming(acc, kind: str) -> CompiledStreamingPass:
                    _gather(inx_in, matrix.reversed_cols[index], w),
                    image.checksums[ops].tolist(), seg_len[live],
                    image.entry_groups[0][live],
-                   _compute_cycles(acc.config.timing(), table.dp[ops]),
+                   compute_cycles(acc.config.timing(), table.dp[ops]),
                    n_requests=int(ops.size)))
 
 
@@ -816,7 +801,7 @@ def _compile_symgs(acc) -> CompiledSymgsPass:
     group_rows, group = image.entry_groups
     n_rows = group_rows.size
     bodies = image.row_diagonals
-    gemvs, seg_len = _streaming_ops(image)
+    gemvs, seg_len = streaming_entries(image)
     seg_start = np.cumsum(seg_len) - seg_len
     row_of = group[gemvs]
     port1 = table.port[gemvs] == column_code(OperandPort.PORT1)
@@ -835,13 +820,13 @@ def _compile_symgs(acc) -> CompiledSymgsPass:
     at_gemv = np.ones(compute_vec.size, dtype=bool)
     at_gemv[at_body] = False
     timing = acc.config.timing()
-    compute_vec[at_gemv] = _compute_cycles(timing, table.dp[gemvs])
+    compute_vec[at_gemv] = compute_cycles(timing, table.dp[gemvs])
     compute_vec[at_body] = timing.compute_cycles_per_block(
         DataPathType.D_SYMGS)
     stacked = np.concatenate((gemvs, bodies))
     index = image.block_index[gemvs]
     return CompiledSymgsPass(
-        n, w, rows=rows, diag=diag, refetch=refetch,
+        n, w, rows=rows, diag=diag,
         **_lowered(acc, "symgs", matrix.blocks[image.block_index[stacked]],
                    _gather(table.inx_in[gemvs], matrix.reversed_cols[index],
                            w),
@@ -853,8 +838,8 @@ def _lowered(acc, kind: str, blocks: np.ndarray, gather: np.ndarray,
              checksums: List[int], seg_len: np.ndarray,
              out_rows: np.ndarray, compute_vec: np.ndarray,
              n_requests: int) -> dict:
-    """Capture and verify a lowered pass's report template, and return
-    the constructor keywords every compiled pass shares."""
+    """Make and verify a lowered pass's templates, and return the
+    constructor keywords every compiled pass shares."""
     seg_len = np.asarray(seg_len, dtype=np.int64)
     artifacts = PassArtifacts(
         compute_cycles_per_block=np.asarray(compute_vec, dtype=np.float64),
@@ -862,13 +847,12 @@ def _lowered(acc, kind: str, blocks: np.ndarray, gather: np.ndarray,
         seg_len=seg_len,
         out_rows=np.asarray(out_rows, dtype=np.int64),
     )
-    template, span_template = _capture_template(acc, kind)
-    _verify_against_template(kind, artifacts, template, n_requests)
+    template = _template(acc, kind)
+    _verify_against_template(kind, artifacts, template[0], n_requests)
     return dict(
         blocks=_read_only(blocks), gather=_read_only(gather),
         artifacts=artifacts, template=template,
-        traced=acc.config.tracer is not None,
-        checksums=checksums, span_template=span_template)
+        traced=acc.config.tracer is not None, checksums=checksums)
 
 
 # KernelType is imported for the kernel→plan-kind map used by

@@ -80,9 +80,10 @@ class SimReport:
 
         Because every timing/energy/counter quantity of a pass depends
         only on the programmed block structure — never on operand values
-        — a compiled plan captures one report at compile time and clones
-        it per run.  The mutable members (counters, data-path cycles) are
-        copied so callers can annotate a clone freely.
+        — a compiled plan prices one report at compile time
+        (:func:`repro.core.pricing.price_pass`) and clones it per run.
+        The mutable members (counters, data-path cycles) are copied so
+        callers can annotate a clone freely.
         """
         return replace(self, counters=self.counters.copy(),
                        datapath_cycles=dict(self.datapath_cycles))

@@ -17,7 +17,7 @@ from __future__ import annotations
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.stats import CounterSet
@@ -37,10 +37,11 @@ DEFAULT_MISS_LATENCY = 24
 class LocalCache:
     """Set-associative LRU cache with cycle-cost accounting.
 
-    ``read``/``write`` take an abstract *address space* name plus an
-    element index, so distinct vector operands (``x_prev``, ``x_curr``,
-    ``b``, ``diag``) never alias even though the model does not lay out a
-    real address map.
+    Accesses name an abstract *address space* plus an element index, so
+    distinct vector operands (``x_prev``, ``x_curr``, ``b``, ``diag``)
+    never alias even though the model does not lay out a real address
+    map.  :meth:`replay` makes a sequence of accesses; :meth:`read` and
+    :meth:`write` make one.
     """
 
     size_bytes: int = DEFAULT_CACHE_BYTES
@@ -50,8 +51,10 @@ class LocalCache:
     miss_latency: int = DEFAULT_MISS_LATENCY
     element_bytes: int = 8
     counters: CounterSet = field(default_factory=CounterSet)
-    _sets: Dict[int, "OrderedDict[Tuple[str, int], bool]"] = field(
-        default_factory=dict, repr=False
+    #: Each set's lines, least recently used first: ``(space, line)``
+    #: tag to dirty flag.
+    _sets: List["OrderedDict[Tuple[str, int], bool]"] = field(
+        default_factory=list, init=False, repr=False
     )
 
     def __post_init__(self) -> None:
@@ -65,39 +68,22 @@ class LocalCache:
                 f"{n_lines} lines cannot form {self.ways}-way sets"
             )
         self._n_sets = n_lines // self.ways
+        self._sets = [OrderedDict() for _ in range(self._n_sets)]
 
     @property
     def elements_per_line(self) -> int:
         return self.line_bytes // self.element_bytes
 
-    def _locate(self, space: str, index: int) -> Tuple[int, Tuple[str, int]]:
-        """Map (space, element index) to (set index, line tag).
+    def _locate(self, space: str) -> int:
+        """The set-index salt of address space ``space``: its line ``l``
+        lives in set ``(salt ^ l) % n_sets``.
 
         The space name is folded in with a *stable* hash (CRC32), never
         ``hash()``: per-process hash randomisation would make set
         conflicts — and therefore every cycle count — differ from run
         to run, breaking the simulator's bit-reproducibility contract.
         """
-        line_no = index // self.elements_per_line
-        set_idx = (zlib.crc32(space.encode()) ^ line_no) % self._n_sets
-        return set_idx, (space, line_no)
-
-    def _touch(self, space: str, index: int, dirty: bool) -> Tuple[float, bool]:
-        set_idx, tag = self._locate(space, index)
-        lines = self._sets.setdefault(set_idx, OrderedDict())
-        if tag in lines:
-            lines.move_to_end(tag)
-            if dirty:
-                lines[tag] = True
-            return float(self.hit_latency), True
-        # Miss: fill, evicting LRU if the set is full.
-        if len(lines) >= self.ways:
-            _evicted_tag, was_dirty = lines.popitem(last=False)
-            self.counters.add("cache_evictions")
-            if was_dirty:
-                self.counters.add("cache_writebacks")
-        lines[tag] = dirty
-        return float(self.miss_latency), False
+        return zlib.crc32(space.encode())
 
     def read(self, space: str, index: int, count: int = 1) -> float:
         """Read ``count`` consecutive elements; returns cycle cost.
@@ -106,23 +92,74 @@ class LocalCache:
         the chunked-fetch behaviour of §4.2(a): a whole ω-chunk of the
         vector operand arrives in one cache access.
         """
-        return self._access(space, index, count, dirty=False)
+        return self.replay(((space, index, count, False),))
 
     def write(self, space: str, index: int, count: int = 1) -> float:
         """Write ``count`` consecutive elements; returns cycle cost."""
-        return self._access(space, index, count, dirty=True)
+        return self.replay(((space, index, count, True),))
 
-    def _access(self, space: str, index: int, count: int, dirty: bool) -> float:
-        if count <= 0:
-            raise SimulationError(f"cache access of {count} elements")
+    def replay(self, accesses: Iterable[Tuple[str, int, int, bool]]
+               ) -> float:
+        """Make ``accesses`` in order — ``(space, index, count, dirty)``
+        each, a write when ``dirty`` — and return their total cycle cost.
+
+        The cache's one LRU model: :meth:`read` and :meth:`write` are
+        one-access replays.  A batch leaves the same set state and the
+        same counter values as its accesses made one at a time, with
+        new counters in order of first occurrence, so a pass priced
+        from its table replays its whole access sequence in one call.
+        """
         epl = self.elements_per_line
-        first_line = index // epl
-        last_line = (index + count - 1) // epl
-        cycles = 0.0
-        for line in range(first_line, last_line + 1):
-            cost, hit = self._touch(space, line * epl, dirty)
-            cycles += cost
-            kind = "write" if dirty else "read"
-            self.counters.add(f"cache_{kind}s")
-            self.counters.add("cache_hits" if hit else "cache_misses")
-        return cycles
+        n_sets, ways, sets = self._n_sets, self.ways, self._sets
+        salts: Dict[str, int] = {}
+        # Line touches by their events, in order of first occurrence.
+        touches: Dict[Tuple[str, ...], int] = {}
+        try:
+            for space, index, count, dirty in accesses:
+                if count <= 0:
+                    raise SimulationError(f"cache access of {count} elements")
+                salt = salts.get(space)
+                if salt is None:
+                    salt = salts[space] = self._locate(space)
+                hit, fill, evict, write_back = _TOUCHES[dirty]
+                for line in range(index // epl,
+                                  (index + count - 1) // epl + 1):
+                    lines = sets[(salt ^ line) % n_sets]
+                    tag = (space, line)
+                    if tag in lines:
+                        lines.move_to_end(tag)
+                        if dirty:
+                            lines[tag] = True
+                        touch = hit
+                    elif len(lines) < ways:
+                        lines[tag] = dirty
+                        touch = fill
+                    else:
+                        # Miss on a full set: evict its LRU line.
+                        touch = (write_back if lines.popitem(last=False)[1]
+                                 else evict)
+                        lines[tag] = dirty
+                    touches[touch] = touches.get(touch, 0) + 1
+        finally:
+            events: Dict[str, int] = {}
+            for touch, times in touches.items():
+                for event in touch:
+                    events[event] = events.get(event, 0) + times
+            for event, times in events.items():
+                self.counters.add(event, float(times))
+        return float(events.get("cache_hits", 0) * self.hit_latency
+                     + events.get("cache_misses", 0) * self.miss_latency)
+
+
+def _touch_events(kind: str) -> Tuple[Tuple[str, ...], ...]:
+    """The events of one line touch by an access of ``kind``, in the
+    order they are counted: a hit; a miss filling a free way; a miss
+    evicting a clean line; one evicting a dirty line."""
+    return ((kind, "cache_hits"), (kind, "cache_misses"),
+            ("cache_evictions", kind, "cache_misses"),
+            ("cache_evictions", "cache_writebacks", kind, "cache_misses"))
+
+
+#: :func:`_touch_events` of a read (``False``) and a write (``True``).
+_TOUCHES = {False: _touch_events("cache_reads"),
+            True: _touch_events("cache_writes")}

@@ -1,7 +1,7 @@
 """Content-addressed artifact store for compiled accelerator state.
 
 The programming phase — Algorithm 1's conversion, ``encode_image()``,
-and the per-pass/per-width template captures — is a pure function of the
+and the per-pass/per-width report templates — is a pure function of the
 matrix content, the compile-relevant hardware configuration, and the
 kernel.  This store keys that state by content hash
 (``<kernel>-w<ω>-<r|n>-<matrix crc32>-<config crc32>``), persists it to
@@ -149,10 +149,12 @@ class StoreReport:
     artifacts_stored: int = 0
     #: Report/span templates served from the store.
     templates_loaded: int = 0
-    #: Templates captured by the interpreter replay (store misses).
+    #: Templates made on a store miss and saved: priced from the
+    #: programmed columns, or captured by an interpreter replay when the
+    #: accelerator is traced (it needs spans).
     templates_captured: int = 0
-    #: Template captures that could not be persisted (artifact file
-    #: missing or unreadable at save time); the capture is still used.
+    #: Templates that could not be persisted (artifact file missing or
+    #: unreadable at save time); the template is still used.
     template_store_skips: int = 0
     #: Loads abandoned to recompilation on a checksum/structure failure.
     corrupt_fallbacks: int = 0
@@ -286,8 +288,8 @@ class ArtifactStore:
         """A stored ``(report, spans)`` template, or None on miss.
 
         ``want_spans`` is set by traced accelerators; a template stored
-        without spans is then a miss (the capture re-runs traced and the
-        richer template overwrites the stored one).
+        without spans is then a miss (the interpreter captures it traced
+        and the richer template overwrites the stored one).
         """
         entry = self._mem.get(key)
         if entry is None:
@@ -312,10 +314,10 @@ class ArtifactStore:
 
     def save_template(self, key: str, kind: str, report, spans,
                       k: Optional[int] = None) -> None:
-        """Persist a freshly captured template into the artifact.
+        """Persist a freshly made template into the artifact.
 
-        ``spans`` is the captured span list, or None when the capture
-        ran untraced.  The on-disk artifact is updated read-modify-write
+        ``spans`` is the captured span list, or None for an untraced
+        (priced) template.  The on-disk artifact is updated read-modify-write
         behind an atomic rename; if its file is missing or unreadable
         the persist is skipped (counted) — the in-memory copy still
         serves this process.
@@ -462,8 +464,8 @@ class ArtifactStore:
         additionally *recompiled* — the dataset is reloaded and run back
         through Algorithm 1 with the stored program's ω and order flag —
         and the stored program and image byte-diffed against the fresh
-        compile.  Templates are checksum- and schema-verified only: the
-        capture depends on the full runtime configuration, of which the
+        compile.  Templates are checksum- and schema-verified only: a
+        template depends on the full compile configuration, of which the
         key stores just a fingerprint.
         """
         problems: List[Tuple[str, str]] = []

@@ -1,11 +1,14 @@
-"""JSON [de]serialization for captured report and span templates.
+"""JSON [de]serialization for report and span templates.
 
-The compiled-plan layer replays each kernel once through the per-block
-interpreter (:mod:`repro.core.interpreter`) to capture a :class:`~repro.core.report.SimReport` and (when
-tracing) the :class:`~repro.observe.tracer.Span` timeline; those
-templates are then cloned per request.  This module round-trips them
-through JSON so the artifact store can persist the capture and a warm
-process can skip the replay entirely.
+The compiled-plan layer makes each pass's
+:class:`~repro.core.report.SimReport` template once — priced from the
+programmed columns (:func:`repro.core.pricing.price_pass`), or, for a
+traced accelerator, captured with its
+:class:`~repro.observe.tracer.Span` timeline by one replay of the
+per-block interpreter (:mod:`repro.core.interpreter`) — and clones it
+per request.  This module round-trips templates through JSON so the
+artifact store can persist them and a warm process can skip making
+them entirely.
 
 Fidelity rules:
 

@@ -23,8 +23,9 @@ both paths must keep producing these exact reports.  The script refuses
 to write a golden in which a plan fault case differs from its
 interpreter twin (``plan_degraded`` aside), in which a report's
 ``energy_j`` is not the energy model's price of its own counters and
-cycles, or in which a case's activity counts are not its ``base``
-twin's.  Regenerating it
+cycles, in which a case's activity counts are not its ``base``
+twin's, or in which ``cache_busy_cycles`` or
+``exposed_reconfig_cycles`` differs from its counter.  Regenerating it
 declares a cost-model change; do so only with the change that caused
 it.  The file holds one case per line so a diff names the cases that
 moved.
@@ -94,6 +95,10 @@ SAME_BLOCKS = ("cache256", "exposed", "noreorder", "faults", "crosscheck",
                "traced")
 #: The activity counters: a function of the programmed blocks alone.
 ACTIVITY = ("alu_op", "re_op", "pe_op")
+
+#: Report fields that mirror a counter: field name -> counter name.
+FIELD_COUNTERS = {"cache_busy_cycles": "cache_busy_cycles",
+                  "exposed_reconfig_cycles": "reconfig_exposed_cycles"}
 
 
 def cases():
@@ -303,6 +308,21 @@ def activity_drift(entries):
     return drift
 
 
+def field_counter_drift(entries):
+    """Ids of the cases whose ``cache_busy_cycles`` or
+    ``exposed_reconfig_cycles`` field differs from its counter twin
+    (:data:`FIELD_COUNTERS`): each field reports the same quantity as
+    its counter, a cross-check fallback's folded report included."""
+    drift = []
+    for cid in sorted(entries):
+        report = entries[cid]["report"]
+        counters = report["counters"]
+        if any(report[field] != counters.get(counter, 0.0)
+               for field, counter in FIELD_COUNTERS.items()):
+            drift.append(cid)
+    return drift
+
+
 def main():
     entries = {cid: run_case(kernel, matrix, settings)
                for cid, kernel, matrix, settings in cases()}
@@ -321,6 +341,11 @@ def main():
         raise SystemExit(
             f"refusing to write {GOLDEN_PATH}: activity counts differ "
             f"from the base twin's: {', '.join(drift)}")
+    drift = field_counter_drift(entries)
+    if drift:
+        raise SystemExit(
+            f"refusing to write {GOLDEN_PATH}: a report field differs "
+            f"from its counter: {', '.join(drift)}")
     GOLDEN_PATH.write_text(dumps_golden(entries))
     print(f"wrote {GOLDEN_PATH} ({len(entries)} cases)")
 

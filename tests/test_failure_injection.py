@@ -373,39 +373,52 @@ class TestRuntimeFaults:
         """A silent bitflip under the compiled plan is caught by the
         sampled cross-check; the plan's output is discarded, the
         interpreter reruns with forced checksum verification, and the
-        final answer is bit-identical to a clean run."""
+        final answer is bit-identical to a clean run.  Run with the
+        reconfiguration hidden under the drain and exposed, so the
+        fallback's report keeps both fields that mirror a counter equal
+        to it."""
         x = np.arange(17, dtype=np.float64)
-        clean = Alrescha.from_matrix(
-            KernelType.SPMV, spd_small,
-            config=AlreschaConfig(use_plan=True))
-        y_clean, _ = clean.run_spmv(x)
+        for hide in (True, False):
+            clean = Alrescha.from_matrix(
+                KernelType.SPMV, spd_small,
+                config=AlreschaConfig(use_plan=True,
+                                      hide_reconfig_under_drain=hide))
+            y_clean, rep_clean = clean.run_spmv(x)
 
-        fm = FaultModel(rate=0.25, seed=11, kinds=("bitflip",))
-        acc = Alrescha.from_matrix(
-            KernelType.SPMV, spd_small,
-            config=AlreschaConfig(use_plan=True, fault_model=fm,
-                                  verify_checksums=False,
-                                  crosscheck_rows=1.0))
-        y, rep = acc.run_spmv(x)
-        assert rep.counters.get("crosscheck_mismatches") > 0
-        assert rep.counters.get("plan_fallbacks") == 1.0
-        assert rep.counters.get("crosscheck_wasted_cycles") > 0.0
-        assert acc.plan_degraded
-        assert np.array_equal(y, y_clean)
-        # The pass ran twice on the hardware: the discarded plan run's
-        # blocks are charged beside the rerun's blocks and re-streams.
-        _, rep_clean = clean.run_spmv(x)
-        restreams = rep.counters.get("fault_restreams")
-        assert restreams > 0
-        assert rep.counters.get("dram_requests") == \
-            2 * rep_clean.counters.get("dram_requests") + restreams
-        assert rep.streamed_bytes == 2 * rep_clean.streamed_bytes \
-            + restreams * interpreter.restream_cost(acc.config)[0]
-        # Once degraded, later runs go straight to the (verifying)
-        # interpreter and keep producing clean answers.
-        y2, rep2 = acc.run_spmv(x)
-        assert np.array_equal(y2, y_clean)
-        assert rep2.counters.get("plan_fallbacks") == 0.0
+            fm = FaultModel(rate=0.25, seed=11, kinds=("bitflip",))
+            acc = Alrescha.from_matrix(
+                KernelType.SPMV, spd_small,
+                config=AlreschaConfig(use_plan=True, fault_model=fm,
+                                      verify_checksums=False,
+                                      crosscheck_rows=1.0,
+                                      hide_reconfig_under_drain=hide))
+            y, rep = acc.run_spmv(x)
+            assert rep.counters.get("crosscheck_mismatches") > 0
+            assert rep.counters.get("plan_fallbacks") == 1.0
+            assert rep.counters.get("crosscheck_wasted_cycles") > 0.0
+            assert acc.plan_degraded
+            assert np.array_equal(y, y_clean)
+            # The pass ran twice on the hardware: the discarded plan
+            # run's blocks are charged beside the rerun's blocks and
+            # re-streams, and each mirrored field follows its counter.
+            restreams = rep.counters.get("fault_restreams")
+            assert restreams > 0
+            assert rep.counters.get("dram_requests") == \
+                2 * rep_clean.counters.get("dram_requests") + restreams
+            assert rep.streamed_bytes == 2 * rep_clean.streamed_bytes \
+                + restreams * interpreter.restream_cost(acc.config)[0]
+            assert rep.cache_busy_cycles == \
+                rep.counters.get("cache_busy_cycles") == \
+                2 * rep_clean.cache_busy_cycles
+            assert rep.exposed_reconfig_cycles == \
+                rep.counters.get("reconfig_exposed_cycles") == \
+                2 * rep_clean.exposed_reconfig_cycles
+            assert (rep.exposed_reconfig_cycles > 0.0) is not hide
+            # Once degraded, later runs go straight to the (verifying)
+            # interpreter and keep producing clean answers.
+            y2, rep2 = acc.run_spmv(x)
+            assert np.array_equal(y2, y_clean)
+            assert rep2.counters.get("plan_fallbacks") == 0.0
 
     def test_clean_crosscheck_passes_without_fallback(self, spd_small):
         x = np.arange(17, dtype=np.float64)

@@ -82,6 +82,14 @@ def test_activity_is_a_function_of_the_programmed_blocks(golden):
     assert regen.activity_drift(golden) == []
 
 
+def test_report_fields_equal_their_counters(golden):
+    """``cache_busy_cycles`` and ``exposed_reconfig_cycles`` equal their
+    counters (``cache_busy_cycles``, ``reconfig_exposed_cycles``) in
+    every report — a cross-check fallback, which ran its pass twice,
+    charges both runs to field and counter alike."""
+    assert regen.field_counter_drift(golden) == []
+
+
 @pytest.mark.parametrize("kernel", sorted(regen.KERNELS))
 def test_kernel_reports_match_golden(golden, kernel):
     mismatched = {}

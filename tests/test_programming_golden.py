@@ -10,8 +10,10 @@ bytes are a compatibility contract, not just a regression pin.
 The differential tests rebuild the image's per-op rows and every
 lowered plan with a copy of the per-op loops the programming phase
 used to run, and require the columnar results to equal them.  The
-warm-start test requires that a backend built through a primed store
-constructs no per-block Python object at all.
+start tests require that a backend built through a primed store — or
+an empty one, whose templates are priced from the columns — constructs
+no per-block Python object at all, and that no untraced compile runs
+the per-block interpreter.
 """
 
 from __future__ import annotations
@@ -23,8 +25,11 @@ import pathlib
 import numpy as np
 import pytest
 
+import scipy.sparse as sp
+
 from repro.core import Alrescha, AlreschaConfig, KernelType, convert
 from repro.core import accelerator as accelerator_module
+from repro.core import interpreter
 from repro.core.config import (ConfigEntry, ConfigTable, DataPathType,
                                OperandPort)
 from repro.core.convert import ConversionResult
@@ -32,7 +37,8 @@ from repro.core.plan import compile_pass
 from repro.datasets import load_dataset
 from repro.errors import SimulationError
 from repro.formats.alrescha import StreamBlock
-from repro.sim.faults import payload_checksum
+from repro.observe import Tracer
+from repro.sim.faults import FaultModel, payload_checksum
 from repro.solvers import AcceleratorBackend, pcg
 from repro.store import ArtifactStore
 
@@ -282,8 +288,21 @@ class TestMalformedSymgsTables:
 
 
 # ---------------------------------------------------------------------
-# A warm start builds no per-block objects
+# A warm or cold start builds no per-block objects
 # ---------------------------------------------------------------------
+def _count_per_block_objects(monkeypatch):
+    """Count, by class name, every ``_Op``, ``ConfigEntry`` and
+    ``StreamBlock`` built until ``monkeypatch`` is undone."""
+    built = {}
+    for cls in (accelerator_module._Op, ConfigEntry, StreamBlock):
+        def counting(self, *args, _init=cls.__init__,
+                     _name=cls.__name__, **kwargs):
+            built[_name] = built.get(_name, 0) + 1
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counting)
+    return built
+
+
 class TestWarmStart:
     @pytest.fixture(scope="class")
     def stencil(self):
@@ -295,13 +314,7 @@ class TestWarmStart:
         AcceleratorBackend(
             stencil, config=AlreschaConfig(
                 artifact_store=ArtifactStore(tmp_path)), source=source)
-        built = {}
-        for cls in (accelerator_module._Op, ConfigEntry, StreamBlock):
-            def counting(self, *args, _init=cls.__init__,
-                         _name=cls.__name__, **kwargs):
-                built[_name] = built.get(_name, 0) + 1
-                _init(self, *args, **kwargs)
-            monkeypatch.setattr(cls, "__init__", counting)
+        built = _count_per_block_objects(monkeypatch)
         store = ArtifactStore(tmp_path)
         warm = AcceleratorBackend(
             stencil, config=AlreschaConfig(artifact_store=store),
@@ -318,3 +331,120 @@ class TestWarmStart:
         assert result.iterations == storeless.iterations
         assert np.array_equal(result.x, storeless.x)
         assert result.report == storeless.report
+
+    def test_empty_store_builds_no_per_block_objects(
+            self, stencil, tmp_path, monkeypatch):
+        """The cold twin: an untraced build against an empty store
+        prices every template from the columns, so it builds no
+        per-block object either."""
+        built = _count_per_block_objects(monkeypatch)
+        store = ArtifactStore(tmp_path)
+        cold = AcceleratorBackend(
+            stencil, config=AlreschaConfig(artifact_store=store),
+            source={"dataset": "stencil27", "scale": 0.3})
+        b = np.random.default_rng(9).normal(size=stencil.shape[0])
+        result = pcg(cold, b, tol=1e-10, max_iter=60)
+        assert built == {}
+        report = store.report()
+        assert report.conversions_compiled > 0
+        assert report.templates_captured > 0
+        monkeypatch.undo()
+        storeless = pcg(AcceleratorBackend(stencil), b, tol=1e-10,
+                        max_iter=60)
+        assert result.iterations == storeless.iterations
+        assert np.array_equal(result.x, storeless.x)
+        assert result.report == storeless.report
+
+
+# ---------------------------------------------------------------------
+# Only a traced compile runs the per-block interpreter
+# ---------------------------------------------------------------------
+class _InterpreterRan(Exception):
+    """``repro.core.interpreter.run`` was called."""
+
+
+def _graph(n=40, seed=2):
+    rng = np.random.default_rng(seed)
+    a = (rng.random((n, n)) < 0.12).astype(float)
+    a[np.arange(n), (np.arange(n) + 1) % n] = 1.0
+    np.fill_diagonal(a, 0.0)
+    g = sp.csr_matrix(a)
+    g.data = rng.uniform(0.5, 5.0, size=g.nnz)
+    return g
+
+
+def _run(acc, kind, k):
+    """Run pass ``kind`` (width ``k``, None solo) on fixed operands."""
+    n = acc.n
+    rng = np.random.default_rng(n)
+    shape = (n,) if k is None else (n, k)
+    dist = np.full(n, np.inf)
+    dist[0] = 0.0
+    if kind == "spmv":
+        x = rng.normal(size=shape)
+        return acc.run_spmv(x) if k is None else acc.run_spmv_batch(x)
+    if kind == "symgs":
+        b, x0 = rng.normal(size=shape), rng.normal(size=shape)
+        return (acc.run_symgs_sweep(b, x0) if k is None
+                else acc.run_symgs_batch(b, x0))
+    if kind == "bfs":
+        return acc.run_bfs_pass(dist)
+    if kind == "bfs-parents":
+        return acc.run_bfs_pass_parents(dist, np.full(n, -1, np.int64))
+    if kind == "sssp":
+        return acc.run_sssp_pass(dist)
+    return acc.run_pr_pass(np.full(n, 1.0 / n), rng.uniform(1.0, 3.0, n))
+
+
+#: Pass kind -> programmed kernel.
+_KERNELS = {"spmv": KernelType.SPMV, "symgs": KernelType.SYMGS,
+            "bfs": KernelType.BFS, "bfs-parents": KernelType.BFS,
+            "sssp": KernelType.SSSP, "pagerank": KernelType.PAGERANK}
+
+#: Every kind solo, SpMV and SymGS at batch widths 2 and 4.
+_RUNS = [("spmv", None), ("spmv", 2), ("spmv", 4), ("symgs", None),
+         ("symgs", 2), ("symgs", 4), ("bfs", None), ("bfs-parents", None),
+         ("sssp", None), ("pagerank", None)]
+
+
+class TestNoInterpreterOnUntracedCompile:
+    @pytest.mark.parametrize("stored", [False, True],
+                             ids=["storeless", "stored"])
+    @pytest.mark.parametrize("kind,k", _RUNS)
+    def test_untraced_runs_never_call_the_interpreter(
+            self, kind, k, stored, tmp_path, monkeypatch, spd_medium):
+        """Compiles, batch-width templates and fault slacks of untraced
+        accelerators come from the pricer: with the interpreter
+        replaced by a function that raises, every kind still runs —
+        clean and under faults — with the interpreter's reports; a
+        traced accelerator on the same image captures its spans through
+        the interpreter."""
+        kernel = _KERNELS[kind]
+        matrix = spd_medium if kind in ("spmv", "symgs") else _graph()
+
+        def config(**knobs):
+            if stored:
+                knobs["artifact_store"] = ArtifactStore(tmp_path)
+            return AlreschaConfig(**knobs)
+
+        expected = [_run(Alrescha.from_matrix(
+            kernel, matrix, config=AlreschaConfig(
+                use_plan=False, fault_model=fault_model)), kind, k)
+            for fault_model in (None, FaultModel.parse("0.3:7"))]
+
+        def refuse(acc, kind, operands, k=None):
+            raise _InterpreterRan(kind)
+
+        monkeypatch.setattr(interpreter, "run", refuse)
+        clean = Alrescha.from_matrix(kernel, matrix, config=config())
+        faulty = Alrescha.bind(clean.image, config(
+            fault_model=FaultModel.parse("0.3:7")))
+        for acc, (*want, want_report) in zip((clean, faulty), expected):
+            *outputs, report = _run(acc, kind, k)
+            for out, ref in zip(outputs, want):
+                assert np.array_equal(out, ref)
+            assert report == want_report
+        assert report.counters.get("faults_injected") > 0
+        traced = Alrescha.bind(clean.image, config(tracer=Tracer()))
+        with pytest.raises(_InterpreterRan):
+            _run(traced, kind, k)

@@ -1,6 +1,8 @@
 """Unit tests for the RCU local cache model."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.sim import LocalCache
@@ -82,3 +84,51 @@ class TestFlushAndErrors:
     def test_zero_count_rejected(self):
         with pytest.raises(SimulationError):
             LocalCache().read("x", 0, count=0)
+
+
+@st.composite
+def _geometry_and_accesses(draw):
+    """A cache geometry, and accesses over a few spaces spanning one to
+    three lines each, reads and writes mixed."""
+    line_bytes = draw(st.sampled_from([16, 32, 64]))
+    ways = draw(st.sampled_from([1, 2, 4]))
+    n_sets = draw(st.sampled_from([1, 2, 4, 8]))
+    epl = line_bytes // 8
+    access = st.tuples(st.sampled_from(["x", "x_prev", "b0", "out"]),
+                       st.integers(0, 24 * epl),
+                       st.integers(1, 3 * epl), st.booleans())
+    accesses = draw(st.lists(access, max_size=80))
+    split = draw(st.integers(0, len(accesses)))
+    return (dict(size_bytes=line_bytes * ways * n_sets,
+                 line_bytes=line_bytes, ways=ways), accesses, split)
+
+
+class TestBatchReplay:
+    @settings(max_examples=200, deadline=None)
+    @given(_geometry_and_accesses())
+    def test_batch_equals_one_access_at_a_time(self, case):
+        """After the same first ``split`` accesses, replaying the rest
+        in one batch leaves what making them one at a time leaves: the
+        counter values, their key order and every set's LRU state."""
+        geometry, accesses, split = case
+        batch, single = LocalCache(**geometry), LocalCache(**geometry)
+        for cache in (batch, single):
+            for space, index, count, dirty in accesses[:split]:
+                (cache.write if dirty else cache.read)(space, index, count)
+        rest = accesses[split:]
+        cycles = batch.replay(rest)
+        assert cycles == sum(
+            (single.write if dirty else single.read)(space, index, count)
+            for space, index, count, dirty in rest)
+        assert list(batch.counters.items()) == \
+            list(single.counters.items())
+        assert batch._sets == single._sets
+
+    def test_failed_access_keeps_the_batch_before_it(self):
+        """A zero-count access raises; the accesses before it stay
+        counted, as they would have been one at a time."""
+        cache = LocalCache()
+        with pytest.raises(SimulationError):
+            cache.replay([("x", 0, 8, False), ("x", 8, 0, False)])
+        assert cache.counters.as_dict() == {"cache_reads": 1.0,
+                                            "cache_misses": 1.0}
